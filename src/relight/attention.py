@@ -10,12 +10,14 @@ blocks and recovers the full-resolution feature map.
 Blocks are pre-norm: LN -> MHSA -> residual -> LN -> MLP -> residual,
 with the MLP hidden width fixed at 4x the embedding dim and a GELU
 activation.  Attention logits are scaled by 1/sqrt(head_dim).
+
+Weights come from one flat name -> Tensor map; each function reads its
+own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import tensor as T
 from . import windows as W
@@ -24,58 +26,11 @@ from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
 
-
-@dataclass
-class MhsaWeights:
-    """Square projection matrices for multi-head self-attention."""
-
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-    num_heads: int
-
-    def __post_init__(self):
-        d = self.w_q.shape[0]
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            if getattr(self, name).shape != (d, d):
-                raise ConfigError(f"{name} must be {d}x{d}, got {getattr(self, name).shape}")
-        if d % self.num_heads:
-            raise ConfigError(f"num_heads {self.num_heads} does not divide dim {d}")
-
-    @property
-    def dim(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.num_heads
-
-
-@dataclass
-class WindowBlockWeights:
-    """Pre-norm transformer block: two layer norms, attention, 4x MLP."""
-
-    norm1_g: Tensor
-    norm1_b: Tensor
-    mhsa: MhsaWeights
-    norm2_g: Tensor
-    norm2_b: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
-
-    def __post_init__(self):
-        d = self.mhsa.dim
-        if self.mlp_w1.shape != (d, 4 * d) or self.mlp_w2.shape != (4 * d, d):
-            raise ConfigError(f"mlp must be {d}->{4 * d}->{d}")
-
-
-def mhsa(z: Tensor, w: MhsaWeights, attn_out: list | None = None) -> Tensor:
+def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int, attn_out: list | None = None) -> Tensor:
     """Scaled dot-product multi-head self-attention over a token sequence.
 
-    z is [L,d] or batched [B,L,d] (windows attend independently).  When
+    z is [L,d] or batched [B,L,d] (windows attend independently); the
+    square projections are p[f"{prefix}.w_q"], w_k, w_v and w_o.  When
     attn_out is a list, the softmaxed attention weights [B,heads,L,L] are
     appended to it for inspection.
     """
@@ -83,81 +38,76 @@ def mhsa(z: Tensor, w: MhsaWeights, attn_out: list | None = None) -> Tensor:
     if squeeze:
         z = T.reshape(z, (1,) + z.shape)
     B, L, d = z.shape
-    if d != w.dim:
-        raise ConfigError(f"sequence dim {d} does not match weights dim {w.dim}")
-    h, hd = w.num_heads, w.head_dim
+    w_q = p[f"{prefix}.w_q"]
+    if d != w_q.shape[0]:
+        raise ConfigError(f"sequence dim {d} does not match weights dim {w_q.shape[0]}")
+    if d % heads:
+        raise ConfigError(f"heads {heads} does not divide dim {d}")
+    hd = d // heads
 
     def project(mat):
         flat = T.reshape(z, (B * L, d))
-        p = T.reshape(flat @ mat, (B, L, h, hd))
-        return T.permute(p, (0, 2, 1, 3))  # (B, h, L, hd)
+        proj = T.reshape(flat @ mat, (B, L, heads, hd))
+        return T.permute(proj, (0, 2, 1, 3))  # (B, heads, L, hd)
 
-    q, k, v = project(w.w_q), project(w.w_k), project(w.w_v)
+    q, k, v = project(w_q), project(p[f"{prefix}.w_k"]), project(p[f"{prefix}.w_v"])
     logits = T.scale(q @ T.permute(k, (0, 1, 3, 2)), 1.0 / math.sqrt(hd))
     attn = T.softmax(logits, axis=-1)
     if attn_out is not None:
         attn_out.append(attn.data.copy())
-    ctx = attn @ v  # (B, h, L, hd)
+    ctx = attn @ v  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
-    out = T.reshape(ctx @ w.w_o, (B, L, d))
+    out = T.reshape(ctx @ p[f"{prefix}.w_o"], (B, L, d))
     return T.reshape(out, (L, d)) if squeeze else out
 
 
-def transformer_block(z: Tensor, w: WindowBlockWeights) -> Tensor:
-    """Pre-norm block on [.., L, d] tokens: LN-MHSA-residual, LN-MLP-residual."""
-    attn = mhsa(T.layer_norm(z, w.norm1_g, w.norm1_b), w.mhsa)
+def transformer_block(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
+    """Pre-norm block on [.., L, d] tokens: LN-MHSA-residual, LN-MLP-residual.
+
+    Reads norm1_g/b, mhsa.*, norm2_g/b, mlp_w1/b1 and mlp_w2/b2 under prefix.
+    """
+    attn = mhsa(T.layer_norm(z, p[f"{prefix}.norm1_g"], p[f"{prefix}.norm1_b"]), p, f"{prefix}.mhsa", heads)
     z = T.add(z, attn)
-    hdim = w.mlp_w1.shape[1]
-    lead = z.shape[:-1]
-    flat = T.reshape(T.layer_norm(z, w.norm2_g, w.norm2_b), (-1, w.mhsa.dim))
-    hidden = T.gelu(T.add_bias(flat @ w.mlp_w1, w.mlp_b1))
-    mlp = T.reshape(T.add_bias(hidden @ w.mlp_w2, w.mlp_b2), lead + (w.mhsa.dim,))
+    lead, d = z.shape[:-1], z.shape[-1]
+    flat = T.reshape(T.layer_norm(z, p[f"{prefix}.norm2_g"], p[f"{prefix}.norm2_b"]), (-1, d))
+    hidden = T.gelu(T.add_bias(flat @ p[f"{prefix}.mlp_w1"], p[f"{prefix}.mlp_b1"]))
+    mlp = T.reshape(T.add_bias(hidden @ p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"]), lead + (d,))
     return T.add(z, mlp)
 
 
-def window_attention_block(x: Tensor, s: int, w: WindowBlockWeights) -> Tensor:
+def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     """Shape-preserving window attention: partition, per-window block, reverse.
 
     No information crosses window boundaries.
     """
     C, H, Wd = x.shape
     wins = W.window_partition(x, s)
-    wins = transformer_block(wins, w)
+    wins = transformer_block(wins, p, prefix, heads)
     return W.window_reverse(wins, s, H, Wd)
 
 
-@dataclass
-class LocalBranchWeights:
-    embed_w: Tensor  # 1x1 conv, 3 -> local_dim
-    embed_b: Tensor
-    blocks: list = field(default_factory=list)  # WindowBlockWeights per window size
-
-
-@dataclass
-class GlobalBranchWeights:
-    patch_w: Tensor  # 8x8 stride-8 conv, 3 -> embed dim
-    patch_b: Tensor
-    pos: Tensor  # learnable [L,d] positional table
-    blocks: list = field(default_factory=list)  # two serial transformer blocks
-    recover: W.PatchRecoverWeights | None = None
-
-
-def local_branch(x: Tensor, weights: LocalBranchWeights) -> Tensor:
+def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, layers: int) -> Tensor:
     """1x1 embedding, then window blocks at sizes 2,4,8 chained sequentially;
-    the returned multi-scale feature is the sum of every layer's output."""
-    feat = T.conv2d(x, weights.embed_w, weights.embed_b)
+    the returned multi-scale feature is the sum of every layer's output.
+
+    Reads embed_w/b and blocks.{i}.* for the first `layers` window sizes.
+    """
+    feat = T.conv2d(x, p[f"{prefix}.embed_w"], p[f"{prefix}.embed_b"])
     acc = None
-    for i, block in enumerate(weights.blocks):
-        feat = window_attention_block(feat, LOCAL_WINDOW_SIZES[i], block)
+    for i in range(layers):
+        feat = window_attention_block(feat, LOCAL_WINDOW_SIZES[i], p, f"{prefix}.blocks.{i}", heads)
         acc = feat if acc is None else T.add(acc, feat)
     return acc if acc is not None else feat
 
 
-def global_branch(x: Tensor, weights: GlobalBranchWeights) -> Tensor:
-    """Patch tokens + positional encoding -> two serial blocks -> recovered map."""
+def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
+    """Patch tokens + positional encoding -> two serial blocks -> recovered map.
+
+    Reads patch_w/b, the [L,d] table pos, blocks.{0,1}.* and recover.* under prefix.
+    """
     _, H, Wd = x.shape
-    z = W.patch_embed(x, weights.patch_w, weights.patch_b)
-    z = W.add_positional_encoding(z, weights.pos)
-    for block in weights.blocks:
-        z = transformer_block(z, block)
-    return W.patch_recover(z, weights.recover, H, Wd)
+    z = W.patch_embed(x, p[f"{prefix}.patch_w"], p[f"{prefix}.patch_b"])
+    z = W.add_positional_encoding(z, p[f"{prefix}.pos"])
+    for i in range(2):
+        z = transformer_block(z, p, f"{prefix}.blocks.{i}", heads)
+    return W.patch_recover(z, p, f"{prefix}.recover", H, Wd)

@@ -9,7 +9,7 @@ numerically stable log-sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,11 @@ CONV_CHANNELS = (16, 32, 64)
 
 @dataclass
 class DiscriminatorWeights:
-    input_size: int  # square side the stack was built for
-    convs: list = field(default_factory=list)  # [(w, b)] * 3, stride 2, pad 1
-    linear_w: Tensor = None
-    linear_b: Tensor = None
+    """The square input side the stack was built for and its parameters:
+    ``convs.{i}.0``/``convs.{i}.1`` (3x3, stride 2, pad 1), ``linear_w``, ``linear_b``."""
+
+    input_size: int
+    params: dict[str, Tensor]
 
 
 def _spatial_after_convs(size: int) -> int:
@@ -39,40 +40,32 @@ def init_discriminator(input_size: int, seed: int) -> DiscriminatorWeights:
     if input_size < 8:
         raise ConfigError(f"discriminator input side {input_size} too small for three stride-2 convs")
     rng = np.random.default_rng(seed)
-    convs = []
+    p = {}
     cin = 3
-    for cout in CONV_CHANNELS:
+    for i, cout in enumerate(CONV_CHANNELS):
         bound = 1.0 / np.sqrt(9 * cin)
-        w = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)), requires_grad=True)
-        b = Tensor(np.zeros(cout), requires_grad=True)
-        convs.append((w, b))
+        p[f"convs.{i}.0"] = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)), requires_grad=True)
+        p[f"convs.{i}.1"] = Tensor(np.zeros(cout), requires_grad=True)
         cin = cout
     side = _spatial_after_convs(input_size)
     feat = CONV_CHANNELS[-1] * side * side
     bound = 1.0 / np.sqrt(feat)
-    return DiscriminatorWeights(
-        input_size=input_size,
-        convs=convs,
-        linear_w=Tensor(rng.uniform(-bound, bound, size=(feat, 1)), requires_grad=True),
-        linear_b=Tensor(np.zeros(1), requires_grad=True),
-    )
+    p["linear_w"] = Tensor(rng.uniform(-bound, bound, size=(feat, 1)), requires_grad=True)
+    p["linear_b"] = Tensor(np.zeros(1), requires_grad=True)
+    return DiscriminatorWeights(input_size, p)
 
 
 def discriminate(x: Tensor, w: DiscriminatorWeights) -> Tensor:
     """Score one [3,S,S] image or patch; returns a scalar logit tensor."""
     if x.shape != (3, w.input_size, w.input_size):
         raise ConfigError(f"discriminator built for 3x{w.input_size}x{w.input_size}, got {x.shape}")
+    p = w.params
     feat = x
-    for cw, cb in w.convs:
-        feat = T.leaky_relu(T.conv2d(feat, cw, cb, stride=2, pad=1), 0.2)
+    for i in range(len(CONV_CHANNELS)):
+        feat = T.leaky_relu(T.conv2d(feat, p[f"convs.{i}.0"], p[f"convs.{i}.1"], stride=2, pad=1), 0.2)
     flat = T.reshape(feat, (1, feat.size))
-    logit = T.add_bias(flat @ w.linear_w, w.linear_b)
+    logit = T.add_bias(flat @ p["linear_w"], p["linear_b"])
     return T.reshape(logit, ())
-
-
-def discriminate_global(x: Tensor, w: DiscriminatorWeights) -> Tensor:
-    """Whole-image logit; probability of 'real' is sigmoid(logit)."""
-    return discriminate(x, w)
 
 
 def sample_patch_positions(rng, height: int, width: int, patch: int, n: int) -> list[tuple[int, int]]:

@@ -25,13 +25,5 @@ class PartitionError(RelightError):
     """Window partition/reverse called with non-divisible geometry."""
 
 
-class CheckpointError(RelightError):
-    """Checkpoint file is malformed, truncated, or of the wrong version."""
-
-
-class DatasetError(RelightError):
-    """A training dataset directory is unusable."""
-
-
 class DivergenceError(RelightError):
     """A loss term became non-finite during training."""

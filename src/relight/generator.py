@@ -13,9 +13,8 @@ scales remain meaningful.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -70,29 +69,14 @@ class GeneratorConfig:
             return self.global_out_dim
         return self.local_dim + self.global_out_dim
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class GeneratorWeights:
+    """A config and its parameters, keyed by dotted name (``local.embed_w``,
+    ``global_.blocks.1.mhsa.w_o``, ``fuse1_w``, ...) in initialisation order."""
+
     cfg: GeneratorConfig
-    local: A.LocalBranchWeights | None
-    global_: A.GlobalBranchWeights | None
-    fuse1_w: Tensor = None
-    fuse1_b: Tensor = None
-    fuse2_w: Tensor = None
-    fuse2_b: Tensor = None
-    out_w: Tensor = None
-    out_b: Tensor = None
+    params: dict[str, Tensor]
 
 
 def _uniform(rng, shape, fan_in):
@@ -104,80 +88,49 @@ def _zeros(shape):
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _init_mhsa(rng, d, heads):
-    return A.MhsaWeights(
-        w_q=_uniform(rng, (d, d), d),
-        w_k=_uniform(rng, (d, d), d),
-        w_v=_uniform(rng, (d, d), d),
-        w_o=_uniform(rng, (d, d), d),
-        num_heads=heads,
-    )
+def _conv(p, rng, w_name, b_name, cout, cin, k):
+    p[w_name] = _uniform(rng, (cout, cin, k, k), cin * k * k)
+    p[b_name] = _zeros(cout)
 
 
-def _init_block(rng, d, heads):
-    return A.WindowBlockWeights(
-        norm1_g=Tensor(np.ones(d), requires_grad=True),
-        norm1_b=_zeros(d),
-        mhsa=_init_mhsa(rng, d, heads),
-        norm2_g=Tensor(np.ones(d), requires_grad=True),
-        norm2_b=_zeros(d),
-        mlp_w1=_uniform(rng, (d, 4 * d), d),
-        mlp_b1=_zeros(4 * d),
-        mlp_w2=_uniform(rng, (4 * d, d), 4 * d),
-        mlp_b2=_zeros(d),
-    )
+def _block(p, rng, prefix, d):
+    p[f"{prefix}.norm1_g"] = Tensor(np.ones(d), requires_grad=True)
+    p[f"{prefix}.norm1_b"] = _zeros(d)
+    for name in ("w_q", "w_k", "w_v", "w_o"):
+        p[f"{prefix}.mhsa.{name}"] = _uniform(rng, (d, d), d)
+    p[f"{prefix}.norm2_g"] = Tensor(np.ones(d), requires_grad=True)
+    p[f"{prefix}.norm2_b"] = _zeros(d)
+    p[f"{prefix}.mlp_w1"] = _uniform(rng, (d, 4 * d), d)
+    p[f"{prefix}.mlp_b1"] = _zeros(4 * d)
+    p[f"{prefix}.mlp_w2"] = _uniform(rng, (4 * d, d), 4 * d)
+    p[f"{prefix}.mlp_b2"] = _zeros(d)
 
 
 def init_weights(cfg: GeneratorConfig, seed: int) -> GeneratorWeights:
     """Deterministic weight construction: scaled-uniform (fan-in) linears and
     convs, zero biases, small-normal (sigma 0.02) positional encoding."""
     rng = np.random.default_rng(seed)
+    p: dict[str, Tensor] = {}
 
-    local = None
     if cfg.variant != "global-only":
-        local = A.LocalBranchWeights(
-            embed_w=_uniform(rng, (cfg.local_dim, 3, 1, 1), 3),
-            embed_b=_zeros(cfg.local_dim),
-            blocks=[_init_block(rng, cfg.local_dim, cfg.local_heads) for _ in range(cfg.num_local_layers)],
-        )
+        _conv(p, rng, "local.embed_w", "local.embed_b", cfg.local_dim, 3, 1)
+        for i in range(cfg.num_local_layers):
+            _block(p, rng, f"local.blocks.{i}", cfg.local_dim)
 
-    global_ = None
     if cfg.variant != "local-only":
-        d = cfg.global_embed_dim
-        chans = [d, cfg.global_out_dim, cfg.global_out_dim, cfg.global_out_dim]
-        recover = W.PatchRecoverWeights(
-            convs=[
-                (_uniform(rng, (chans[i + 1], chans[i], 3, 3), 9 * chans[i]), _zeros(chans[i + 1]))
-                for i in range(3)
-            ]
-        )
-        global_ = A.GlobalBranchWeights(
-            patch_w=_uniform(rng, (d, 3, W.PATCH, W.PATCH), 3 * W.PATCH * W.PATCH),
-            patch_b=_zeros(d),
-            pos=Tensor(rng.normal(0.0, 0.02, size=(cfg.num_tokens, d)), requires_grad=True),
-            blocks=[_init_block(rng, d, cfg.global_heads) for _ in range(2)],
-            recover=recover,
-        )
+        d, c = cfg.global_embed_dim, cfg.global_out_dim
+        for i, cin in enumerate((d, c, c)):
+            _conv(p, rng, f"global_.recover.convs.{i}.0", f"global_.recover.convs.{i}.1", c, cin, 3)
+        _conv(p, rng, "global_.patch_w", "global_.patch_b", d, 3, W.PATCH)
+        p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.num_tokens, d)), requires_grad=True)
+        for i in range(2):
+            _block(p, rng, f"global_.blocks.{i}", d)
 
     cin, fc = cfg.fused_channels_in, cfg.fusion_channels
-    return GeneratorWeights(
-        cfg=cfg,
-        local=local,
-        global_=global_,
-        fuse1_w=_uniform(rng, (fc, cin, 3, 3), 9 * cin),
-        fuse1_b=_zeros(fc),
-        fuse2_w=_uniform(rng, (fc, fc, 3, 3), 9 * fc),
-        fuse2_b=_zeros(fc),
-        out_w=_uniform(rng, (3, fc, 1, 1), fc),
-        out_b=_zeros(3),
-    )
-
-
-def ablation_variant(kind: str, cfg: GeneratorConfig, seed: int) -> GeneratorWeights:
-    """Build a generator for one of the ablation axes: full, local-only, global-only."""
-    if kind not in VARIANTS:
-        raise ConfigError(f"unknown ablation variant {kind!r}; expected one of {VARIANTS}")
-    return init_weights(dataclasses.replace(cfg, variant=kind), seed)
+    _conv(p, rng, "fuse1_w", "fuse1_b", fc, cin, 3)
+    _conv(p, rng, "fuse2_w", "fuse2_b", fc, fc, 3)
+    _conv(p, rng, "out_w", "out_b", 3, fc, 1)
+    return GeneratorWeights(cfg, p)
 
 
 def forward(x: Tensor, w: GeneratorWeights) -> Tensor:
@@ -188,37 +141,25 @@ def forward(x: Tensor, w: GeneratorWeights) -> Tensor:
     if not np.isfinite(x.data).all():
         raise ContractError("generator input contains non-finite values")
 
+    p = w.params
     if cfg.variant == "local-only":
-        feat = A.local_branch(x, w.local)
+        feat = A.local_branch(x, p, "local", cfg.local_heads, cfg.num_local_layers)
     elif cfg.variant == "global-only":
-        feat = A.global_branch(x, w.global_)
+        feat = A.global_branch(x, p, "global_", cfg.global_heads)
     else:
-        feat = T.concat([A.local_branch(x, w.local), A.global_branch(x, w.global_)], axis=0)
+        local = A.local_branch(x, p, "local", cfg.local_heads, cfg.num_local_layers)
+        feat = T.concat([local, A.global_branch(x, p, "global_", cfg.global_heads)], axis=0)
 
-    feat = T.leaky_relu(T.conv2d(feat, w.fuse1_w, w.fuse1_b, pad=1), 0.2)
-    feat = T.leaky_relu(T.conv2d(feat, w.fuse2_w, w.fuse2_b, pad=1), 0.2)
-    return T.sigmoid(T.conv2d(feat, w.out_w, w.out_b))
+    feat = T.leaky_relu(T.conv2d(feat, p["fuse1_w"], p["fuse1_b"], pad=1), 0.2)
+    feat = T.leaky_relu(T.conv2d(feat, p["fuse2_w"], p["fuse2_b"], pad=1), 0.2)
+    return T.sigmoid(T.conv2d(feat, p["out_w"], p["out_b"]))
 
 
-def named_parameters(obj, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-    """Walk any weights structure, yielding (dotted_name, tensor) pairs in
-    deterministic field order.  Configs and scalars are skipped."""
-    if isinstance(obj, Tensor):
-        yield prefix, obj
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            yield from named_parameters(item, f"{prefix}.{i}" if prefix else str(i))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, GeneratorConfig):
-        for f in dataclasses.fields(obj):
-            child = getattr(obj, f.name)
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            yield from named_parameters(child, name)
+def named_parameters(w) -> Iterable[tuple[str, Tensor]]:
+    """(dotted_name, tensor) pairs of generator or discriminator weights."""
+    return w.params.items()
 
 
 def parameters(w) -> dict[str, Tensor]:
-    """Named trainable parameters of a weights structure."""
-    return {name: t for name, t in named_parameters(w) if t.requires_grad}
-
-
-def parameter_count(w) -> int:
-    return sum(t.size for t in parameters(w).values())
+    """Named trainable parameters of generator or discriminator weights."""
+    return dict(w.params)

@@ -1,12 +1,9 @@
 """The five training objectives and their weighted aggregation.
 
 Sign conventions for the adversarial terms: the discriminator loss is the
-standard -[log s(real) + log(1 - s(fake))], and the generator loss
-defaults to the non-saturating -log s(fake).  The saturating alternative
-(minimizing -log(1 - s(fake)), which pushes the generator away from
-fooling the discriminator) is kept behind a flag for fidelity
-experiments only.  Everything is computed through softplus so no logit
-magnitude can overflow.
+standard -[log s(real) + log(1 - s(fake))], and the generator loss is
+the non-saturating -log s(fake).  Everything is computed through
+softplus so no logit magnitude can overflow.
 
 The content-preservation term compares activations of a frozen
 random-weight conv pyramid (an established perceptual-distance proxy)
@@ -87,20 +84,12 @@ class FeatureExtractor:
         return feats
 
 
-def luminance_consistency_loss(
-    i: Tensor,
-    k: Tensor,
-    region: tuple[int, int, int, int],
-    alpha: float | None = None,
-    alpha_weighted: bool = False,
-) -> Tensor:
+def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int, int]) -> Tensor:
     """Mean squared difference between the two enhancements over one region.
 
     i is the second-pass (re-enhanced) image, k the first-pass enhanced
-    image; region is (top, left, height, width).  The default normalizer
-    is the region's element count.  alpha_weighted additionally divides
-    by the mixing coefficient (the literal printed form), which blows up
-    as alpha -> 0 and is kept only for comparison runs.
+    image; region is (top, left, height, width).  The normalizer is the
+    region's element count.
     """
     if i.shape != k.shape:
         raise ContractError(f"luminance loss operands differ in shape: {i.shape} vs {k.shape}")
@@ -108,35 +97,17 @@ def luminance_consistency_loss(
     if h <= 0 or w <= 0:
         raise ContractError(f"luminance loss region {region} is empty")
     diff = T.sub(T.crop(i, top, left, h, w), T.crop(k, top, left, h, w))
-    loss = T.mean(T.square(diff))
-    if alpha_weighted:
-        if alpha is None or alpha <= 0:
-            raise ContractError("alpha_weighted luminance loss needs alpha > 0")
-        loss = T.scale(loss, 1.0 / alpha)
-    return loss
+    return T.mean(T.square(diff))
 
 
-def stack_scalars(logits: list[Tensor]) -> Tensor:
-    """Concatenate scalar tensors into one [n] tensor (gradients preserved)."""
-    if not logits:
-        raise ContractError("empty logit list")
-    return T.concat([T.reshape(t, (1,)) for t in logits], axis=0)
-
-
-def adversarial_losses(
-    logits_real: Tensor, logits_fake: Tensor, saturating: bool = False
-) -> tuple[Tensor, Tensor]:
+def adversarial_losses(logits_real: Tensor, logits_fake: Tensor) -> tuple[Tensor, Tensor]:
     """(discriminator loss, generator loss) from raw logits of any shape.
 
     d_loss = mean -[log s(real) + log(1 - s(fake))]
-    g_loss = mean -log s(fake)          (default, non-saturating)
-           = mean -log(1 - s(fake))     (saturating=True, printed form)
+    g_loss = mean -log s(fake)
     """
     d_loss = T.add(T.mean(T.softplus(T.scale(logits_real, -1.0))), T.mean(T.softplus(logits_fake)))
-    if saturating:
-        g_loss = T.mean(T.softplus(logits_fake))
-    else:
-        g_loss = T.mean(T.softplus(T.scale(logits_fake, -1.0)))
+    g_loss = T.mean(T.softplus(T.scale(logits_fake, -1.0)))
     return d_loss, g_loss
 
 
@@ -158,15 +129,11 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
     return T.scale(total, 1.0 / fe.num_layers)
 
 
-def identity_invariant_loss(x_r: Tensor, g_out: Tensor, squared: bool = True) -> Tensor:
-    """Penalty for changing an already-normal image: count-normalized MSE.
-
-    squared=False switches to the RMS reading of the norm notation.
-    """
+def identity_invariant_loss(x_r: Tensor, g_out: Tensor) -> Tensor:
+    """Penalty for changing an already-normal image: count-normalized MSE."""
     if x_r.shape != g_out.shape:
         raise ContractError(f"identity loss operands differ in shape: {x_r.shape} vs {g_out.shape}")
-    mse = T.mean(T.square(T.sub(g_out, x_r)))
-    return mse if squared else T.sqrt(mse)
+    return T.mean(T.square(T.sub(g_out, x_r)))
 
 
 def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tensor, dict[str, float]]:

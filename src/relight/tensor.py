@@ -137,7 +137,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Node] = []
-        self._produced: set[int] = set()
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -176,9 +175,11 @@ class Tape:
                 prev = grads.get(id(t))
                 grads[id(t)] = gin if prev is None else prev + gin
                 holders[id(t)] = t
+        # Only leaves remain: each produced tensor's gradient was popped at its
+        # own record, which the reverse walk reaches after all its consumers.
         for tid, g in grads.items():
             t = holders[tid]
-            if t.requires_grad and tid not in self._produced:
+            if t.requires_grad:
                 g = np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
                 t.grad = g.copy() if t.grad is None else t.grad + g
 
@@ -193,7 +194,6 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable):
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._records.append(_Node(out, tuple(inputs), backward))
-        tape._produced.add(id(out))
     return out
 
 
@@ -259,19 +259,6 @@ def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     out = Tensor._wrap(s)
     return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
-
-
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    out = Tensor._wrap(e)
-    return _record(out, (x,), lambda g: (g * e,))
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise DomainError("log: input has non-positive entries")
-    out = Tensor._wrap(np.log(x.data))
-    return _record(out, (x,), lambda g: (g / x.data,))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -528,103 +515,3 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record(out, inputs, back)
-
-
-def conv_transpose2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Spatial upsampling adjoint of conv2d: [C_in,H,W] x [C_in,C_out,kh,kw]
-    -> [C_out,(H-1)*stride+kh,(W-1)*stride+kw]."""
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError(f"conv_transpose2d: expected [C,H,W] and [I,O,kh,kw], got {x.shape} and {w.shape}")
-    Cin, H, W = x.shape
-    Cw, Cout, kh, kw = w.shape
-    if Cw != Cin:
-        raise DimensionError(f"conv_transpose2d: input channels {Cin} do not match kernel channels {Cw}")
-    if stride < 1:
-        raise ContractError("conv_transpose2d: stride must be >= 1")
-    Ho, Wo = (H - 1) * stride + kh, (W - 1) * stride + kw
-
-    cols = (w.data.reshape(Cin, -1).T @ x.data.reshape(Cin, -1)).reshape(Cout, kh, kw, H, W)
-    y = np.zeros((Cout, Ho, Wo), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            y[:, i : i + H * stride : stride, j : j + W * stride : stride] += cols[:, i, j]
-    out = Tensor._wrap(y)
-
-    def back(g):
-        gcols, _, _ = _im2col(g, kh, kw, stride, 0)  # (Cout*kh*kw, H*W)
-        dx = (w.data.reshape(Cin, -1) @ gcols).reshape(Cin, H, W)
-        dw = (x.data.reshape(Cin, -1) @ gcols.reshape(Cout * kh * kw, -1).T).reshape(w.shape)
-        return (dx, dw)
-
-    return _record(out, (x, w), back)
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients of f at x and central differences.
-
-    f must be scalar-valued and smooth at x (keep inputs away from
-    relu/leaky-relu kinks).  The relative error uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    with Tape() as tape:
-        y = f(leaf)
-        tape.backward(y)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    flat = leaf.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    probe = Tensor._wrap(leaf.data)  # f evaluated without tape
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(probe).data)
-        flat[i] = orig - h
-        fm = float(f(probe).data)
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    a = analytic.reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(a - numeric) / denom))
-
-
-def finite_diff_entries(
-    f: Callable[[], Tensor],
-    entries: Sequence[tuple[Tensor, int]],
-    h: float = 1e-5,
-) -> float:
-    """Like finite_diff_check but perturbing selected flat entries of parameters.
-
-    ``f`` is a closure over the parameter tensors; ``entries`` lists
-    (tensor, flat_index) pairs to probe.  Returns the max relative error
-    against the tape gradient of the same entries.
-    """
-    params = []
-    for t, _ in entries:
-        if t not in params:
-            params.append(t)
-    zero_grad(params)
-    with Tape() as tape:
-        y = f()
-        tape.backward(y)
-
-    worst = 0.0
-    for t, idx in entries:
-        flat = t.data.reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + h
-        fp = float(f().data)
-        flat[idx] = orig - h
-        fm = float(f().data)
-        flat[idx] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        analytic = 0.0 if t.grad is None else float(t.grad.reshape(-1)[idx])
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    zero_grad(params)
-    return worst

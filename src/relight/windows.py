@@ -13,10 +13,6 @@ inside a window run row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import tensor as T
 from .errors import ConfigError, PartitionError
 from .tensor import Tensor
@@ -24,31 +20,17 @@ from .tensor import Tensor
 PATCH = 8  # global-branch patch side and stride
 
 
-@dataclass(frozen=True)
-class WindowLayout:
-    """Geometry of one partition: s divides H and W, windows tile the map."""
-
-    window_size: int
-    num_windows_h: int
-    num_windows_w: int
-    channels: int
-
-    @classmethod
-    def of(cls, channels: int, height: int, width: int, s: int) -> "WindowLayout":
-        if s < 1 or height % s or width % s:
-            raise PartitionError(f"window size {s} does not divide feature map {height}x{width}")
-        return cls(s, height // s, width // s, channels)
-
-    @property
-    def num_windows(self) -> int:
-        return self.num_windows_h * self.num_windows_w
+def _window_grid(height: int, width: int, s: int) -> tuple[int, int]:
+    """(window rows, window columns) of an s x s tiling; s must divide both sides."""
+    if s < 1 or height % s or width % s:
+        raise PartitionError(f"window size {s} does not divide feature map {height}x{width}")
+    return height // s, width // s
 
 
 def window_partition(x: Tensor, s: int) -> Tensor:
     """[C,H,W] -> [num_windows, s*s, C]; lossless, exactly inverted by window_reverse."""
     C, H, W = x.shape
-    layout = WindowLayout.of(C, H, W, s)
-    nh, nw = layout.num_windows_h, layout.num_windows_w
+    nh, nw = _window_grid(H, W, s)
     t = T.reshape(x, (C, nh, s, nw, s))
     t = T.permute(t, (1, 3, 2, 4, 0))  # (nh, nw, s, s, C)
     return T.reshape(t, (nh * nw, s * s, C))
@@ -57,12 +39,11 @@ def window_partition(x: Tensor, s: int) -> Tensor:
 def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
     """[num_windows, s*s, C] -> [C,H,W]; exact inverse of window_partition."""
     nwin, tokens, C = w.shape
-    layout = WindowLayout.of(C, height, width, s)
+    nh, nw = _window_grid(height, width, s)
     if nwin * tokens != height * width or tokens != s * s:
         raise PartitionError(
             f"cannot reverse {nwin} windows of {tokens} tokens into {height}x{width} with size {s}"
         )
-    nh, nw = layout.num_windows_h, layout.num_windows_w
     t = T.reshape(w, (nh, nw, s, s, C))
     t = T.permute(t, (4, 0, 2, 1, 3))  # (C, nh, s, nw, s)
     return T.reshape(t, (C, height, width))
@@ -92,16 +73,11 @@ def add_positional_encoding(z: Tensor, p: Tensor) -> Tensor:
     return T.add(z, p)
 
 
-@dataclass
-class PatchRecoverWeights:
-    """Three stages of x2 nearest upsample -> 3x3 conv -> leaky_relu."""
-
-    convs: list  # [(w, b)] * 3
-
-
-def patch_recover(z: Tensor, weights: PatchRecoverWeights, height: int, width: int) -> Tensor:
+def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, width: int) -> Tensor:
     """[L,d] tokens -> [C,H,W] feature map, undoing the 8x downsampling.
 
+    Three stages of x2 nearest upsample -> 3x3 conv -> leaky_relu, with
+    weights p[f"{prefix}.convs.{i}.0"] and biases p[f"{prefix}.convs.{i}.1"].
     The token count must equal (H/8)*(W/8) for the configured resolution.
     """
     L, d = z.shape
@@ -110,8 +86,8 @@ def patch_recover(z: Tensor, weights: PatchRecoverWeights, height: int, width: i
         raise ConfigError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
     x = T.permute(z, (1, 0))
     x = T.reshape(x, (d, hh, ww))
-    for w, b in weights.convs:
+    for i in range(3):
         x = T.upsample_nearest(x, 2)
-        x = T.conv2d(x, w, b, stride=1, pad=1)
+        x = T.conv2d(x, p[f"{prefix}.convs.{i}.0"], p[f"{prefix}.convs.{i}.1"], stride=1, pad=1)
         x = T.leaky_relu(x, 0.2)
     return x

@@ -1,84 +1,82 @@
 import numpy as np
 import pytest
 
+from finite_diff import finite_diff_check
 from relight import attention as A
 from relight import tensor as T
 from relight.errors import ConfigError
 from relight.tensor import Tape, Tensor
 
 
-def make_mhsa(rng, d, heads, zero_out=False):
+def make_mhsa(rng, d, zero_out=False, prefix="m"):
     def mat():
         return Tensor(rng.normal(size=(d, d)) / np.sqrt(d))
 
     w_o = Tensor(np.zeros((d, d))) if zero_out else mat()
-    return A.MhsaWeights(mat(), mat(), mat(), w_o, heads)
+    return {f"{prefix}.w_q": mat(), f"{prefix}.w_k": mat(), f"{prefix}.w_v": mat(), f"{prefix}.w_o": w_o}
 
 
-def make_block(rng, d, heads, zero_out=False):
+def make_block(rng, d, zero_out=False, prefix="b"):
     mlp_w2 = Tensor(np.zeros((4 * d, d))) if zero_out else Tensor(rng.normal(size=(4 * d, d)) / np.sqrt(4 * d))
-    return A.WindowBlockWeights(
-        norm1_g=Tensor(np.ones(d)),
-        norm1_b=Tensor(np.zeros(d)),
-        mhsa=make_mhsa(rng, d, heads, zero_out=zero_out),
-        norm2_g=Tensor(np.ones(d)),
-        norm2_b=Tensor(np.zeros(d)),
-        mlp_w1=Tensor(rng.normal(size=(d, 4 * d)) / np.sqrt(d)),
-        mlp_b1=Tensor(np.zeros(4 * d)),
-        mlp_w2=mlp_w2,
-        mlp_b2=Tensor(np.zeros(d)),
-    )
+    p = {f"{prefix}.norm1_g": Tensor(np.ones(d)), f"{prefix}.norm1_b": Tensor(np.zeros(d))}
+    p.update(make_mhsa(rng, d, zero_out=zero_out, prefix=f"{prefix}.mhsa"))
+    p[f"{prefix}.norm2_g"] = Tensor(np.ones(d))
+    p[f"{prefix}.norm2_b"] = Tensor(np.zeros(d))
+    p[f"{prefix}.mlp_w1"] = Tensor(rng.normal(size=(d, 4 * d)) / np.sqrt(d))
+    p[f"{prefix}.mlp_b1"] = Tensor(np.zeros(4 * d))
+    p[f"{prefix}.mlp_w2"] = mlp_w2
+    p[f"{prefix}.mlp_b2"] = Tensor(np.zeros(d))
+    return p
 
 
-def mhsa_reference(z, w):
+def mhsa_reference(z, w, heads):
     """Explicit per-head loop oracle for multi-head attention."""
     L, d = z.shape
-    h, hd = w.num_heads, d // w.num_heads
-    heads = []
-    for i in range(h):
+    hd = d // heads
+    out = []
+    for i in range(heads):
         cols = slice(i * hd, (i + 1) * hd)
-        q = z @ w.w_q.data[:, cols]
-        k = z @ w.w_k.data[:, cols]
-        v = z @ w.w_v.data[:, cols]
+        q = z @ w["m.w_q"].data[:, cols]
+        k = z @ w["m.w_k"].data[:, cols]
+        v = z @ w["m.w_v"].data[:, cols]
         scores = q @ k.T / np.sqrt(hd)
         scores -= scores.max(axis=1, keepdims=True)
         e = np.exp(scores)
         attn = e / e.sum(axis=1, keepdims=True)
-        heads.append(attn @ v)
-    return np.concatenate(heads, axis=1) @ w.w_o.data
+        out.append(attn @ v)
+    return np.concatenate(out, axis=1) @ w["m.w_o"].data
 
 
 class TestMhsa:
     def test_single_token_is_value_projection(self):
         rng = np.random.default_rng(0)
-        w = make_mhsa(rng, 8, 2)
+        w = make_mhsa(rng, 8)
         z = rng.normal(size=(1, 8))
-        out = A.mhsa(Tensor(z), w)
-        expected = (z @ w.w_v.data) @ w.w_o.data
+        out = A.mhsa(Tensor(z), w, "m", 2)
+        expected = (z @ w["m.w_v"].data) @ w["m.w_o"].data
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(1)
         d = 8
-        w = A.MhsaWeights(
-            w_q=Tensor(rng.normal(size=(d, d))),
-            w_k=Tensor(np.zeros((d, d))),  # all keys identical -> uniform attention
-            w_v=Tensor(rng.normal(size=(d, d))),
-            w_o=Tensor(np.eye(d)),
-            num_heads=2,
-        )
+        w = {
+            "m.w_q": Tensor(rng.normal(size=(d, d))),
+            "m.w_k": Tensor(np.zeros((d, d))),  # all keys identical -> uniform attention
+            "m.w_v": Tensor(rng.normal(size=(d, d))),
+            "m.w_o": Tensor(np.eye(d)),
+        }
         z = rng.normal(size=(2, d))
-        out = A.mhsa(Tensor(z), w)
-        mean_v = (z @ w.w_v.data).mean(axis=0)
+        out = A.mhsa(Tensor(z), w, "m", 2)
+        mean_v = (z @ w["m.w_v"].data).mean(axis=0)
         assert np.allclose(out.data[0], mean_v)
         assert np.allclose(out.data[1], mean_v)
 
     def test_against_per_head_loop_reference(self):
         rng = np.random.default_rng(2)
-        w = make_mhsa(rng, 8, 2)
+        w = make_mhsa(rng, 8)
         z = rng.normal(size=(5, 8))
-        got = A.mhsa(Tensor(z), w).data
-        assert np.max(np.abs(got - mhsa_reference(z, w))) < 1e-10
+        got = A.mhsa(Tensor(z), w, "m", 2).data
+        assert np.max(np.abs(got - mhsa_reference(z, w, 2))) < 1e-10
 
     def test_50_random_cases_match_reference(self):
         rng = np.random.default_rng(3)
@@ -86,71 +84,72 @@ class TestMhsa:
             heads = int(rng.choice([1, 2, 4]))
             d = heads * int(rng.integers(1, 16 // heads + 1))
             L = int(rng.integers(1, 9))
-            w = make_mhsa(rng, d, heads)
+            w = make_mhsa(rng, d)
             z = rng.normal(size=(L, d))
-            got = A.mhsa(Tensor(z), w).data
-            assert np.max(np.abs(got - mhsa_reference(z, w))) < 1e-10
+            got = A.mhsa(Tensor(z), w, "m", heads).data
+            assert np.max(np.abs(got - mhsa_reference(z, w, heads))) < 1e-10
 
     def test_attention_rows_sum_to_one_via_hook(self):
         rng = np.random.default_rng(4)
-        w = make_mhsa(rng, 8, 2)
+        w = make_mhsa(rng, 8)
         hook = []
-        A.mhsa(Tensor(rng.normal(size=(6, 8))), w, attn_out=hook)
+        A.mhsa(Tensor(rng.normal(size=(6, 8))), w, "m", 2, attn_out=hook)
         (attn,) = hook
         assert attn.shape == (1, 2, 6, 6)
         assert np.allclose(attn.sum(axis=-1), 1.0)
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(5)
-        w = make_mhsa(rng, 8, 2)
+        w = make_mhsa(rng, 8)
         with pytest.raises(ConfigError):
-            A.mhsa(Tensor(np.zeros((3, 4))), w)
+            A.mhsa(Tensor(np.zeros((3, 4))), w, "m", 2)
 
     def test_heads_must_divide_dim(self):
         rng = np.random.default_rng(6)
-        with pytest.raises(ConfigError):
-            make_mhsa(rng, 6, 4)
+        w = make_mhsa(rng, 6)
+        with pytest.raises(ConfigError, match="heads 4"):
+            A.mhsa(Tensor(np.zeros((3, 6))), w, "m", 4)
 
     def test_batched_matches_per_window(self):
         rng = np.random.default_rng(7)
-        w = make_mhsa(rng, 4, 2)
+        w = make_mhsa(rng, 4)
         z = rng.normal(size=(3, 5, 4))
-        batched = A.mhsa(Tensor(z), w).data
+        batched = A.mhsa(Tensor(z), w, "m", 2).data
         for i in range(3):
-            single = A.mhsa(Tensor(z[i]), w).data
+            single = A.mhsa(Tensor(z[i]), w, "m", 2).data
             assert np.allclose(batched[i], single, atol=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(8)
-        w = make_mhsa(rng, 4, 2)
+        w = make_mhsa(rng, 4)
         z = Tensor(rng.normal(size=(3, 4)))
-        assert T.finite_diff_check(lambda t: T.mean(A.mhsa(t, w)), z) < 1e-4
+        assert finite_diff_check(lambda t: T.mean(A.mhsa(t, w, "m", 2)), z) < 1e-4
 
 
 class TestWindowAttentionBlock:
     @pytest.mark.parametrize("s", [2, 4, 8])
     def test_shape_preserved(self, s):
         rng = np.random.default_rng(9)
-        block = make_block(rng, 6, 2)
+        block = make_block(rng, 6)
         x = Tensor(rng.normal(size=(6, 16, 16)))
-        assert A.window_attention_block(x, s, block).shape == (6, 16, 16)
+        assert A.window_attention_block(x, s, block, "b", 2).shape == (6, 16, 16)
 
     def test_zeroed_output_weights_give_identity(self):
         rng = np.random.default_rng(10)
-        block = make_block(rng, 4, 2, zero_out=True)
+        block = make_block(rng, 4, zero_out=True)
         x = Tensor(rng.normal(size=(4, 8, 8)))
-        out = A.window_attention_block(x, 2, block)
+        out = A.window_attention_block(x, 2, block, "b", 2)
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     def test_locality_perturbation_is_exact(self):
         # changing a pixel in one window must leave every other window untouched
         rng = np.random.default_rng(11)
-        block = make_block(rng, 4, 2)
+        block = make_block(rng, 4)
         x = rng.normal(size=(4, 8, 8))
-        base = A.window_attention_block(Tensor(x), 4, block).data
+        base = A.window_attention_block(Tensor(x), 4, block, "b", 2).data
         bumped = x.copy()
         bumped[1, 2, 3] += 1.0  # inside window (0, 0)
-        out = A.window_attention_block(Tensor(bumped), 4, block).data
+        out = A.window_attention_block(Tensor(bumped), 4, block, "b", 2).data
         assert not np.allclose(out[:, :4, :4], base[:, :4, :4])
         assert np.array_equal(out[:, :4, 4:], base[:, :4, 4:])
         assert np.array_equal(out[:, 4:, :], base[:, 4:, :])
@@ -158,16 +157,15 @@ class TestWindowAttentionBlock:
 
 class TestLocalBranch:
     def _weights(self, rng, c, zero_out=False, layers=3):
-        return A.LocalBranchWeights(
-            embed_w=Tensor(rng.normal(size=(c, 3, 1, 1)) / np.sqrt(3)),
-            embed_b=Tensor(np.zeros(c)),
-            blocks=[make_block(rng, c, 2, zero_out=zero_out) for _ in range(layers)],
-        )
+        p = {"loc.embed_w": Tensor(rng.normal(size=(c, 3, 1, 1)) / np.sqrt(3)), "loc.embed_b": Tensor(np.zeros(c))}
+        for i in range(layers):
+            p.update(make_block(rng, c, zero_out=zero_out, prefix=f"loc.blocks.{i}"))
+        return p
 
     def test_shape_contract(self):
         rng = np.random.default_rng(12)
         w = self._weights(rng, 8)
-        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w)
+        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2, 3)
         assert out.shape == (8, 16, 16)
 
     def test_window_sizes_are_exponential(self):
@@ -178,23 +176,23 @@ class TestLocalBranch:
         rng = np.random.default_rng(13)
         w = self._weights(rng, 4, layers=1)
         x = Tensor(rng.uniform(size=(3, 8, 8)))
-        got = A.local_branch(x, w)
-        embedded = T.conv2d(x, w.embed_w, w.embed_b)
-        expected = A.window_attention_block(embedded, 2, w.blocks[0])
+        got = A.local_branch(x, w, "loc", 2, 1)
+        embedded = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
+        expected = A.window_attention_block(embedded, 2, w, "loc.blocks.0", 2)
         assert np.allclose(got.data, expected.data, atol=1e-12)
 
     def test_zeroed_blocks_reduce_to_scaled_embedding(self):
         rng = np.random.default_rng(14)
         w = self._weights(rng, 4, zero_out=True)
         x = Tensor(rng.uniform(size=(3, 8, 8)))
-        got = A.local_branch(x, w)
-        embedded = T.conv2d(x, w.embed_w, w.embed_b)
+        got = A.local_branch(x, w, "loc", 2, 3)
+        embedded = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
         assert np.allclose(got.data, 3.0 * embedded.data, atol=1e-12)
 
     def test_finite_on_unit_range_input(self):
         rng = np.random.default_rng(15)
         w = self._weights(rng, 8)
-        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w)
+        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2, 3)
         assert np.isfinite(out.data).all()
 
 
@@ -202,27 +200,21 @@ class TestGlobalBranch:
     def _weights(self, rng, h, w_, d, c_out):
         L = (h // 8) * (w_ // 8)
         chans = [d, c_out, c_out, c_out]
-        convs = [
-            (
-                Tensor(rng.normal(size=(chans[i + 1], chans[i], 3, 3)) / np.sqrt(9 * chans[i])),
-                Tensor(np.zeros(chans[i + 1])),
-            )
-            for i in range(3)
-        ]
-        import relight.windows as W
-
-        return A.GlobalBranchWeights(
-            patch_w=Tensor(rng.normal(size=(d, 3, 8, 8)) / np.sqrt(192)),
-            patch_b=Tensor(np.zeros(d)),
-            pos=Tensor(rng.normal(size=(L, d)) * 0.02),
-            blocks=[make_block(rng, d, 2) for _ in range(2)],
-            recover=W.PatchRecoverWeights(convs),
-        )
+        p = {}
+        for i in range(3):
+            w = Tensor(rng.normal(size=(chans[i + 1], chans[i], 3, 3)) / np.sqrt(9 * chans[i]))
+            p[f"glob.recover.convs.{i}.0"], p[f"glob.recover.convs.{i}.1"] = w, Tensor(np.zeros(chans[i + 1]))
+        p["glob.patch_w"] = Tensor(rng.normal(size=(d, 3, 8, 8)) / np.sqrt(192))
+        p["glob.patch_b"] = Tensor(np.zeros(d))
+        p["glob.pos"] = Tensor(rng.normal(size=(L, d)) * 0.02)
+        for i in range(2):
+            p.update(make_block(rng, d, prefix=f"glob.blocks.{i}"))
+        return p
 
     def test_shape_contract_through_64_tokens(self):
         rng = np.random.default_rng(16)
         w = self._weights(rng, 64, 64, 16, 5)
-        out = A.global_branch(Tensor(rng.uniform(size=(3, 64, 64))), w)
+        out = A.global_branch(Tensor(rng.uniform(size=(3, 64, 64))), w, "glob", 2)
         assert out.shape == (5, 64, 64)
 
     def test_global_receptive_field(self):
@@ -230,10 +222,10 @@ class TestGlobalBranch:
         rng = np.random.default_rng(17)
         w = self._weights(rng, 16, 16, 8, 4)
         x = rng.uniform(size=(3, 16, 16))
-        base = A.global_branch(Tensor(x), w).data
+        base = A.global_branch(Tensor(x), w, "glob", 2).data
         bumped = x.copy()
         bumped[0, 0, 0] += 0.5
-        out = A.global_branch(Tensor(bumped), w).data
+        out = A.global_branch(Tensor(bumped), w, "glob", 2).data
         changed = np.abs(out - base) > 0
         # every 8x8 patch region of the output sees the perturbation
         assert changed.any(axis=0).all()
@@ -242,10 +234,10 @@ class TestGlobalBranch:
         rng = np.random.default_rng(18)
         w = self._weights(rng, 16, 16, 4, 3)
         x = Tensor(rng.uniform(size=(3, 16, 16)))
-        assert T.finite_diff_check(lambda t: T.mean(A.global_branch(t, w)), x) < 1e-4
+        assert finite_diff_check(lambda t: T.mean(A.global_branch(t, w, "glob", 2)), x) < 1e-4
 
     def test_finite_on_unit_range_input(self):
         rng = np.random.default_rng(19)
         w = self._weights(rng, 16, 16, 8, 4)
-        out = A.global_branch(Tensor(rng.uniform(size=(3, 16, 16))), w)
+        out = A.global_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "glob", 2)
         assert np.isfinite(out.data).all()

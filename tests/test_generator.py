@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from finite_diff import finite_diff_entries
 from relight import generator as G
 from relight import tensor as T
 from relight.errors import ConfigError, ContractError
@@ -64,7 +67,7 @@ class TestInitWeights:
 
     def test_different_seeds_differ(self):
         w1, w2 = G.init_weights(SMALL, seed=7), G.init_weights(SMALL, seed=8)
-        assert not np.array_equal(w1.fuse1_w.data, w2.fuse1_w.data)
+        assert not np.array_equal(w1.params["fuse1_w"].data, w2.params["fuse1_w"].data)
 
     def test_no_saturation_at_init(self):
         w = G.init_weights(G.GeneratorConfig(), seed=9)
@@ -80,28 +83,36 @@ class TestInitWeights:
             G.GeneratorConfig(num_local_layers=0)
 
 
+def variant(kind, seed):
+    return G.init_weights(dataclasses.replace(SMALL, variant=kind), seed)
+
+
+def parameter_count(w):
+    return sum(t.size for t in G.parameters(w).values())
+
+
 class TestAblations:
     def test_local_only_shape(self):
-        w = G.ablation_variant("local-only", SMALL, seed=4)
+        w = variant("local-only", seed=4)
         out = G.forward(Tensor(np.random.default_rng(4).uniform(size=(3, 16, 16))), w)
         assert out.shape == (3, 16, 16)
-        assert w.global_ is None
+        assert not any(name.startswith("global_.") for name in w.params)
 
     def test_global_only_shape(self):
-        w = G.ablation_variant("global-only", SMALL, seed=5)
+        w = variant("global-only", seed=5)
         out = G.forward(Tensor(np.random.default_rng(5).uniform(size=(3, 16, 16))), w)
         assert out.shape == (3, 16, 16)
-        assert w.local is None
+        assert not any(name.startswith("local.") for name in w.params)
 
     def test_full_has_more_parameters(self):
-        full = G.parameter_count(G.ablation_variant("full", SMALL, seed=6))
-        local = G.parameter_count(G.ablation_variant("local-only", SMALL, seed=6))
-        glob = G.parameter_count(G.ablation_variant("global-only", SMALL, seed=6))
+        full = parameter_count(variant("full", seed=6))
+        local = parameter_count(variant("local-only", seed=6))
+        glob = parameter_count(variant("global-only", seed=6))
         assert full > local and full > glob
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            G.ablation_variant("both", SMALL, seed=6)
+            variant("both", seed=6)
 
 
 def test_gradient_check_random_parameter_subset():
@@ -117,7 +128,7 @@ def test_gradient_check_random_parameter_subset():
     for _ in range(10):
         p = params[rng.integers(len(params))]
         entries.append((p, int(rng.integers(p.size))))
-    err = T.finite_diff_entries(lambda: T.mean(G.forward(x, w)), entries)
+    err = finite_diff_entries(lambda: T.mean(G.forward(x, w)), entries)
     assert err < 1e-3
 
 

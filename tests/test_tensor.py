@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finite_diff import finite_diff_check, finite_diff_entries
 from relight import tensor as T
 from relight.errors import ContractError, DimensionError, DomainError
 from relight.tensor import Tape, Tensor
@@ -125,37 +126,12 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 6, 6)))
         w = Tensor(rng.normal(size=(3, 2, 3, 3)))
         b = Tensor(rng.normal(size=3))
-        err = T.finite_diff_check(lambda t: T.mean(T.conv2d(t, w, b, stride=2, pad=1)), x)
+        err = finite_diff_check(lambda t: T.mean(T.conv2d(t, w, b, stride=2, pad=1)), x)
         assert err < 1e-6
-        err_w = T.finite_diff_check(lambda t: T.mean(T.conv2d(x, t, b, stride=2, pad=1)), w)
+        err_w = finite_diff_check(lambda t: T.mean(T.conv2d(x, t, b, stride=2, pad=1)), w)
         assert err_w < 1e-6
-        err_b = T.finite_diff_check(lambda t: T.mean(T.conv2d(x, w, t, stride=2, pad=1)), b)
+        err_b = finite_diff_check(lambda t: T.mean(T.conv2d(x, w, t, stride=2, pad=1)), b)
         assert err_b < 1e-6
-
-
-class TestConvTranspose2d:
-    def test_broadcast_single_pixel(self):
-        x = Tensor(np.full((1, 1, 1), 3.5))
-        w = Tensor(np.ones((1, 1, 2, 2)))
-        out = T.conv_transpose2d(x, w, stride=2)
-        assert out.shape == (1, 2, 2)
-        assert np.array_equal(out.data, np.full((1, 2, 2), 3.5))
-
-    def test_shape_inverse_of_conv(self):
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(2, 16, 16)))
-        w_down = Tensor(rng.normal(size=(4, 2, 2, 2)))
-        down = T.conv2d(x, w_down, stride=2)
-        w_up = Tensor(rng.normal(size=(4, 2, 2, 2)))
-        up = T.conv_transpose2d(down, w_up, stride=2)
-        assert up.shape == x.shape
-
-    def test_gradient(self):
-        rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(2, 4, 4)))
-        w = Tensor(rng.normal(size=(2, 3, 2, 2)))
-        assert T.finite_diff_check(lambda t: T.mean(T.conv_transpose2d(t, w, stride=2)), x) < 1e-4
-        assert T.finite_diff_check(lambda t: T.mean(T.conv_transpose2d(x, t, stride=2)), w) < 1e-4
 
 
 class TestElementwise:
@@ -172,9 +148,9 @@ class TestElementwise:
             tape.backward(T.tsum(T.square(x)))
         assert x.grad[0] == pytest.approx(6.0)
 
-    def test_log_domain_error(self):
+    def test_sqrt_domain_error(self):
         with pytest.raises(DomainError):
-            T.log(Tensor([1.0, 0.0]))
+            T.sqrt(Tensor([1.0, -1e-12]))
 
     def test_binary_shape_check(self):
         with pytest.raises(DimensionError):
@@ -194,13 +170,13 @@ class TestElementwise:
 
     @pytest.mark.parametrize(
         "op",
-        [T.sigmoid, T.exp, T.square, T.softplus, T.gelu, T.sqrt, lambda x: T.leaky_relu(x, 0.2)],
+        [T.sigmoid, T.square, T.softplus, T.gelu, T.sqrt, lambda x: T.leaky_relu(x, 0.2)],
     )
     def test_gradients(self, op):
         rng = np.random.default_rng(11)
         # keep inputs away from kinks by 1e-3 and strictly positive for sqrt
         raw = rng.uniform(0.1, 2.0, size=7)
-        assert T.finite_diff_check(lambda t: T.mean(op(t)), Tensor(raw)) < 1e-6
+        assert finite_diff_check(lambda t: T.mean(op(t)), Tensor(raw)) < 1e-6
 
 
 class TestSoftmax:
@@ -223,7 +199,7 @@ class TestSoftmax:
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(3, 5)))
         c = rng.normal(size=(3, 5))
-        err = T.finite_diff_check(lambda t: T.tsum(T.mul(T.softmax(t, axis=-1), Tensor(c))), x)
+        err = finite_diff_check(lambda t: T.tsum(T.mul(T.softmax(t, axis=-1), Tensor(c))), x)
         assert err < 1e-4
 
     def test_bad_axis(self):
@@ -256,7 +232,7 @@ class TestLayerNorm:
                 args = {id(x): x, id(gamma): gamma, id(beta): beta}
                 args[id(probe)] = t
                 return T.tsum(T.mul(T.layer_norm(args[id(x)], args[id(gamma)], args[id(beta)]), Tensor(c)))
-            assert T.finite_diff_check(f, probe) < 1e-4
+            assert finite_diff_check(f, probe) < 1e-4
 
 
 class TestShapeOps:
@@ -318,13 +294,13 @@ class TestShapeOps:
         rng = np.random.default_rng(16)
         x = Tensor(rng.normal(size=(3, 4)))
         c = rng.normal(size=3)
-        err = T.finite_diff_check(lambda t: T.tsum(T.mul(T.mean(t, axis=1), Tensor(c))), x)
+        err = finite_diff_check(lambda t: T.tsum(T.mul(T.mean(t, axis=1), Tensor(c))), x)
         assert err < 1e-6
 
     def test_upsample_gradient(self):
         rng = np.random.default_rng(17)
         x = Tensor(rng.normal(size=(2, 3, 3)))
-        assert T.finite_diff_check(lambda t: T.mean(T.upsample_nearest(t, 2)), x) < 1e-6
+        assert finite_diff_check(lambda t: T.mean(T.upsample_nearest(t, 2)), x) < 1e-6
 
 
 class TestBackward:
@@ -405,13 +381,13 @@ class TestFiniteDiffCheck:
     def test_sum_of_squares(self):
         rng = np.random.default_rng(19)
         x = Tensor(rng.normal(size=6))
-        assert T.finite_diff_check(lambda t: T.tsum(T.square(t)), x) < 1e-6
+        assert finite_diff_check(lambda t: T.tsum(T.square(t)), x) < 1e-6
 
     def test_softmax_then_weighted_sum(self):
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(2, 4)))
         c = rng.normal(size=(2, 4))
-        err = T.finite_diff_check(lambda t: T.tsum(T.mul(T.softmax(t, axis=-1), Tensor(c))), x)
+        err = finite_diff_check(lambda t: T.tsum(T.mul(T.softmax(t, axis=-1), Tensor(c))), x)
         assert err < 1e-4
 
     def test_entries_variant(self):
@@ -420,7 +396,7 @@ class TestFiniteDiffCheck:
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         f = lambda: T.mean(T.square(a @ b))
         entries = [(a, 0), (a, 5), (b, 8)]
-        assert T.finite_diff_entries(f, entries) < 1e-6
+        assert finite_diff_entries(f, entries) < 1e-6
 
 
 class TestTensorInvariants:
@@ -439,5 +415,5 @@ class TestTensorInvariants:
     def test_ops_finite_on_finite_inputs(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-3, 3, size=(2, 5)))
-        for op in (T.sigmoid, T.exp, T.square, T.softplus, T.gelu, lambda t: T.softmax(t, -1)):
+        for op in (T.sigmoid, T.square, T.softplus, T.gelu, lambda t: T.softmax(t, -1)):
             assert np.isfinite(op(x).data).all()

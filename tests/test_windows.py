@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finite_diff import finite_diff_check
 from relight import tensor as T
 from relight import windows as W
 from relight.errors import ConfigError, PartitionError
@@ -157,35 +158,35 @@ class TestPositionalEncoding:
 class TestPatchRecover:
     def _weights(self, rng, d, c_out):
         chans = [d, c_out, c_out, c_out]
-        convs = []
+        params = {}
         for i in range(3):
             w = Tensor(rng.normal(size=(chans[i + 1], chans[i], 3, 3)) * 0.05, requires_grad=True)
             b = Tensor(np.zeros(chans[i + 1]), requires_grad=True)
-            convs.append((w, b))
-        return W.PatchRecoverWeights(convs)
+            params[f"rec.convs.{i}.0"], params[f"rec.convs.{i}.1"] = w, b
+        return params
 
     def test_shape_contract(self):
         rng = np.random.default_rng(9)
         weights = self._weights(rng, 16, 6)
         z = Tensor(rng.normal(size=(64, 16)))
-        out = W.patch_recover(z, weights, 64, 64)
+        out = W.patch_recover(z, weights, "rec", 64, 64)
         assert out.shape == (6, 64, 64)
 
     def test_zero_tokens_zero_output(self):
         rng = np.random.default_rng(10)
         weights = self._weights(rng, 4, 3)
-        out = W.patch_recover(Tensor(np.zeros((4, 4))), weights, 16, 16)
+        out = W.patch_recover(Tensor(np.zeros((4, 4))), weights, "rec", 16, 16)
         assert np.array_equal(out.data, np.zeros((3, 16, 16)))
 
     def test_token_count_mismatch(self):
         rng = np.random.default_rng(11)
         weights = self._weights(rng, 4, 3)
         with pytest.raises(ConfigError):
-            W.patch_recover(Tensor(np.zeros((5, 4))), weights, 16, 16)
+            W.patch_recover(Tensor(np.zeros((5, 4))), weights, "rec", 16, 16)
 
     def test_gradient_through_full_stack(self):
         rng = np.random.default_rng(12)
         weights = self._weights(rng, 3, 2)
         z = Tensor(rng.normal(size=(4, 3)))
-        err = T.finite_diff_check(lambda t: T.mean(W.patch_recover(t, weights, 16, 16)), z)
+        err = finite_diff_check(lambda t: T.mean(W.patch_recover(t, weights, "rec", 16, 16)), z)
         assert err < 1e-4
