@@ -86,18 +86,18 @@ def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str,
     return W.window_reverse(wins, s, H, Wd)
 
 
-def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, layers: int) -> Tensor:
+def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     """1x1 embedding, then window blocks at sizes 2,4,8 chained sequentially;
     the returned multi-scale feature is the sum of every layer's output.
 
-    Reads embed_w/b and blocks.{i}.* for the first `layers` window sizes.
+    Reads embed_w/b and blocks.{0,1,2}.* under prefix.
     """
     feat = T.conv2d(x, p[f"{prefix}.embed_w"], p[f"{prefix}.embed_b"])
     acc = None
-    for i in range(layers):
-        feat = window_attention_block(feat, LOCAL_WINDOW_SIZES[i], p, f"{prefix}.blocks.{i}", heads)
+    for i, s in enumerate(LOCAL_WINDOW_SIZES):
+        feat = window_attention_block(feat, s, p, f"{prefix}.blocks.{i}", heads)
         acc = feat if acc is None else T.add(acc, feat)
-    return acc if acc is not None else feat
+    return acc
 
 
 def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:

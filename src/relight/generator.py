@@ -5,10 +5,9 @@ recovered global features along channels, fuses them with two 3x3 convs
 (leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
 so outputs always lie strictly inside (0,1).
 
-Ablation variants route a single branch into the same fusion head.
-Channel/head/dim hyperparameters are declared configuration, not claims;
-the defaults are sized so CPU tests stay fast while all three window
-scales remain meaningful.
+The channel widths and head counts are constants of the network, sized so
+CPU runs stay fast while all three window scales remain meaningful; they
+are not the paper's values.  Only the training resolution is configured.
 """
 
 from __future__ import annotations
@@ -24,50 +23,32 @@ from . import windows as W
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
-VARIANTS = ("full", "local-only", "global-only")
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    local_dim: int = 16
-    global_embed_dim: int = 16
-    global_out_dim: int = 16
-    local_heads: int = 2
-    global_heads: int = 4
-    num_local_layers: int = 3
     height: int = 64
     width: int = 64
-    fusion_channels: int = 32
-    variant: str = "full"
+
+    # Constants of the network, not fields: they cannot be set.
+    local_dim = 16
+    global_embed_dim = 16
+    global_out_dim = 16
+    local_heads = 2
+    global_heads = 4
+    fusion_channels = 32
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown generator variant {self.variant!r}; expected one of {VARIANTS}")
+        for name in ("height", "width"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v <= 0:
+                raise ConfigError(f"train {name} must be a positive int, got {v!r}")
+        # 8 is both the patch side and the largest window.
         if self.height % 8 or self.width % 8:
             raise ConfigError(f"train resolution {self.height}x{self.width} must be divisible by 8")
-        if not 1 <= self.num_local_layers <= len(A.LOCAL_WINDOW_SIZES):
-            raise ConfigError(f"num_local_layers must be in 1..{len(A.LOCAL_WINDOW_SIZES)}")
-        if self.local_dim % self.local_heads:
-            raise ConfigError(f"local_heads {self.local_heads} does not divide local_dim {self.local_dim}")
-        if self.global_embed_dim % self.global_heads:
-            raise ConfigError(
-                f"global_heads {self.global_heads} does not divide global_embed_dim {self.global_embed_dim}"
-            )
-        largest = A.LOCAL_WINDOW_SIZES[self.num_local_layers - 1]
-        if self.height % largest or self.width % largest:
-            raise ConfigError(f"resolution {self.height}x{self.width} not divisible by window {largest}")
 
     @property
     def num_tokens(self) -> int:
         return (self.height // W.PATCH) * (self.width // W.PATCH)
-
-    @property
-    def fused_channels_in(self) -> int:
-        if self.variant == "local-only":
-            return self.local_dim
-        if self.variant == "global-only":
-            return self.global_out_dim
-        return self.local_dim + self.global_out_dim
 
 
 @dataclass
@@ -112,22 +93,20 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> GeneratorWeights:
     rng = np.random.default_rng(seed)
     p: dict[str, Tensor] = {}
 
-    if cfg.variant != "global-only":
-        _conv(p, rng, "local.embed_w", "local.embed_b", cfg.local_dim, 3, 1)
-        for i in range(cfg.num_local_layers):
-            _block(p, rng, f"local.blocks.{i}", cfg.local_dim)
+    _conv(p, rng, "local.embed_w", "local.embed_b", cfg.local_dim, 3, 1)
+    for i in range(len(A.LOCAL_WINDOW_SIZES)):
+        _block(p, rng, f"local.blocks.{i}", cfg.local_dim)
 
-    if cfg.variant != "local-only":
-        d, c = cfg.global_embed_dim, cfg.global_out_dim
-        for i, cin in enumerate((d, c, c)):
-            _conv(p, rng, f"global_.recover.convs.{i}.0", f"global_.recover.convs.{i}.1", c, cin, 3)
-        _conv(p, rng, "global_.patch_w", "global_.patch_b", d, 3, W.PATCH)
-        p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.num_tokens, d)), requires_grad=True)
-        for i in range(2):
-            _block(p, rng, f"global_.blocks.{i}", d)
+    d, c = cfg.global_embed_dim, cfg.global_out_dim
+    for i, cin in enumerate((d, c, c)):
+        _conv(p, rng, f"global_.recover.convs.{i}.0", f"global_.recover.convs.{i}.1", c, cin, 3)
+    _conv(p, rng, "global_.patch_w", "global_.patch_b", d, 3, W.PATCH)
+    p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.num_tokens, d)), requires_grad=True)
+    for i in range(2):
+        _block(p, rng, f"global_.blocks.{i}", d)
 
-    cin, fc = cfg.fused_channels_in, cfg.fusion_channels
-    _conv(p, rng, "fuse1_w", "fuse1_b", fc, cin, 3)
+    fc = cfg.fusion_channels
+    _conv(p, rng, "fuse1_w", "fuse1_b", fc, cfg.local_dim + c, 3)
     _conv(p, rng, "fuse2_w", "fuse2_b", fc, fc, 3)
     _conv(p, rng, "out_w", "out_b", 3, fc, 1)
     return GeneratorWeights(cfg, p)
@@ -142,13 +121,8 @@ def forward(x: Tensor, w: GeneratorWeights) -> Tensor:
         raise ContractError("generator input contains non-finite values")
 
     p = w.params
-    if cfg.variant == "local-only":
-        feat = A.local_branch(x, p, "local", cfg.local_heads, cfg.num_local_layers)
-    elif cfg.variant == "global-only":
-        feat = A.global_branch(x, p, "global_", cfg.global_heads)
-    else:
-        local = A.local_branch(x, p, "local", cfg.local_heads, cfg.num_local_layers)
-        feat = T.concat([local, A.global_branch(x, p, "global_", cfg.global_heads)], axis=0)
+    local = A.local_branch(x, p, "local", cfg.local_heads)
+    feat = T.concat([local, A.global_branch(x, p, "global_", cfg.global_heads)], axis=0)
 
     feat = T.leaky_relu(T.conv2d(feat, p["fuse1_w"], p["fuse1_b"], pad=1), 0.2)
     feat = T.leaky_relu(T.conv2d(feat, p["fuse2_w"], p["fuse2_b"], pad=1), 0.2)

@@ -60,8 +60,8 @@ class FeatureExtractor:
 
     CHANNELS = (8, 16, 32)
 
-    def __init__(self, seed: int = FEATURE_EXTRACTOR_SEED):
-        rng = np.random.default_rng(seed)
+    def __init__(self):
+        rng = np.random.default_rng(FEATURE_EXTRACTOR_SEED)
         self.convs = []
         cin = 3
         for cout in self.CHANNELS:
@@ -70,10 +70,6 @@ class FeatureExtractor:
             b = Tensor(np.zeros(cout))
             self.convs.append((w, b))
             cin = cout
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.convs)
 
     def __call__(self, x: Tensor) -> list[Tensor]:
         feats = []
@@ -126,7 +122,7 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
     for fl, fen in zip(feats_low, feats_enh):
         term = T.sqrt(T.mean(T.square(T.sub(fen, fl))))
         total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / fe.num_layers)
+    return T.scale(total, 1.0 / len(fe.convs))
 
 
 def identity_invariant_loss(x_r: Tensor, g_out: Tensor) -> Tensor:

@@ -76,40 +76,9 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """A new leaf sharing this tensor's data, outside the tape."""
         return Tensor._wrap(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def mean(self, axis=None):
-        return mean(self, axis)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else shift(self, -float(other))
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -227,12 +196,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, s: float) -> Tensor:
     out = Tensor._wrap(x.data * s)
     return _record(out, (x,), lambda g: (g * s,))
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    """x + c for a plain scalar c."""
-    out = Tensor._wrap(x.data + c)
-    return _record(out, (x,), lambda g: (g,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -390,6 +353,13 @@ def permute(x: Tensor, axes) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat: empty tensor list")
+    shapes = [t.shape for t in tensors]
+    ndim = len(shapes[0])
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"concat: axis {axis} invalid for shape {shapes[0]}")
+    axis %= ndim
+    if len({s[:axis] + s[axis + 1 :] for s in shapes}) > 1:
+        raise DimensionError(f"concat: shapes {shapes} differ off axis {axis}")
     out = Tensor._wrap(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -415,24 +385,17 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
     return _record(out, (x,), back)
 
 
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor._wrap(np.asarray(x.data.mean(axis=axis)))
-    if axis is None:
-        n = x.size
-        back = lambda g: (np.full(x.shape, float(g) / n),)
-    else:
-        n = x.shape[axis]
-        back = lambda g: (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-    return _record(out, (x,), back)
+def mean(x: Tensor) -> Tensor:
+    """Mean over every element, as a scalar."""
+    n = x.size
+    out = Tensor._wrap(np.asarray(x.data.mean()))
+    return _record(out, (x,), lambda g: (np.full(x.shape, float(g) / n),))
 
 
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor._wrap(np.asarray(x.data.sum(axis=axis)))
-    if axis is None:
-        back = lambda g: (np.full(x.shape, float(g)),)
-    else:
-        back = lambda g: (np.repeat(np.expand_dims(g, axis), x.shape[axis], axis=axis),)
-    return _record(out, (x,), back)
+def tsum(x: Tensor) -> Tensor:
+    """Sum over every element, as a scalar."""
+    out = Tensor._wrap(np.asarray(x.data.sum()))
+    return _record(out, (x,), lambda g: (np.full(x.shape, float(g)),))
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

@@ -156,43 +156,34 @@ class TestWindowAttentionBlock:
 
 
 class TestLocalBranch:
-    def _weights(self, rng, c, zero_out=False, layers=3):
+    def _weights(self, rng, c, zero_out=False):
         p = {"loc.embed_w": Tensor(rng.normal(size=(c, 3, 1, 1)) / np.sqrt(3)), "loc.embed_b": Tensor(np.zeros(c))}
-        for i in range(layers):
+        for i in range(len(A.LOCAL_WINDOW_SIZES)):
             p.update(make_block(rng, c, zero_out=zero_out, prefix=f"loc.blocks.{i}"))
         return p
 
     def test_shape_contract(self):
         rng = np.random.default_rng(12)
         w = self._weights(rng, 8)
-        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2, 3)
+        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2)
         assert out.shape == (8, 16, 16)
 
     def test_window_sizes_are_exponential(self):
         assert A.LOCAL_WINDOW_SIZES == (2, 4, 8)
         assert all(s == 2 ** (i + 1) for i, s in enumerate(A.LOCAL_WINDOW_SIZES))
 
-    def test_single_layer_degenerate_config(self):
-        rng = np.random.default_rng(13)
-        w = self._weights(rng, 4, layers=1)
-        x = Tensor(rng.uniform(size=(3, 8, 8)))
-        got = A.local_branch(x, w, "loc", 2, 1)
-        embedded = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
-        expected = A.window_attention_block(embedded, 2, w, "loc.blocks.0", 2)
-        assert np.allclose(got.data, expected.data, atol=1e-12)
-
     def test_zeroed_blocks_reduce_to_scaled_embedding(self):
         rng = np.random.default_rng(14)
         w = self._weights(rng, 4, zero_out=True)
         x = Tensor(rng.uniform(size=(3, 8, 8)))
-        got = A.local_branch(x, w, "loc", 2, 3)
+        got = A.local_branch(x, w, "loc", 2)
         embedded = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
         assert np.allclose(got.data, 3.0 * embedded.data, atol=1e-12)
 
     def test_finite_on_unit_range_input(self):
         rng = np.random.default_rng(15)
         w = self._weights(rng, 8)
-        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2, 3)
+        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2)
         assert np.isfinite(out.data).all()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,7 @@ from relight import tensor as T
 from relight.errors import ConfigError, ContractError
 from relight.tensor import Tape, Tensor
 
-SMALL = G.GeneratorConfig(
-    local_dim=8, global_embed_dim=8, global_out_dim=8, local_heads=2, global_heads=2,
-    height=16, width=16, fusion_channels=8,
-)
+SMALL = G.GeneratorConfig(height=16, width=16)
 
 
 def test_forward_shape_and_range():
@@ -77,50 +75,21 @@ class TestInitWeights:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             G.GeneratorConfig(height=60)  # not divisible by 8
-        with pytest.raises(ConfigError):
-            G.GeneratorConfig(local_dim=7, local_heads=2)
-        with pytest.raises(ConfigError):
-            G.GeneratorConfig(num_local_layers=0)
 
+    @pytest.mark.parametrize("size", [0, -8, 64.0])
+    def test_bad_resolution_rejected(self, size):
+        for kwargs in ({"height": size, "width": size}, {"height": size}, {"width": size}):
+            with pytest.raises(ConfigError, match=re.escape(repr(size))):
+                G.GeneratorConfig(**kwargs)
 
-def variant(kind, seed):
-    return G.init_weights(dataclasses.replace(SMALL, variant=kind), seed)
-
-
-def parameter_count(w):
-    return sum(t.size for t in G.parameters(w).values())
-
-
-class TestAblations:
-    def test_local_only_shape(self):
-        w = variant("local-only", seed=4)
-        out = G.forward(Tensor(np.random.default_rng(4).uniform(size=(3, 16, 16))), w)
-        assert out.shape == (3, 16, 16)
-        assert not any(name.startswith("global_.") for name in w.params)
-
-    def test_global_only_shape(self):
-        w = variant("global-only", seed=5)
-        out = G.forward(Tensor(np.random.default_rng(5).uniform(size=(3, 16, 16))), w)
-        assert out.shape == (3, 16, 16)
-        assert not any(name.startswith("local.") for name in w.params)
-
-    def test_full_has_more_parameters(self):
-        full = parameter_count(variant("full", seed=6))
-        local = parameter_count(variant("local-only", seed=6))
-        glob = parameter_count(variant("global-only", seed=6))
-        assert full > local and full > glob
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            variant("both", seed=6)
+    def test_only_the_resolution_is_configurable(self):
+        assert [f.name for f in dataclasses.fields(G.GeneratorConfig)] == ["height", "width"]
+        with pytest.raises(TypeError):
+            G.GeneratorConfig(local_dim=8)
 
 
 def test_gradient_check_random_parameter_subset():
-    w = G.init_weights(
-        G.GeneratorConfig(local_dim=8, global_embed_dim=8, global_out_dim=8, local_heads=2,
-                          global_heads=2, height=32, width=32, fusion_channels=8),
-        seed=10,
-    )
+    w = G.init_weights(G.GeneratorConfig(height=32, width=32), seed=10)
     rng = np.random.default_rng(10)
     x = Tensor(rng.uniform(0.2, 0.8, size=(3, 32, 32)))
     params = list(G.parameters(w).values())
