@@ -9,7 +9,8 @@ blocks and recovers the full-resolution feature map.
 
 Blocks are pre-norm: LN -> MHSA -> residual -> LN -> MLP -> residual,
 with the MLP hidden width fixed at 4x the embedding dim and a GELU
-activation.  Attention logits are scaled by 1/sqrt(head_dim).
+activation.  The queries are scaled by 1/sqrt(head_dim) before the
+query-key product.
 
 Weights come from one flat name -> Tensor map; each function reads its
 own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
@@ -51,8 +52,8 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int, attn_out: lis
         return T.permute(proj, (0, 2, 1, 3))  # (B, heads, L, hd)
 
     q, k, v = project(w_q), project(p[f"{prefix}.w_k"]), project(p[f"{prefix}.w_v"])
-    logits = T.scale(q @ T.permute(k, (0, 1, 3, 2)), 1.0 / math.sqrt(hd))
-    attn = T.softmax(logits, axis=-1)
+    q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
+    attn = T.softmax(q @ T.permute(k, (0, 1, 3, 2)), axis=-1)
     if attn_out is not None:
         attn_out.append(attn.data.copy())
     ctx = attn @ v  # (B, heads, L, hd)

@@ -14,6 +14,10 @@ Conventions, fixed here and relied on everywhere else:
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
+- An op writes in place only into arrays it has just allocated itself:
+  never into an input's ``.data``, an array a backward closure keeps, or
+  the incoming gradient ``g`` (``add`` hands the same ``g`` to both of
+  its inputs, and a second ``backward`` reuses every kept array).
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
@@ -175,6 +179,11 @@ def _need_same_shape(a: Tensor, b: Tensor, opname: str):
         raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
 
 
+def _need_int(value, least: int, what: str):
+    if not isinstance(value, int) or value < least:
+        raise ContractError(f"{what} must be an int >= {least}, got {value!r}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
@@ -249,13 +258,35 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh form); smooth, so FD-checkable."""
     d = x.data
-    u = _GELU_C * (d + 0.044715 * d**3)
-    t = np.tanh(u)
-    out = Tensor._wrap(0.5 * d * (1.0 + t))
+    # t becomes tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since numpy
+    # runs d**3 through pow, about 40x slower than d*d*d.
+    # The out= buffers keep t an array for 0-d input too, so tanh can write into it.
+    t = np.multiply(d, d, out=np.empty_like(d))
+    t *= 0.044715
+    t += 1.0
+    t *= d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= d
+    y *= 0.5
+    out = Tensor._wrap(y)
 
     def back(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
-        return (g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * du),)
+        # g * (0.5*(1 + t) + 0.5*d*(1 - t^2)*C*(1 + 3*0.044715*d^2))
+        r = np.multiply(d, d, out=np.empty_like(d))
+        r *= 3 * 0.044715
+        r += 1.0
+        r *= d
+        r *= 0.5 * _GELU_C
+        s = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, s, out=s)
+        r *= s
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        r += s
+        r *= g
+        return (r,)
 
     return _record(out, (x,), back)
 
@@ -293,14 +324,17 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor._wrap(y)
 
     def back(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        r = g * y
+        inner = r.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=r)
+        r *= y
+        return (r,)
 
     return _record(out, (x,), back)
 
@@ -402,8 +436,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Nearest-neighbour spatial upsampling of a [C,H,W] tensor."""
     if x.ndim != 3:
         raise DimensionError(f"upsample_nearest: expected [C,H,W], got shape {x.shape}")
-    if factor < 1:
-        raise ContractError("upsample_nearest: factor must be >= 1")
+    _need_int(factor, 1, "upsample_nearest: factor")
     C, H, W = x.shape
     out = Tensor._wrap(np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2))
 
@@ -454,8 +487,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     Cout, Cw, kh, kw = w.shape
     if Cw != Cin:
         raise DimensionError(f"conv2d: input channels {Cin} do not match kernel channels {Cw}")
-    if stride < 1:
-        raise ContractError("conv2d: stride must be >= 1")
+    _need_int(stride, 1, "conv2d: stride")
+    _need_int(pad, 0, "conv2d: pad")
     if kh > H + 2 * pad or kw > W + 2 * pad:
         raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
     if b is not None and b.shape != (Cout,):

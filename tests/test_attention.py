@@ -5,7 +5,7 @@ from finite_diff import finite_diff_check
 from relight import attention as A
 from relight import tensor as T
 from relight.errors import ConfigError
-from relight.tensor import Tape, Tensor
+from relight.tensor import Tensor
 
 
 def make_mhsa(rng, d, zero_out=False, prefix="m"):

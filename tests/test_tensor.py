@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finite_diff import finite_diff_check, finite_diff_entries
+from relight import attention as A
 from relight import tensor as T
 from relight.errors import ContractError, DimensionError, DomainError
 from relight.tensor import Tape, Tensor
@@ -123,6 +125,15 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
+    @pytest.mark.parametrize(
+        "arg, value, least",
+        [("pad", -1, 0), ("pad", 1.0, 0), ("pad", "1", 0), ("stride", 0, 1), ("stride", -2, 1), ("stride", 1.5, 1)],
+    )
+    def test_bad_stride_or_pad_rejected(self, arg, value, least):
+        x, w = Tensor(np.zeros((1, 8, 8))), Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ContractError, match=re.escape(f"conv2d: {arg} must be an int >= {least}, got {value!r}")):
+            T.conv2d(x, w, **{arg: value})
+
     def test_gradient(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 6, 6)))
@@ -179,6 +190,17 @@ class TestElementwise:
         # keep inputs away from kinks by 1e-3 and strictly positive for sqrt
         raw = rng.uniform(0.1, 2.0, size=7)
         assert finite_diff_check(lambda t: T.mean(op(t)), Tensor(raw)) < 1e-6
+
+    def test_gelu_matches_closed_form(self):
+        x = np.linspace(-6.0, 6.0, 2001)
+        expected = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
+        assert np.allclose(T.gelu(Tensor(x)).data, expected, rtol=1e-14, atol=1e-15)
+        assert np.allclose(T.gelu(Tensor(x[1500])).data, expected[1500], rtol=1e-14, atol=1e-15)
+
+    def test_gelu_gradient_on_both_signs(self):
+        raw = np.random.default_rng(11).uniform(-4.0, 4.0, size=7)
+        assert (raw < -2.0).any() and (raw > 2.0).any()
+        assert finite_diff_check(lambda t: T.mean(T.gelu(t)), Tensor(raw)) < 1e-6
 
 
 class TestSoftmax:
@@ -314,6 +336,11 @@ class TestShapeOps:
         with pytest.raises(DimensionError):
             T.crop(Tensor(np.zeros((1, 4, 4))), 3, 3, 4, 4)
 
+    @pytest.mark.parametrize("factor", [2.0, 0, -1])
+    def test_upsample_bad_factor_rejected(self, factor):
+        with pytest.raises(ContractError, match=re.escape(f"factor must be an int >= 1, got {factor!r}")):
+            T.upsample_nearest(Tensor(np.zeros((1, 2, 2))), factor)
+
     def test_upsample_gradient(self):
         rng = np.random.default_rng(17)
         x = Tensor(rng.normal(size=(2, 3, 3)))
@@ -347,6 +374,24 @@ class TestBackward:
             tape.backward(y)
             tape.backward(y)
         assert x.grad[0] == pytest.approx(6.0)
+
+    def test_second_backward_through_gelu_softmax_mhsa_doubles_every_gradient(self):
+        # A backward that overwrote an array its closure keeps would change the second pass.
+        rng = np.random.default_rng(22)
+        p = {
+            f"m.{name}": Tensor(rng.normal(size=(8, 8)) / np.sqrt(8), requires_grad=True)
+            for name in ("w_q", "w_k", "w_v", "w_o")
+        }
+        x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 4, 8)))
+        leaves = [x, *p.values()]
+        with Tape() as tape:
+            loss = T.tsum(T.mul(T.softmax(T.gelu(A.mhsa(x, p, "m", 2)), axis=-1), c))
+            tape.backward(loss)
+            once = [t.grad.copy() for t in leaves]
+            tape.backward(loss)
+        for t, g in zip(leaves, once):
+            assert np.array_equal(t.grad, 2.0 * g)
 
     def test_tape_linearity(self):
         rng = np.random.default_rng(18)
@@ -434,3 +479,70 @@ class TestTensorInvariants:
         x = Tensor(rng.uniform(-3, 3, size=(2, 5)))
         for op in (T.sigmoid, T.square, T.softplus, T.gelu, lambda t: T.softmax(t, -1)):
             assert np.isfinite(op(x).data).all()
+
+
+def _buffer_cases(rng):
+    """Every differentiable op (keyed ``op`` or ``op-variant``) with its input arrays."""
+
+    def a(*shape):
+        return np.array(rng.normal(size=shape))
+
+    return {
+        "add": (T.add, [a(2, 3), a(2, 3)]),
+        "sub": (T.sub, [a(2, 3), a(2, 3)]),
+        "mul": (T.mul, [a(2, 3), a(2, 3)]),
+        "scale": (lambda x: T.scale(x, 1.5), [a(2, 3)]),
+        "relu": (T.relu, [a(2, 3)]),
+        "leaky_relu": (T.leaky_relu, [a(2, 3)]),
+        "sigmoid": (T.sigmoid, [a(2, 3)]),
+        "sqrt": (T.sqrt, [np.abs(a(2, 3)) + 0.5]),
+        "square": (T.square, [a(2, 3)]),
+        "softplus": (T.softplus, [a(2, 3)]),
+        "gelu": (T.gelu, [a(2, 3)]),
+        "gelu-0d": (T.gelu, [a()]),
+        "matmul": (T.matmul, [a(2, 3, 4), a(2, 4, 5)]),
+        "add_bias": (T.add_bias, [a(2, 3), a(3)]),
+        "softmax": (lambda x: T.softmax(x, axis=-1), [a(2, 3, 4)]),
+        "softmax-axis0": (lambda x: T.softmax(x, axis=0), [a(2, 3, 4)]),
+        "layer_norm": (T.layer_norm, [a(2, 3), a(3), a(3)]),
+        "reshape": (lambda x: T.reshape(x, (3, 2)), [a(2, 3)]),
+        "permute": (lambda x: T.permute(x, (1, 0)), [a(2, 3)]),
+        "concat": (lambda x, y: T.concat([x, y], axis=1), [a(2, 3), a(2, 1)]),
+        "crop": (lambda x: T.crop(x, 1, 1, 2, 2), [a(2, 4, 4)]),
+        "mean": (T.mean, [a(2, 3)]),
+        "tsum": (T.tsum, [a(2, 3)]),
+        "upsample_nearest": (lambda x: T.upsample_nearest(x, 2), [a(2, 2, 3)]),
+        "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1), [a(2, 5, 5), a(3, 2, 3, 3), a(3)]),
+        "conv2d-nobias": (lambda x, w: T.conv2d(x, w, pad=1), [a(2, 5, 5), a(3, 2, 3, 3)]),
+    }
+
+
+class TestBufferSafety:
+    """Ops may write in place only into arrays they allocated themselves."""
+
+    def test_cases_cover_every_recorded_op(self):
+        recorded = {
+            name
+            for name, f in vars(T).items()
+            if inspect.isfunction(f) and not name.startswith("_") and "_record(" in inspect.getsource(f)
+        }
+        assert {key.split("-")[0] for key in _buffer_cases(np.random.default_rng(0))} == recorded
+
+    @pytest.mark.parametrize("key", sorted(_buffer_cases(np.random.default_rng(0))))
+    def test_read_only_inputs_and_incoming_gradient(self, key):
+        rng = np.random.default_rng(30)
+        op, arrays = _buffer_cases(rng)[key]
+        for arr in arrays:
+            arr.flags.writeable = False
+        leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+        with Tape() as tape:
+            out = op(*leaves)
+        (node,) = tape._records
+        out_before = np.array(out.data, copy=True)
+        g = np.array(rng.normal(size=out.shape))
+        g.flags.writeable = False
+        first = [np.array(gin, copy=True) for gin in node.backward(g)]
+        second = node.backward(g)
+        assert np.array_equal(out.data, out_before)
+        for a_, b_ in zip(first, second):
+            assert np.array_equal(a_, b_)
