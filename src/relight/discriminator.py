@@ -37,6 +37,8 @@ def _spatial_after_convs(size: int) -> int:
 
 def init_discriminator(input_size: int, seed: int) -> DiscriminatorWeights:
     """Deterministic fan-in uniform init for a given square input side."""
+    if not isinstance(input_size, int):
+        raise ConfigError(f"discriminator input side must be an int, got {input_size!r}")
     if input_size < 8:
         raise ConfigError(f"discriminator input side {input_size} too small for three stride-2 convs")
     rng = np.random.default_rng(seed)

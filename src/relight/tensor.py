@@ -21,10 +21,23 @@ Conventions, fixed here and relied on everywhere else:
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
+- Importing this module tells glibc's allocator, for the whole process,
+  to keep freed memory instead of returning it to the kernel: blocks up
+  to 1 GiB come from the heap, and the heap is never trimmed.  Every op
+  returns a fresh array, so otherwise the next op faults the same pages
+  in again; the price is that the process keeps its peak memory.
+  Without glibc nothing changes.
+- ``conv2d`` has no column matrix.  The zero-padded input is split into
+  its stride*stride phases, each a flat grid ``Wq`` columns wide; tap
+  (i, j) is one GEMM of the kernel's (C_out, C_in) slice with a
+  contiguous run of phase (i % s, j % s) starting at
+  ``(i // s) * Wq + j // s``.  Output rows are computed ``Wq`` wide and
+  the columns past the true width dropped; backward feeds zeros there.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from typing import Callable, Iterable, Sequence
@@ -32,6 +45,26 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_BYTES = 1 << 30
+
+
+def _keep_freed_memory():
+    # glibc's mallopt.  Elsewhere the symbol is missing (AttributeError) or
+    # the process image cannot be opened by name None (OSError, TypeError).
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
+
+
+_keep_freed_memory()
 
 _tls = threading.local()
 
@@ -62,8 +95,9 @@ class Tensor:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         # Internal constructor for op outputs: skips the finiteness scan.
+        # asarray turns the numpy scalar an op on 0-d input returns into a 0-d array.
         t = cls.__new__(cls)
-        t.data = arr
+        t.data = np.asarray(arr)
         t.requires_grad = False
         t.grad = None
         return t
@@ -422,13 +456,13 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
 def mean(x: Tensor) -> Tensor:
     """Mean over every element, as a scalar."""
     n = x.size
-    out = Tensor._wrap(np.asarray(x.data.mean()))
+    out = Tensor._wrap(x.data.mean())
     return _record(out, (x,), lambda g: (np.full(x.shape, float(g) / n),))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum over every element, as a scalar."""
-    out = Tensor._wrap(np.asarray(x.data.sum()))
+    out = Tensor._wrap(x.data.sum())
     return _record(out, (x,), lambda g: (np.full(x.shape, float(g)),))
 
 
@@ -450,33 +484,30 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 # convolutions
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(C,H,W) -> column matrix (C*kh*kw, H'*W') plus the output geometry."""
+def _stride_phases(x: np.ndarray, s: int, pad: int, tail: int):
+    """Zero-pad (C,H,W) by ``pad`` and split it into its s*s stride phases.
+
+    Returns ``(phases, Wq)``: ``phases[pi*s + pj, c]`` is the flattened
+    ``padded[c, pi::s, pj::s]`` grid, ``Wq`` columns wide, followed by at
+    least ``tail`` zeros so a tap slice may run past the last row.  For
+    s = 1 the split is a view of the padded copy.
+    """
     C, H, W = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    Hp, Wp = x.shape[1], x.shape[2]
-    Ho = (Hp - kh) // stride + 1
-    Wo = (Wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    win = win[:, :: stride, :: stride]  # (C, Ho, Wo, kh, kw)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(C * kh * kw, Ho * Wo)
-    return np.ascontiguousarray(cols), Ho, Wo
+    rows = -(-(H + 2 * pad) // s) + (tail > 0)
+    Wq = -(-(W + 2 * pad) // s)
+    xq = np.zeros((C, rows * s, Wq * s))
+    xq[:, pad : pad + H, pad : pad + W] = x
+    phases = xq.reshape(C, rows, s, Wq, s).transpose(2, 4, 0, 1, 3)
+    return phases.reshape(s * s, C, rows * Wq), Wq
 
 
-def _col2im(cols: np.ndarray, C: int, H: int, W: int, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back onto a (C,H,W) grid."""
-    Hp, Wp = H + 2 * pad, W + 2 * pad
-    Ho = (Hp - kh) // stride + 1
-    Wo = (Wp - kw) // stride + 1
-    blocks = cols.reshape(C, kh, kw, Ho, Wo)
-    out = np.zeros((C, Hp, Wp), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, i : i + Ho * stride : stride, j : j + Wo * stride : stride] += blocks[:, i, j]
-    if pad:
-        out = out[:, pad : Hp - pad, pad : Wp - pad]
-    return out
+def _from_stride_phases(ph: np.ndarray, H: int, W: int, s: int, pad: int) -> np.ndarray:
+    """Adjoint of :func:`_stride_phases`: reassemble the padded grid, crop to (C,H,W)."""
+    C = ph.shape[1]
+    Wq = -(-(W + 2 * pad) // s)
+    rows = ph.shape[2] // Wq
+    xq = ph.reshape(s, s, C, rows, Wq).transpose(2, 3, 0, 4, 1).reshape(C, rows * s, Wq * s)
+    return np.ascontiguousarray(xq[:, pad : pad + H, pad : pad + W])
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -494,20 +525,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     if b is not None and b.shape != (Cout,):
         raise DimensionError(f"conv2d: bias shape {b.shape} does not match {Cout} output channels")
 
-    cols, Ho, Wo = _im2col(x.data, kh, kw, stride, pad)
-    y = (w.data.reshape(Cout, -1) @ cols).reshape(Cout, Ho, Wo)
-    if b is not None:
-        y = y + b.data[:, None, None]
+    s = stride
+    Ho = (H + 2 * pad - kh) // s + 1
+    Wo = (W + 2 * pad - kw) // s + 1
+    phases, Wq = _stride_phases(x.data, s, pad, (kw - 1) // s)
+    n = Ho * Wq  # output rows are Wq wide; columns c >= Wo are computed, then dropped
+    taps = [(i, j, (i % s) * s + j % s, (i // s) * Wq + j // s) for i in range(kh) for j in range(kw)]
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
+    parts = (wt[i, j] @ phases[ph, :, off : off + n] for i, j, ph, off in taps)
+    acc = next(parts)
+    for part in parts:
+        acc += part
+    y = acc.reshape(Cout, Ho, Wq)[:, :, :Wo]
+    y = np.ascontiguousarray(y) if b is None else y + b.data[:, None, None]
     out = Tensor._wrap(y)
 
     def back(g):
-        gm = g.reshape(Cout, -1)
-        cols_b, _, _ = _im2col(x.data, kh, kw, stride, pad)  # recomputed: cheaper than keeping it alive
-        dw = (gm @ cols_b.T).reshape(w.shape)
-        dcols = w.data.reshape(Cout, -1).T @ gm
-        dx = _col2im(dcols, Cin, H, W, kh, kw, stride, pad)
-        db = g.sum(axis=(1, 2)) if b is not None else None
-        return (dx, dw, db) if b is not None else (dx, dw)
+        gq = np.zeros((Cout, Ho, Wq))
+        gq[:, :, :Wo] = g
+        gq = gq.reshape(Cout, n)
+        xs, _ = _stride_phases(x.data, s, pad, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
+        dxs = np.zeros_like(xs)
+        dwt = np.empty_like(wt)
+        for i, j, ph, off in taps:
+            dwt[i, j] = gq @ xs[ph, :, off : off + n].T
+            dxs[ph, :, off : off + n] += wt[i, j].T @ gq
+        dx = _from_stride_phases(dxs, H, W, s, pad)
+        dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
+        if b is None:
+            return (dx, dw)
+        return (dx, dw, g.sum(axis=(1, 2)))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record(out, inputs, back)

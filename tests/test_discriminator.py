@@ -45,6 +45,12 @@ def test_too_small_input_side_rejected():
         D.init_discriminator(7, seed=0)
 
 
+@pytest.mark.parametrize("side", [64.0, "64", None])
+def test_non_int_input_side_rejected(side):
+    with pytest.raises(ConfigError, match=re.escape(repr(side))):
+        D.init_discriminator(side, seed=0)
+
+
 def test_wrong_shape_rejected():
     d = D.init_discriminator(16, seed=0)
     for shape in ((3, 16, 8), (1, 16, 16), (3, 32, 32)):

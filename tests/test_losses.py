@@ -129,6 +129,7 @@ def test_total_breakdown_sums_to_total_and_applies_weights():
     assert set(breakdown) == {"sfp", "identity", "adv_global", "total"}
     assert breakdown["identity"] == pytest.approx(0.1)
     assert breakdown["total"] == float(total.data)
+    assert type(total.data) is np.ndarray
     assert sum(v for k, v in breakdown.items() if k != "total") == pytest.approx(breakdown["total"], rel=1e-15)
 
 

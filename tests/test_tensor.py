@@ -1,5 +1,8 @@
 import inspect
+import platform
 import re
+import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +47,18 @@ def conv2d_reference(x, w, stride, pad):
                             acc += xp[ci, i * stride + a, j * stride + b] * w[co, ci, a, b]
                 out[co, i, j] = acc
     return out
+
+
+# Every conv geometry the network uses, plus strides that do not divide the padded size.
+CONV_GEOMETRIES = {
+    "1x1-s1-p0": ((2, 9, 8), (3, 2, 1, 1), 1, 0),
+    "3x3-s1-p0": ((2, 9, 8), (3, 2, 3, 3), 1, 0),
+    "3x3-s1-p1": ((2, 9, 8), (3, 2, 3, 3), 1, 1),
+    "3x3-s2-p0": ((2, 9, 8), (3, 2, 3, 3), 2, 0),
+    "3x3-s2-p1-odd": ((2, 9, 7), (3, 2, 3, 3), 2, 1),
+    "8x8-s8-p0": ((3, 16, 24), (16, 3, 8, 8), 8, 0),  # the patch embed's channels
+    "2x3-s3-p2": ((2, 10, 11), (3, 2, 2, 3), 3, 2),
+}
 
 
 class TestMatmul:
@@ -113,13 +128,13 @@ class TestConv2d:
         w = Tensor(rng.normal(size=(5, 3, 8, 8)))
         assert T.conv2d(x, w, stride=8).shape == (5, 8, 8)
 
-    def test_against_loop_reference(self):
+    @pytest.mark.parametrize("x_shape, w_shape, stride, pad", CONV_GEOMETRIES.values(), ids=CONV_GEOMETRIES.keys())
+    def test_against_loop_reference(self, x_shape, w_shape, stride, pad):
         rng = np.random.default_rng(7)
-        for stride, pad in [(1, 0), (1, 1), (2, 1), (2, 0)]:
-            x = rng.normal(size=(2, 9, 8))
-            w = rng.normal(size=(3, 2, 3, 3))
-            got = T.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
-            assert np.max(np.abs(got - conv2d_reference(x, w, stride, pad))) < 1e-12
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        got = T.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+        assert np.max(np.abs(got - conv2d_reference(x, w, stride, pad))) < 1e-12
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
@@ -134,17 +149,43 @@ class TestConv2d:
         with pytest.raises(ContractError, match=re.escape(f"conv2d: {arg} must be an int >= {least}, got {value!r}")):
             T.conv2d(x, w, **{arg: value})
 
-    def test_gradient(self):
+    @pytest.mark.parametrize("x_shape, w_shape, stride, pad", CONV_GEOMETRIES.values(), ids=CONV_GEOMETRIES.keys())
+    def test_gradient(self, x_shape, w_shape, stride, pad):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(2, 6, 6)))
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        b = Tensor(rng.normal(size=3))
-        err = finite_diff_check(lambda t: T.mean(T.conv2d(t, w, b, stride=2, pad=1)), x)
+        x = Tensor(rng.normal(size=x_shape))
+        w = Tensor(rng.normal(size=w_shape))
+        b = Tensor(rng.normal(size=w_shape[0]))
+        err = finite_diff_check(lambda t: T.mean(T.conv2d(t, w, b, stride=stride, pad=pad)), x)
         assert err < 1e-6
-        err_w = finite_diff_check(lambda t: T.mean(T.conv2d(x, t, b, stride=2, pad=1)), w)
+        err_w = finite_diff_check(lambda t: T.mean(T.conv2d(x, t, b, stride=stride, pad=pad)), w)
         assert err_w < 1e-6
-        err_b = finite_diff_check(lambda t: T.mean(T.conv2d(x, w, t, stride=2, pad=1)), b)
+        err_b = finite_diff_check(lambda t: T.mean(T.conv2d(x, w, t, stride=stride, pad=pad)), b)
         assert err_b < 1e-6
+
+    def test_non_overlapping_taps_gradient_is_the_tiled_kernel_sum(self):
+        # Each input pixel meets exactly one tap of one output cell, so the
+        # gradient of the mean is exact; with few output channels some entries
+        # are ~1e-5, where central differences carry ~1e-6 relative rounding.
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 16, 24)), requires_grad=True)
+        w = rng.normal(size=(3, 2, 8, 8))
+        with Tape() as tape:
+            tape.backward(T.mean(T.conv2d(x, Tensor(w), stride=8)))
+        expected = np.tile(w.sum(axis=0), (1, 2, 3)) / (3 * 2 * 3)
+        assert np.max(np.abs(x.grad - expected)) < 1e-15
+
+    def test_forward_needs_no_column_matrix(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(32, 64, 64)))
+        w = Tensor(rng.normal(size=(32, 32, 3, 3)))
+        im2col_bytes = 32 * 3 * 3 * 64 * 64 * 8  # the (C*kh*kw, Ho*Wo) float64 matrix
+        tracemalloc.start()
+        try:
+            T.conv2d(x, w, pad=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col_bytes
 
 
 class TestElementwise:
@@ -472,6 +513,30 @@ class TestTensorInvariants:
             tape.backward(T.mean(T.square(x)))
         assert x.grad.shape == x.shape
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: T.scale(x, 3.0),
+            lambda x: T.add(x, x),
+            lambda x: T.sub(x, x),
+            lambda x: T.mul(x, x),
+            T.relu,
+            T.leaky_relu,
+            T.sigmoid,
+            T.sqrt,
+            T.square,
+            T.softplus,
+            T.gelu,
+            T.mean,
+            T.tsum,
+        ],
+        ids=["scale", "add", "sub", "mul", "relu", "leaky_relu", "sigmoid", "sqrt", "square", "softplus", "gelu", "mean", "tsum"],
+    )
+    def test_zero_dim_output_data_is_an_array(self, op):
+        out = op(Tensor(2.0))
+        assert type(out.data) is np.ndarray
+        assert out.shape == ()
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_ops_finite_on_finite_inputs(self, seed):
@@ -514,6 +579,7 @@ def _buffer_cases(rng):
         "upsample_nearest": (lambda x: T.upsample_nearest(x, 2), [a(2, 2, 3)]),
         "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1), [a(2, 5, 5), a(3, 2, 3, 3), a(3)]),
         "conv2d-nobias": (lambda x, w: T.conv2d(x, w, pad=1), [a(2, 5, 5), a(3, 2, 3, 3)]),
+        "conv2d-stride8": (lambda x, w, b: T.conv2d(x, w, b, stride=8), [a(2, 16, 16), a(3, 2, 8, 8), a(3)]),
     }
 
 
@@ -546,3 +612,24 @@ class TestBufferSafety:
         assert np.array_equal(out.data, out_before)
         for a_, b_ in zip(first, second):
             assert np.array_equal(a_, b_)
+
+
+class TestAllocator:
+    """Importing relight.tensor keeps freed memory in the process."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt")
+    def test_freed_block_is_refilled_without_page_faults(self):
+        n = (64 << 20) // 8
+        # Off, so the count does not depend on transparent huge pages.
+        previous = np._core.multiarray._set_madvise_hugepage(False)
+        try:
+            a = np.empty(n)
+            a.fill(1.0)
+            del a
+            a = np.empty(n)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            a.fill(2.0)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        finally:
+            np._core.multiarray._set_madvise_hugepage(previous)
+        assert faults < 0.01 * (n * 8 // 4096)
