@@ -27,23 +27,20 @@ from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
 
-def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int, attn_out: list | None = None) -> Tensor:
+def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     """Scaled dot-product multi-head self-attention over a token sequence.
 
-    z is [L,d] or batched [B,L,d] (windows attend independently); the
-    square projections are p[f"{prefix}.w_q"], w_k, w_v and w_o.  When
-    attn_out is a list, the softmaxed attention weights [B,heads,L,L] are
-    appended to it for inspection.
+    z is [L,d] or batched [B,L,d] (windows attend independently), and the
+    output has z's shape; the square projections are p[f"{prefix}.w_q"],
+    w_k, w_v and w_o.  heads must be an int >= 1 that divides d.
     """
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = T.reshape(z, (1,) + z.shape)
-    B, L, d = z.shape
+    *lead, L, d = z.shape
+    B = math.prod(lead)
     w_q = p[f"{prefix}.w_q"]
     if d != w_q.shape[0]:
         raise ConfigError(f"sequence dim {d} does not match weights dim {w_q.shape[0]}")
-    if d % heads:
-        raise ConfigError(f"heads {heads} does not divide dim {d}")
+    if not isinstance(heads, int) or heads < 1 or d % heads:
+        raise ConfigError(f"heads {heads!r} must be an int >= 1 that divides dim {d}")
     hd = d // heads
 
     def project(mat):
@@ -54,12 +51,9 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int, attn_out: lis
     q, k, v = project(w_q), project(p[f"{prefix}.w_k"]), project(p[f"{prefix}.w_v"])
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
     attn = T.softmax(q @ T.permute(k, (0, 1, 3, 2)), axis=-1)
-    if attn_out is not None:
-        attn_out.append(attn.data.copy())
     ctx = attn @ v  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
-    out = T.reshape(ctx @ p[f"{prefix}.w_o"], (B, L, d))
-    return T.reshape(out, (L, d)) if squeeze else out
+    return T.reshape(ctx @ p[f"{prefix}.w_o"], z.shape)
 
 
 def transformer_block(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
@@ -105,10 +99,10 @@ def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> T
     """Patch tokens + positional encoding -> two serial blocks -> recovered map.
 
     Reads patch_w/b, the [L,d] table pos, blocks.{0,1}.* and recover.* under prefix.
+    pos is added to the tokens, so a table of another shape raises DimensionError.
     """
     _, H, Wd = x.shape
-    z = W.patch_embed(x, p[f"{prefix}.patch_w"], p[f"{prefix}.patch_b"])
-    z = W.add_positional_encoding(z, p[f"{prefix}.pos"])
+    z = T.add(W.patch_embed(x, p[f"{prefix}.patch_w"], p[f"{prefix}.patch_b"]), p[f"{prefix}.pos"])
     for i in range(2):
         z = transformer_block(z, p, f"{prefix}.blocks.{i}", heads)
     return W.patch_recover(z, p, f"{prefix}.recover", H, Wd)

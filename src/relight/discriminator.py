@@ -70,28 +70,23 @@ def discriminate(x: Tensor, w: DiscriminatorWeights) -> Tensor:
     return T.reshape(logit, ())
 
 
-def sample_patch_positions(rng, height: int, width: int, patch: int, n: int) -> list[tuple[int, int]]:
-    """n uniform top-left offsets for patch x patch crops inside the image."""
-    if patch > height or patch > width:
-        raise ConfigError(f"patch side {patch} exceeds image {height}x{width}")
-    return [
-        (int(rng.integers(0, height - patch + 1)), int(rng.integers(0, width - patch + 1)))
-        for _ in range(n)
-    ]
-
-
 def discriminate_local(
     x: Tensor, w: DiscriminatorWeights, rng, n_patches: int = 4
 ) -> list[tuple[Tensor, Tensor]]:
     """Score n_patches random crops of x; returns [(patch, logit)] pairs.
 
-    Crop positions come from rng, so a seeded generator reproduces them;
-    gradients flow through the crops into x.
+    Each crop's top, then left offset is drawn uniformly from rng, so a
+    seeded generator reproduces them; gradients flow through the crops into x.
     """
     _, H, Wd = x.shape
     patch = w.input_size
+    if patch > H or patch > Wd:
+        raise ConfigError(f"patch side {patch} exceeds image {H}x{Wd}")
+    if not isinstance(n_patches, int) or n_patches < 1:
+        raise ConfigError(f"n_patches must be an int >= 1, got {n_patches!r}")
     out = []
-    for top, left in sample_patch_positions(rng, H, Wd, patch, n_patches):
+    for _ in range(n_patches):
+        top, left = int(rng.integers(0, H - patch + 1)), int(rng.integers(0, Wd - patch + 1))
         p = T.crop(x, top, left, patch, patch)
         out.append((p, discriminate(p, w)))
     return out

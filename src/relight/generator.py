@@ -46,10 +46,6 @@ class GeneratorConfig:
         if self.height % 8 or self.width % 8:
             raise ConfigError(f"train resolution {self.height}x{self.width} must be divisible by 8")
 
-    @property
-    def num_tokens(self) -> int:
-        return (self.height // W.PATCH) * (self.width // W.PATCH)
-
 
 @dataclass
 class GeneratorWeights:
@@ -101,7 +97,8 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> GeneratorWeights:
     for i, cin in enumerate((d, c, c)):
         _conv(p, rng, f"global_.recover.convs.{i}.0", f"global_.recover.convs.{i}.1", c, cin, 3)
     _conv(p, rng, "global_.patch_w", "global_.patch_b", d, 3, W.PATCH)
-    p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(cfg.num_tokens, d)), requires_grad=True)
+    tokens = (cfg.height // W.PATCH) * (cfg.width // W.PATCH)
+    p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(tokens, d)), requires_grad=True)
     for i in range(2):
         _block(p, rng, f"global_.blocks.{i}", d)
 

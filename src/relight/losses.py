@@ -13,7 +13,7 @@ extractor weights are drawn once from a fixed published seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .tensor import Tensor
 # Fixed seed for the frozen feature extractor: the bytes "MSATR" read as a
 # big-endian integer, so any implementation can reproduce the weights.
 FEATURE_EXTRACTOR_SEED = int.from_bytes(b"MSATR", "big")
-
-LOSS_TERMS = ("adv_global", "adv_local", "sfp", "identity", "luminance")
 
 
 @dataclass(frozen=True)
@@ -42,17 +40,14 @@ class LossWeights:
                 raise ContractError(f"loss weight {name} must be finite and >= 0, got {v}")
 
     def to_dict(self) -> dict:
-        return {
-            "adv_global": self.w_adv_global,
-            "adv_local": self.w_adv_local,
-            "sfp": self.w_sfp,
-            "identity": self.w_identity,
-            "luminance": self.w_luminance,
-        }
+        return {f.name.removeprefix("w_"): getattr(self, f.name) for f in fields(self)}
+
+
+LOSS_TERMS = tuple(LossWeights().to_dict())
 
 
 class FeatureExtractor:
-    """Three frozen conv layers (3->8->16->32, 3x3, stride 2, relu).
+    """Three frozen conv layers (3->8->16->32, 3x3, stride 2, relu as leaky_relu slope 0).
 
     Weights are drawn once from FEATURE_EXTRACTOR_SEED and never trained;
     calling the extractor returns the three post-relu feature maps.
@@ -75,7 +70,7 @@ class FeatureExtractor:
         feats = []
         feat = x
         for w, b in self.convs:
-            feat = T.relu(T.conv2d(feat, w, b, stride=2, pad=1))
+            feat = T.leaky_relu(T.conv2d(feat, w, b, stride=2, pad=1), 0.0)
             feats.append(feat)
         return feats
 
@@ -84,11 +79,13 @@ def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int
     """Mean squared difference between the two enhancements over one region.
 
     i is the second-pass (re-enhanced) image, k the first-pass enhanced
-    image; region is (top, left, height, width).  The normalizer is the
-    region's element count.
+    image; region is (top, left, height, width) in ints.  The normalizer is
+    the region's element count.
     """
     if i.shape != k.shape:
         raise ContractError(f"luminance loss operands differ in shape: {i.shape} vs {k.shape}")
+    if len(region) != 4:
+        raise ContractError(f"luminance loss region must be (top, left, height, width), got {region!r}")
     top, left, h, w = region
     if h <= 0 or w <= 0:
         raise ContractError(f"luminance loss region {region} is empty")
@@ -133,21 +130,21 @@ def identity_invariant_loss(x_r: Tensor, g_out: Tensor) -> Tensor:
 
 
 def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tensor, dict[str, float]]:
-    """Weighted sum of the supplied loss terms plus a per-term breakdown.
+    """Weighted sum of the loss terms plus a per-term breakdown.
 
-    parts maps term names (subset of LOSS_TERMS) to scalar tensors; the
-    breakdown holds each weighted contribution and sums to the total.
-    A non-finite part raises DivergenceError naming the term.
+    parts maps every name in LOSS_TERMS, and no other, to a scalar tensor;
+    a zero weight turns a term off.  The breakdown holds each weighted
+    contribution and sums to the total.  A non-finite part raises
+    DivergenceError naming the term.
     """
     weights = w.to_dict()
-    unknown = set(parts) - set(LOSS_TERMS)
-    if unknown:
-        raise ContractError(f"unknown loss terms: {sorted(unknown)}")
+    missing = [name for name in LOSS_TERMS if name not in parts]
+    unknown = sorted(set(parts) - set(LOSS_TERMS))
+    if missing or unknown:
+        raise ContractError(f"loss terms must be exactly {LOSS_TERMS}: missing {missing}, unknown {unknown}")
     total = None
     breakdown: dict[str, float] = {}
     for name in LOSS_TERMS:
-        if name not in parts:
-            continue
         part = parts[name]
         value = float(part.data)
         if not np.isfinite(value):
@@ -155,7 +152,5 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
         weighted = T.scale(part, weights[name])
         breakdown[name] = float(weighted.data)
         total = weighted if total is None else T.add(total, weighted)
-    if total is None:
-        total = Tensor(np.zeros(()))
     breakdown["total"] = float(total.data)
     return total, breakdown

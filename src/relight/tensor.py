@@ -169,23 +169,19 @@ class Tape:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._records:
             raise ContractError("backward called on an empty tape")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        # Keyed by the tensor itself: a Tensor hashes by identity.
+        grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
         for node in reversed(self._records):
-            g = grads.pop(id(node.out), None)
+            g = grads.pop(node.out, None)
             if g is None:
                 continue
-            holders.pop(id(node.out), None)
             for t, gin in zip(node.inputs, node.backward(g)):
-                if gin is None or not t.requires_grad:
-                    continue
-                prev = grads.get(id(t))
-                grads[id(t)] = gin if prev is None else prev + gin
-                holders[id(t)] = t
+                if t.requires_grad:
+                    prev = grads.get(t)
+                    grads[t] = gin if prev is None else prev + gin
         # Only leaves remain: each produced tensor's gradient was popped at its
         # own record, which the reverse walk reaches after all its consumers.
-        for tid, g in grads.items():
-            t = holders[tid]
+        for t, g in grads.items():
             if t.requires_grad:
                 g = np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
                 t.grad = g.copy() if t.grad is None else t.grad + g
@@ -239,11 +235,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, s: float) -> Tensor:
     out = Tensor._wrap(x.data * s)
     return _record(out, (x,), lambda g: (g * s,))
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(x.data, 0.0))
-    return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
@@ -441,7 +432,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
     """Slice the last two axes; backward scatters the gradient back."""
     H, W = x.shape[-2], x.shape[-1]
-    if not (0 <= top and 0 <= left and height > 0 and width > 0 and top + height <= H and left + width <= W):
+    for what, value, least in (("top", top, 0), ("left", left, 0), ("height", height, 1), ("width", width, 1)):
+        _need_int(value, least, f"crop: {what}")
+    if top + height > H or left + width > W:
         raise DimensionError(f"crop: rect ({top},{left},{height},{width}) outside {H}x{W}")
     out = Tensor._wrap(np.ascontiguousarray(x.data[..., top : top + height, left : left + width]))
 
@@ -510,8 +503,8 @@ def _from_stride_phases(ph: np.ndarray, H: int, W: int, s: int, pad: int) -> np.
     return np.ascontiguousarray(xq[:, pad : pad + H, pad : pad + W])
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw] kernels."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """Cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw] kernels, plus a [C_out] bias."""
     if x.ndim != 3 or w.ndim != 4:
         raise DimensionError(f"conv2d: expected [C,H,W] and [O,I,kh,kw], got {x.shape} and {w.shape}")
     Cin, H, W = x.shape
@@ -522,7 +515,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     _need_int(pad, 0, "conv2d: pad")
     if kh > H + 2 * pad or kw > W + 2 * pad:
         raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-    if b is not None and b.shape != (Cout,):
+    if b.shape != (Cout,):
         raise DimensionError(f"conv2d: bias shape {b.shape} does not match {Cout} output channels")
 
     s = stride
@@ -536,9 +529,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     acc = next(parts)
     for part in parts:
         acc += part
-    y = acc.reshape(Cout, Ho, Wq)[:, :, :Wo]
-    y = np.ascontiguousarray(y) if b is None else y + b.data[:, None, None]
-    out = Tensor._wrap(y)
+    out = Tensor._wrap(acc.reshape(Cout, Ho, Wq)[:, :, :Wo] + b.data[:, None, None])
 
     def back(g):
         gq = np.zeros((Cout, Ho, Wq))
@@ -552,9 +543,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             dxs[ph, :, off : off + n] += wt[i, j].T @ gq
         dx = _from_stride_phases(dxs, H, W, s, pad)
         dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
-        if b is None:
-            return (dx, dw)
         return (dx, dw, g.sum(axis=(1, 2)))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record(out, inputs, back)
+    return _record(out, (x, w, b), back)

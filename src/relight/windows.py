@@ -22,8 +22,8 @@ PATCH = 8  # global-branch patch side and stride
 
 def _window_grid(height: int, width: int, s: int) -> tuple[int, int]:
     """(window rows, window columns) of an s x s tiling; s must divide both sides."""
-    if s < 1 or height % s or width % s:
-        raise PartitionError(f"window size {s} does not divide feature map {height}x{width}")
+    if not isinstance(s, int) or s < 1 or height % s or width % s:
+        raise PartitionError(f"window size {s!r} must be an int >= 1 that divides feature map {height}x{width}")
     return height // s, width // s
 
 
@@ -61,16 +61,6 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     z = T.conv2d(x, w, b, stride=PATCH)  # (d, H/8, W/8)
     z = T.reshape(z, (d, (H // PATCH) * (W // PATCH)))
     return T.permute(z, (1, 0))
-
-
-def add_positional_encoding(z: Tensor, p: Tensor) -> Tensor:
-    """Elementwise z + p; p is a learnable [L,d] table sized at train resolution."""
-    if z.shape != p.shape:
-        raise ConfigError(
-            f"positional encoding shape {p.shape} does not match sequence {z.shape}; "
-            "inference resolution must equal the training resolution"
-        )
-    return T.add(z, p)
 
 
 def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, width: int) -> Tensor:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,20 @@ class TestMhsa:
             got = A.mhsa(Tensor(z), w, "m", heads).data
             assert np.max(np.abs(got - mhsa_reference(z, w, heads))) < 1e-10
 
-    def test_attention_rows_sum_to_one_via_hook(self):
+    def test_attention_rows_sum_to_one_via_hook(self, monkeypatch):
         rng = np.random.default_rng(4)
         w = make_mhsa(rng, 8)
         hook = []
-        A.mhsa(Tensor(rng.normal(size=(6, 8))), w, "m", 2, attn_out=hook)
+        softmax = T.softmax
+
+        def recording_softmax(x, axis):
+            out = softmax(x, axis)
+            hook.append(out.data)
+            return out
+
+        # mhsa looks T.softmax up on the module at call time, so the patch reaches it
+        monkeypatch.setattr(T, "softmax", recording_softmax)
+        A.mhsa(Tensor(rng.normal(size=(6, 8))), w, "m", 2)
         (attn,) = hook
         assert attn.shape == (1, 2, 6, 6)
         assert np.allclose(attn.sum(axis=-1), 1.0)
@@ -109,6 +120,12 @@ class TestMhsa:
         w = make_mhsa(rng, 6)
         with pytest.raises(ConfigError, match="heads 4"):
             A.mhsa(Tensor(np.zeros((3, 6))), w, "m", 4)
+
+    @pytest.mark.parametrize("heads", [0, -2, 2.0, "2", None])
+    def test_bad_heads_rejected_naming_the_value(self, heads):
+        w = make_mhsa(np.random.default_rng(6), 8)
+        with pytest.raises(ConfigError, match=re.escape(f"heads {heads!r} must be an int >= 1")):
+            A.mhsa(Tensor(np.zeros((3, 8))), w, "m", heads)
 
     def test_batched_matches_per_window(self):
         rng = np.random.default_rng(7)

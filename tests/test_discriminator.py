@@ -99,7 +99,9 @@ def test_discriminate_local_gradient_reaches_x_only_inside_crops():
         pairs = D.discriminate_local(x, d, np.random.default_rng(13), 2)
         tape.backward(T.add(pairs[0][1], pairs[1][1]))
     inside = np.zeros((20, 20), dtype=bool)
-    for top, left in D.sample_patch_positions(np.random.default_rng(13), 20, 20, 8, 2):
+    rng = np.random.default_rng(13)
+    for _ in range(2):  # the crops' draws: top, then left, each uniform over the 13 valid offsets
+        top, left = int(rng.integers(0, 13)), int(rng.integers(0, 13))
         inside[top : top + 8, left : left + 8] = True
     assert np.abs(x.grad[:, inside]).sum() > 0.0
     assert np.array_equal(x.grad[:, ~inside], np.zeros((3, int((~inside).sum()))))
@@ -109,3 +111,10 @@ def test_patch_larger_than_image_rejected():
     d = D.init_discriminator(16, seed=0)
     with pytest.raises(ConfigError, match="16"):
         D.discriminate_local(Tensor(np.zeros((3, 8, 8))), d, np.random.default_rng(0), 1)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, None])
+def test_bad_patch_count_rejected_naming_the_value(n):
+    d = D.init_discriminator(8, seed=0)
+    with pytest.raises(ConfigError, match=re.escape(f"n_patches must be an int >= 1, got {n!r}")):
+        D.discriminate_local(Tensor(np.zeros((3, 16, 16))), d, np.random.default_rng(0), n)

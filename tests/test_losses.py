@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def extractor_preactivations(x, fe):
     for w, b in fe.convs:
         p = T.conv2d(feat, w, b, stride=2, pad=1)
         pre.append(p.data)
-        feat = T.relu(p)
+        feat = T.leaky_relu(p, 0.0)
     return pre
 
 
@@ -86,6 +88,21 @@ def test_luminance_rejects_empty_region_and_shape_mismatch():
         L.luminance_consistency_loss(x, Tensor(np.zeros((3, 4, 4))), (0, 0, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "region, named",
+    [
+        ((1.0, 0, 2, 2), "crop: top must be an int >= 0, got 1.0"),
+        ((0, 0, 2.0, 2), "crop: height must be an int >= 1, got 2.0"),
+        ((0, 0, 2), "got (0, 0, 2)"),
+    ],
+    ids=["float-top", "float-height", "three-values"],
+)
+def test_luminance_rejects_a_non_int_or_short_region(region, named):
+    x = Tensor(np.zeros((3, 8, 8)))
+    with pytest.raises(ContractError, match=re.escape(named)):
+        L.luminance_consistency_loss(x, x, region)
+
+
 def test_adversarial_gradients():
     rng = np.random.default_rng(5)
     real, fake = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
@@ -123,10 +140,21 @@ def _scalar(v):
     return Tensor(np.array(v))
 
 
+def _all_terms(**values):
+    return {name: _scalar(values.get(name, 0.25)) for name in L.LOSS_TERMS}
+
+
+def test_loss_terms_follow_the_weight_fields():
+    assert L.LOSS_TERMS == ("adv_global", "adv_local", "sfp", "identity", "luminance")
+    assert L.LossWeights(w_sfp=3.0).to_dict() == {
+        "adv_global": 1.0, "adv_local": 1.0, "sfp": 3.0, "identity": 0.5, "luminance": 1.0,
+    }
+
+
 def test_total_breakdown_sums_to_total_and_applies_weights():
-    parts = {"sfp": _scalar(0.3), "identity": _scalar(0.2), "adv_global": _scalar(1.5)}
+    parts = _all_terms(sfp=0.3, identity=0.2, adv_global=1.5)
     total, breakdown = L.total_generator_loss(parts, L.LossWeights())
-    assert set(breakdown) == {"sfp", "identity", "adv_global", "total"}
+    assert list(breakdown) == [*L.LOSS_TERMS, "total"]
     assert breakdown["identity"] == pytest.approx(0.1)
     assert breakdown["total"] == float(total.data)
     assert type(total.data) is np.ndarray
@@ -147,12 +175,19 @@ def test_total_names_the_non_finite_term():
     bad = Tensor(np.array(0.0))
     bad.data = np.array(np.nan)  # bypass the constructor's check, as a diverged op output would
     with pytest.raises(DivergenceError, match="luminance"):
-        L.total_generator_loss({"sfp": _scalar(0.1), "luminance": bad}, L.LossWeights())
+        L.total_generator_loss({**_all_terms(), "luminance": bad}, L.LossWeights())
 
 
 def test_total_rejects_unknown_terms():
     with pytest.raises(ContractError, match="perceptual"):
-        L.total_generator_loss({"perceptual": _scalar(1.0)}, L.LossWeights())
+        L.total_generator_loss({**_all_terms(), "perceptual": _scalar(1.0)}, L.LossWeights())
+
+
+def test_total_rejects_a_missing_term_naming_it():
+    parts = _all_terms()
+    del parts["sfp"]
+    with pytest.raises(ContractError, match=re.escape("missing ['sfp']")):
+        L.total_generator_loss(parts, L.LossWeights())
 
 
 def test_loss_weights_must_be_finite_and_non_negative():

@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finite_diff import finite_diff_check
+from relight import attention as A
+from relight import generator as G
 from relight import tensor as T
 from relight import windows as W
-from relight.errors import ConfigError, PartitionError
+from relight.errors import ConfigError, DimensionError, PartitionError
 from relight.tensor import Tape, Tensor
 
 
@@ -53,6 +57,12 @@ def test_reverse_of_permuted_windows_differs():
 def test_non_divisible_raises_naming_geometry():
     with pytest.raises(PartitionError, match="3.*8x8|3 does not divide"):
         W.window_partition(Tensor(np.zeros((1, 8, 8))), 3)
+
+
+@pytest.mark.parametrize("s", [2.0, "2", None])
+def test_non_int_window_size_rejected(s):
+    with pytest.raises(PartitionError, match=re.escape(f"window size {s!r} must be an int")):
+        W.window_partition(Tensor(np.zeros((1, 8, 8))), s)
 
 
 def test_reverse_count_mismatch():
@@ -127,32 +137,48 @@ class TestPatchEmbed:
 
 
 class TestPositionalEncoding:
+    """The learnable [L,d] table ``global_.pos`` that the global branch adds to the patch tokens."""
+
+    CFG = G.GeneratorConfig(height=16, width=16)  # 4 tokens of dim 16
+
+    def _after_tokens(self, z, p):
+        # the global branch from its token sequence on: two blocks, then recovery
+        for i in range(2):
+            z = A.transformer_block(z, p, f"global_.blocks.{i}", self.CFG.global_heads)
+        return W.patch_recover(z, p, "global_.recover", 16, 16)
+
+    def _tokens(self, x, p):
+        return W.patch_embed(x, p["global_.patch_w"], p["global_.patch_b"])
+
     def test_zero_is_identity(self):
-        rng = np.random.default_rng(6)
-        z = Tensor(rng.normal(size=(4, 8)))
-        out = W.add_positional_encoding(z, Tensor(np.zeros((4, 8))))
-        assert np.array_equal(out.data, z.data)
+        p = G.init_weights(self.CFG, 6).params
+        p["global_.pos"] = Tensor(np.zeros((4, 16)))
+        x = Tensor(np.random.default_rng(6).uniform(size=(3, 16, 16)))
+        out = A.global_branch(x, p, "global_", self.CFG.global_heads)
+        # copied to C order like the sum, so the blocks round identically
+        tokens = Tensor(self._tokens(x, p).data.copy())
+        assert np.array_equal(out.data, self._after_tokens(tokens, p).data)
 
     def test_gradient_equals_sequence_gradient(self):
-        rng = np.random.default_rng(7)
-        z = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        p = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        c = rng.normal(size=(4, 8))
+        p = G.init_weights(self.CFG, 7).params
+        x = Tensor(np.random.default_rng(7).uniform(size=(3, 16, 16)))
         with Tape() as tape:
-            tape.backward(T.tsum(T.mul(W.add_positional_encoding(z, p), Tensor(c))))
-        assert np.array_equal(z.grad, p.grad)
+            tape.backward(T.mean(A.global_branch(x, p, "global_", self.CFG.global_heads)))
+        z = Tensor(self._tokens(x, p).data + p["global_.pos"].data, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(T.mean(self._after_tokens(z, p)))
+        assert np.array_equal(p["global_.pos"].grad, z.grad)
 
     def test_distinct_tokens_get_distinct_offsets(self):
-        rng = np.random.default_rng(8)
-        p = rng.normal(size=(16, 8))
-        # all pairwise rows differ for a continuous random draw
-        for i in range(16):
-            for j in range(i + 1, 16):
-                assert not np.array_equal(p[i], p[j])
+        pos = G.init_weights(G.GeneratorConfig(), 8).params["global_.pos"].data
+        assert pos.shape == (64, 16)
+        assert len(np.unique(pos, axis=0)) == 64
 
-    def test_length_mismatch_is_config_error(self):
-        with pytest.raises(ConfigError):
-            W.add_positional_encoding(Tensor(np.zeros((4, 8))), Tensor(np.zeros((5, 8))))
+    def test_length_mismatch_names_both_shapes(self):
+        p = G.init_weights(self.CFG, 9).params
+        p["global_.pos"] = Tensor(np.zeros((5, 16)))
+        with pytest.raises(DimensionError, match=re.escape("(4, 16) and (5, 16)")):
+            A.global_branch(Tensor(np.zeros((3, 16, 16))), p, "global_", self.CFG.global_heads)
 
 
 class TestPatchRecover:
