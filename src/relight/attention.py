@@ -34,6 +34,7 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     output has z's shape; the square projections are p[f"{prefix}.w_q"],
     w_k, w_v and w_o.  heads must be an int >= 1 that divides d.
     """
+    T._need_rank(z, "[...,L,d]", "mhsa")
     *lead, L, d = z.shape
     B = math.prod(lead)
     w_q = p[f"{prefix}.w_q"]
@@ -75,6 +76,7 @@ def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str,
 
     No information crosses window boundaries.
     """
+    T._need_rank(x, "[C,H,W]", "window_attention_block")
     C, H, Wd = x.shape
     wins = W.window_partition(x, s)
     wins = transformer_block(wins, p, prefix, heads)
@@ -101,6 +103,7 @@ def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> T
     Reads patch_w/b, the [L,d] table pos, blocks.{0,1}.* and recover.* under prefix.
     pos is added to the tokens, so a table of another shape raises DimensionError.
     """
+    T._need_rank(x, "[C,H,W]", "global_branch")
     _, H, Wd = x.shape
     z = T.add(W.patch_embed(x, p[f"{prefix}.patch_w"], p[f"{prefix}.patch_b"]), p[f"{prefix}.pos"])
     for i in range(2):

@@ -78,6 +78,7 @@ def discriminate_local(
     Each crop's top, then left offset is drawn uniformly from rng, so a
     seeded generator reproduces them; gradients flow through the crops into x.
     """
+    T._need_rank(x, "[C,H,W]", "discriminate_local")
     _, H, Wd = x.shape
     patch = w.input_size
     if patch > H or patch > Wd:

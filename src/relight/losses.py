@@ -84,7 +84,7 @@ def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int
     """
     if i.shape != k.shape:
         raise ContractError(f"luminance loss operands differ in shape: {i.shape} vs {k.shape}")
-    if len(region) != 4:
+    if not isinstance(region, (tuple, list)) or len(region) != 4:
         raise ContractError(f"luminance loss region must be (top, left, height, width), got {region!r}")
     top, left, h, w = region
     if h <= 0 or w <= 0:
@@ -146,6 +146,8 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
     breakdown: dict[str, float] = {}
     for name in LOSS_TERMS:
         part = parts[name]
+        if part.shape != ():
+            raise ContractError(f"loss term {name!r} must be a scalar, got shape {part.shape}")
         value = float(part.data)
         if not np.isfinite(value):
             raise DivergenceError(f"loss term {name!r} is non-finite ({value})")

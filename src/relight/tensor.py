@@ -210,8 +210,19 @@ def _need_same_shape(a: Tensor, b: Tensor, opname: str):
 
 
 def _need_int(value, least: int, what: str):
-    if not isinstance(value, int) or value < least:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ContractError(f"{what} must be an int >= {least}, got {value!r}")
+
+
+def _need_rank(x: Tensor, layout: str, what: str):
+    """Raise DimensionError naming x's shape unless x has one axis per name in layout.
+
+    layout reads like "[C,H,W]"; a leading "..." ("[...,L,d]") admits any
+    number of further leading axes.
+    """
+    axes = layout[1:-1].split(",")
+    if x.ndim != len(axes) and not (axes[0] == "..." and x.ndim >= len(axes) - 1):
+        raise DimensionError(f"{what}: expected {layout}, got shape {x.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -336,6 +347,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x[..., d] + b[d], broadcasting b over all leading axes."""
+    _need_rank(x, "[...,d]", "add_bias")
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"add_bias: bias shape {b.shape} does not match input shape {x.shape}")
     out = Tensor._wrap(x.data + b.data)
@@ -366,6 +378,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along the last axis, then affine."""
+    _need_rank(x, "[...,d]", "layer_norm")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
@@ -395,7 +408,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     try:
         out_arr = x.data.reshape(shape)
     except ValueError as e:
-        raise DimensionError(f"reshape: cannot view shape {x.shape} as {tuple(shape)}") from e
+        raise DimensionError(f"reshape: cannot view shape {x.shape} as {shape!r}") from e
     out = Tensor._wrap(out_arr)
     return _record(out, (x,), lambda g: (np.ascontiguousarray(g).reshape(x.shape),))
 
@@ -431,6 +444,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
     """Slice the last two axes; backward scatters the gradient back."""
+    _need_rank(x, "[...,H,W]", "crop")
     H, W = x.shape[-2], x.shape[-1]
     for what, value, least in (("top", top, 0), ("left", left, 0), ("height", height, 1), ("width", width, 1)):
         _need_int(value, least, f"crop: {what}")
@@ -461,8 +475,7 @@ def tsum(x: Tensor) -> Tensor:
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Nearest-neighbour spatial upsampling of a [C,H,W] tensor."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample_nearest: expected [C,H,W], got shape {x.shape}")
+    _need_rank(x, "[C,H,W]", "upsample_nearest")
     _need_int(factor, 1, "upsample_nearest: factor")
     C, H, W = x.shape
     out = Tensor._wrap(np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2))
@@ -505,8 +518,8 @@ def _from_stride_phases(ph: np.ndarray, H: int, W: int, s: int, pad: int) -> np.
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw] kernels, plus a [C_out] bias."""
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError(f"conv2d: expected [C,H,W] and [O,I,kh,kw], got {x.shape} and {w.shape}")
+    _need_rank(x, "[C,H,W]", "conv2d")
+    _need_rank(w, "[O,I,kh,kw]", "conv2d: kernels")
     Cin, H, W = x.shape
     Cout, Cw, kh, kw = w.shape
     if Cw != Cin:

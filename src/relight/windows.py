@@ -29,6 +29,7 @@ def _window_grid(height: int, width: int, s: int) -> tuple[int, int]:
 
 def window_partition(x: Tensor, s: int) -> Tensor:
     """[C,H,W] -> [num_windows, s*s, C]; lossless, exactly inverted by window_reverse."""
+    T._need_rank(x, "[C,H,W]", "window_partition")
     C, H, W = x.shape
     nh, nw = _window_grid(H, W, s)
     t = T.reshape(x, (C, nh, s, nw, s))
@@ -38,6 +39,7 @@ def window_partition(x: Tensor, s: int) -> Tensor:
 
 def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
     """[num_windows, s*s, C] -> [C,H,W]; exact inverse of window_partition."""
+    T._need_rank(w, "[num_windows,s*s,C]", "window_reverse")
     nwin, tokens, C = w.shape
     nh, nw = _window_grid(height, width, s)
     if nwin * tokens != height * width or tokens != s * s:
@@ -54,6 +56,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     L = (H/8)*(W/8); token k is the patch at row-major position k.
     """
+    T._need_rank(x, "[C,H,W]", "patch_embed")
     _, H, W = x.shape
     if H % PATCH or W % PATCH:
         raise PartitionError(f"patch embedding needs {PATCH} | H and {PATCH} | W, got {H}x{W}")
@@ -70,6 +73,7 @@ def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, wid
     weights p[f"{prefix}.convs.{i}.0"] and biases p[f"{prefix}.convs.{i}.1"].
     The token count must equal (H/8)*(W/8) for the configured resolution.
     """
+    T._need_rank(z, "[L,d]", "patch_recover")
     L, d = z.shape
     hh, ww = height // PATCH, width // PATCH
     if L != hh * ww or height % PATCH or width % PATCH:

@@ -1,4 +1,15 @@
-"""Central-difference gradient checks against the tape, shared by the test modules."""
+"""Central-difference gradient checks against the tape, shared by the test modules.
+
+``f`` may return a tensor of any shape.  Both sides differentiate the same
+scalar, the projection ``sum(c * f())`` with standard-normal ``c`` drawn
+from ``PROJECTION_SEED``: the tape through ``mul`` and ``tsum``, the
+central differences in numpy.  The random weights keep the gradient
+entries of order one.  A mean over n outputs would shrink them ~n-fold, to
+where the rounding of a central difference (about eps*|f|/STEP) is a large
+part of each.  The two perturbed outputs are differenced before they are
+projected, so every output the probed entry does not reach cancels exactly
+and adds no rounding.
+"""
 
 from __future__ import annotations
 
@@ -6,71 +17,49 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from relight.tensor import Tape, Tensor, zero_grad
+from relight import tensor as T
+from relight.tensor import Tape, Tensor
+
+PROJECTION_SEED = 0
+STEP = 1e-5
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients of f at x and central differences.
-
-    f must be scalar-valued and smooth at x (keep inputs away from
-    relu/leaky-relu kinks).  The relative error uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    with Tape() as tape:
-        y = f(leaf)
-        tape.backward(y)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    flat = leaf.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    probe = Tensor._wrap(leaf.data)  # f evaluated without tape
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(probe).data)
-        flat[i] = orig - h
-        fm = float(f(probe).data)
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    a = analytic.reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(a - numeric) / denom))
-
-
-def finite_diff_entries(
+def finite_diff(
     f: Callable[[], Tensor],
-    entries: Sequence[tuple[Tensor, int]],
-    h: float = 1e-5,
+    wrt: Sequence[Tensor],
+    entries: Sequence[tuple[int, int]] | None = None,
 ) -> float:
-    """Like finite_diff_check but perturbing selected flat entries of parameters.
+    """Max relative error between tape and central-difference gradients of sum(c * f()).
 
-    ``f`` is a closure over the parameter tensors; ``entries`` lists
-    (tensor, flat_index) pairs to probe.  Returns the max relative error
-    against the tape gradient of the same entries.
+    ``f`` closes over the tensors in ``wrt`` and must be smooth there (keep
+    inputs away from relu/leaky-relu kinks).  ``entries`` lists the (k, i)
+    pairs, flat entry i of ``wrt[k]``, to probe; the default is every entry
+    of every tensor.  The relative error uses the denominator
+    max(|analytic|, |numeric|, 1e-8).  Each tensor's data, grad and
+    requires_grad are as before on return.
     """
-    params = []
-    for t, _ in entries:
-        if t not in params:
-            params.append(t)
-    zero_grad(params)
+    saved = [(t.requires_grad, t.grad) for t in wrt]
+    for t in wrt:
+        t.requires_grad, t.grad = True, None
     with Tape() as tape:
         y = f()
-        tape.backward(y)
+        c = np.random.default_rng(PROJECTION_SEED).normal(size=y.shape)
+        tape.backward(T.tsum(T.mul(y, Tensor(c))))
+    grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in wrt]
+    for t, (requires_grad, grad) in zip(wrt, saved):
+        t.requires_grad, t.grad = requires_grad, grad
 
+    if entries is None:
+        entries = [(k, i) for k, t in enumerate(wrt) for i in range(t.size)]
     worst = 0.0
-    for t, idx in entries:
-        flat = t.data.reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + h
-        fp = float(f().data)
-        flat[idx] = orig - h
-        fm = float(f().data)
-        flat[idx] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        analytic = 0.0 if t.grad is None else float(t.grad.reshape(-1)[idx])
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    zero_grad(params)
+    for k, i in entries:
+        data, at = wrt[k].data, np.unravel_index(i, wrt[k].shape)
+        orig = data[at]
+        data[at] = orig + STEP
+        plus = np.array(f().data, copy=True)  # reshape/permute outputs are views of data
+        data[at] = orig - STEP
+        numeric = float(np.sum(c * (plus - f().data))) / (2.0 * STEP)
+        data[at] = orig
+        analytic = float(grads[k][at])
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
     return worst

@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from finite_diff import finite_diff_check
+from finite_diff import finite_diff
 from relight import attention as A
+from relight import discriminator as D
 from relight import tensor as T
-from relight.errors import ConfigError
+from relight import windows as W
+from relight.errors import ConfigError, DimensionError
 from relight.tensor import Tensor
 
 
@@ -140,7 +142,7 @@ class TestMhsa:
         rng = np.random.default_rng(8)
         w = make_mhsa(rng, 4)
         z = Tensor(rng.normal(size=(3, 4)))
-        assert finite_diff_check(lambda t: T.mean(A.mhsa(t, w, "m", 2)), z) < 1e-4
+        assert finite_diff(lambda: A.mhsa(z, w, "m", 2), [z]) < 1e-4
 
 
 class TestWindowAttentionBlock:
@@ -242,10 +244,32 @@ class TestGlobalBranch:
         rng = np.random.default_rng(18)
         w = self._weights(rng, 16, 16, 4, 3)
         x = Tensor(rng.uniform(size=(3, 16, 16)))
-        assert finite_diff_check(lambda t: T.mean(A.global_branch(t, w, "glob", 2)), x) < 1e-4
+        assert finite_diff(lambda: A.global_branch(x, w, "glob", 2), [x]) < 1e-4
 
     def test_finite_on_unit_range_input(self):
         rng = np.random.default_rng(19)
         w = self._weights(rng, 16, 16, 8, 4)
         out = A.global_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "glob", 2)
         assert np.isfinite(out.data).all()
+
+
+# Each entry point with an input one rank off; the weights are never read.
+WRONG_RANK = {
+    "window_partition": (lambda x: W.window_partition(x, 2), (4, 4)),
+    "window_reverse": (lambda x: W.window_reverse(x, 2, 4, 4), (4, 4)),
+    "patch_embed": (lambda x: W.patch_embed(x, None, None), (8, 8)),
+    "patch_recover": (lambda x: W.patch_recover(x, {}, "rec", 16, 16), (1, 4, 3)),
+    "mhsa": (lambda x: A.mhsa(x, {}, "m", 2), (4,)),
+    "window_attention_block": (lambda x: A.window_attention_block(x, 2, {}, "b", 2), (4, 4)),
+    "global_branch": (lambda x: A.global_branch(x, {}, "glob", 2), (8, 8)),
+    "discriminate_local": (lambda x: D.discriminate_local(x, None, np.random.default_rng(0)), (8, 8)),
+    "layer_norm": (lambda x: T.layer_norm(x, None, None), ()),
+    "add_bias": (lambda x: T.add_bias(x, None), ()),
+    "crop": (lambda x: T.crop(x, 0, 0, 1, 1), (4,)),
+}
+
+
+@pytest.mark.parametrize("call, shape", WRONG_RANK.values(), ids=WRONG_RANK.keys())
+def test_wrong_rank_is_a_dimension_error_naming_the_shape(call, shape):
+    with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+        call(Tensor(np.zeros(shape)))

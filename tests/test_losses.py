@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from finite_diff import finite_diff_check
+from finite_diff import finite_diff
 from relight import losses as L
 from relight import tensor as T
 from relight.errors import ContractError, DivergenceError
@@ -30,7 +30,7 @@ def test_sfp_gradient(fe):
     low = Tensor(rng.uniform(0.0, 0.3, size=(3, 8, 8)))
     enh = Tensor(rng.uniform(0.2, 0.9, size=(3, 8, 8)))
     assert min(np.abs(p).min() for p in extractor_preactivations(enh, fe)) > 1e-4
-    assert finite_diff_check(lambda t: L.self_feature_preserving_loss(low, t, fe), enh) < 1e-5
+    assert finite_diff(lambda: L.self_feature_preserving_loss(low, enh, fe), [enh]) < 1e-5
 
 
 def test_sfp_symmetric_and_zero_on_identical_inputs(fe):
@@ -61,7 +61,8 @@ def test_identity_gradient_and_value():
     normal, out = rng.uniform(size=(3, 8, 8)), rng.uniform(size=(3, 8, 8))
     loss = L.identity_invariant_loss(Tensor(normal), Tensor(out))
     assert loss.data == pytest.approx(((out - normal) ** 2).mean(), rel=1e-12)
-    assert finite_diff_check(lambda t: L.identity_invariant_loss(Tensor(normal), t), Tensor(out)) < 1e-6
+    g_out = Tensor(out)
+    assert finite_diff(lambda: L.identity_invariant_loss(Tensor(normal), g_out), [g_out]) < 1e-6
 
 
 def test_identity_shape_mismatch():
@@ -75,8 +76,9 @@ def test_luminance_gradient_and_region():
     region = (1, 2, 4, 3)
     loss = L.luminance_consistency_loss(Tensor(i), Tensor(k), region)
     assert loss.data == pytest.approx(((i - k)[:, 1:5, 2:5] ** 2).mean(), rel=1e-12)
-    assert finite_diff_check(lambda t: L.luminance_consistency_loss(t, Tensor(k), region), Tensor(i)) < 1e-6
-    assert finite_diff_check(lambda t: L.luminance_consistency_loss(Tensor(i), t, region), Tensor(k)) < 1e-6
+    i, k = Tensor(i), Tensor(k)
+    assert finite_diff(lambda: L.luminance_consistency_loss(i, k, region), [i]) < 1e-6
+    assert finite_diff(lambda: L.luminance_consistency_loss(i, k, region), [k]) < 1e-6
 
 
 def test_luminance_rejects_empty_region_and_shape_mismatch():
@@ -94,8 +96,9 @@ def test_luminance_rejects_empty_region_and_shape_mismatch():
         ((1.0, 0, 2, 2), "crop: top must be an int >= 0, got 1.0"),
         ((0, 0, 2.0, 2), "crop: height must be an int >= 1, got 2.0"),
         ((0, 0, 2), "got (0, 0, 2)"),
+        (4, "got 4"),
     ],
-    ids=["float-top", "float-height", "three-values"],
+    ids=["float-top", "float-height", "three-values", "int"],
 )
 def test_luminance_rejects_a_non_int_or_short_region(region, named):
     x = Tensor(np.zeros((3, 8, 8)))
@@ -106,9 +109,9 @@ def test_luminance_rejects_a_non_int_or_short_region(region, named):
 def test_adversarial_gradients():
     rng = np.random.default_rng(5)
     real, fake = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-    assert finite_diff_check(lambda t: L.adversarial_losses(t, fake)[0], real) < 1e-6
-    assert finite_diff_check(lambda t: L.adversarial_losses(real, t)[0], fake) < 1e-6
-    assert finite_diff_check(lambda t: L.adversarial_losses(real, t)[1], fake) < 1e-6
+    assert finite_diff(lambda: L.adversarial_losses(real, fake)[0], [real]) < 1e-6
+    assert finite_diff(lambda: L.adversarial_losses(real, fake)[0], [fake]) < 1e-6
+    assert finite_diff(lambda: L.adversarial_losses(real, fake)[1], [fake]) < 1e-6
 
 
 def test_adversarial_values_match_log_sigmoid():
@@ -187,6 +190,12 @@ def test_total_rejects_a_missing_term_naming_it():
     parts = _all_terms()
     del parts["sfp"]
     with pytest.raises(ContractError, match=re.escape("missing ['sfp']")):
+        L.total_generator_loss(parts, L.LossWeights())
+
+
+def test_total_rejects_a_non_scalar_term_naming_it_and_its_shape():
+    parts = {**_all_terms(), "identity": Tensor(np.zeros(2))}
+    with pytest.raises(ContractError, match=re.escape("loss term 'identity' must be a scalar, got shape (2,)")):
         L.total_generator_loss(parts, L.LossWeights())
 
 
