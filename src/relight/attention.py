@@ -40,18 +40,19 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     w_q = p[f"{prefix}.w_q"]
     if d != w_q.shape[0]:
         raise ConfigError(f"sequence dim {d} does not match weights dim {w_q.shape[0]}")
-    if not isinstance(heads, int) or heads < 1 or d % heads:
+    if not T._is_int(heads, 1) or d % heads:
         raise ConfigError(f"heads {heads!r} must be an int >= 1 that divides dim {d}")
     hd = d // heads
+    flat = T.reshape(z, (B * L, d))
 
-    def project(mat):
-        flat = T.reshape(z, (B * L, d))
-        proj = T.reshape(flat @ mat, (B, L, heads, hd))
-        return T.permute(proj, (0, 2, 1, 3))  # (B, heads, L, hd)
+    def project(name, axes):
+        return T.permute(T.reshape(flat @ p[f"{prefix}.{name}"], (B, L, heads, hd)), axes)
 
-    q, k, v = project(w_q), project(p[f"{prefix}.w_k"]), project(p[f"{prefix}.w_v"])
+    q = project("w_q", (0, 2, 1, 3))  # (B, heads, L, hd)
+    k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
+    v = project("w_v", (0, 2, 1, 3))
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
-    attn = T.softmax(q @ T.permute(k, (0, 1, 3, 2)), axis=-1)
+    attn = T.softmax(q @ k)
     ctx = attn @ v  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
     return T.reshape(ctx @ p[f"{prefix}.w_o"], z.shape)

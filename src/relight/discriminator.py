@@ -37,10 +37,9 @@ def _spatial_after_convs(size: int) -> int:
 
 def init_discriminator(input_size: int, seed: int) -> DiscriminatorWeights:
     """Deterministic fan-in uniform init for a given square input side."""
-    if not isinstance(input_size, int):
-        raise ConfigError(f"discriminator input side must be an int, got {input_size!r}")
-    if input_size < 8:
-        raise ConfigError(f"discriminator input side {input_size} too small for three stride-2 convs")
+    if not T._is_int(input_size, 8):
+        raise ConfigError(f"discriminator input side must be an int >= 8 for three stride-2 convs, got {input_size!r}")
+    T._need_int(seed, 0, "init_discriminator: seed")
     rng = np.random.default_rng(seed)
     p = {}
     cin = 3
@@ -83,7 +82,7 @@ def discriminate_local(
     patch = w.input_size
     if patch > H or patch > Wd:
         raise ConfigError(f"patch side {patch} exceeds image {H}x{Wd}")
-    if not isinstance(n_patches, int) or n_patches < 1:
+    if not T._is_int(n_patches, 1):
         raise ConfigError(f"n_patches must be an int >= 1, got {n_patches!r}")
     out = []
     for _ in range(n_patches):

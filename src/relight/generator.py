@@ -40,7 +40,7 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("height", "width"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if not T._is_int(v, 1):
                 raise ConfigError(f"train {name} must be a positive int, got {v!r}")
         # 8 is both the patch side and the largest window.
         if self.height % 8 or self.width % 8:
@@ -86,6 +86,7 @@ def _block(p, rng, prefix, d):
 def init_weights(cfg: GeneratorConfig, seed: int) -> GeneratorWeights:
     """Deterministic weight construction: scaled-uniform (fan-in) linears and
     convs, zero biases, small-normal (sigma 0.02) positional encoding."""
+    T._need_int(seed, 0, "init_weights: seed")
     rng = np.random.default_rng(seed)
     p: dict[str, Tensor] = {}
 

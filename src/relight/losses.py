@@ -13,6 +13,8 @@ extractor weights are drawn once from a fixed published seed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,8 +38,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.to_dict().items():
-            if not np.isfinite(v) or v < 0:
-                raise ContractError(f"loss weight {name} must be finite and >= 0, got {v}")
+            if not isinstance(v, numbers.Real) or not np.isfinite(v) or v < 0:
+                raise ContractError(f"loss weight {name} must be a finite real >= 0, got {v!r}")
 
     def to_dict(self) -> dict:
         return {f.name.removeprefix("w_"): getattr(self, f.name) for f in fields(self)}
@@ -87,7 +89,8 @@ def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int
     if not isinstance(region, (tuple, list)) or len(region) != 4:
         raise ContractError(f"luminance loss region must be (top, left, height, width), got {region!r}")
     top, left, h, w = region
-    if h <= 0 or w <= 0:
+    # An int height or width below 1 is empty; crop names every other bad value.
+    if any(T._is_int(v, -math.inf) and v < 1 for v in (h, w)):
         raise ContractError(f"luminance loss region {region} is empty")
     diff = T.sub(T.crop(i, top, left, h, w), T.crop(k, top, left, h, w))
     return T.mean(T.square(diff))

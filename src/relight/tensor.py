@@ -18,6 +18,8 @@ Conventions, fixed here and relied on everywhere else:
   never into an input's ``.data``, an array a backward closure keeps, or
   the incoming gradient ``g`` (``add`` hands the same ``g`` to both of
   its inputs, and a second ``backward`` reuses every kept array).
+- An int argument is an ``int``, never a ``bool`` or a numpy integer,
+  checked by ``_is_int``; a shape is an int or a tuple of them.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
@@ -209,8 +211,12 @@ def _need_same_shape(a: Tensor, b: Tensor, opname: str):
         raise DimensionError(f"{opname}: operand shapes {a.shape} and {b.shape} differ")
 
 
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _need_int(value, least: int, what: str):
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not _is_int(value, least):
         raise ContractError(f"{what} must be an int >= {least}, got {value!r}")
 
 
@@ -358,17 +364,15 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, b), back)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(y)
 
     def back(g):
         r = g * y
-        inner = r.sum(axis=axis, keepdims=True)
+        inner = r.sum(axis=-1, keepdims=True)
         np.subtract(g, inner, out=r)
         r *= y
         return (r,)
@@ -376,8 +380,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (x,), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along the last axis, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize to zero mean / unit variance (eps 1e-5) along the last axis, then affine."""
     _need_rank(x, "[...,d]", "layer_norm")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -385,7 +389,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = Tensor._wrap(xhat * gamma.data + beta.data)
 
@@ -405,6 +409,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    """x in the given shape: an int or a tuple of ints >= -1, where one -1 is inferred."""
+    if not all(_is_int(n, -1) for n in (shape if isinstance(shape, tuple) else (shape,))):
+        raise DimensionError(f"reshape: target shape {shape!r} is not an int or a tuple of ints >= -1")
     try:
         out_arr = x.data.reshape(shape)
     except ValueError as e:
@@ -413,10 +420,13 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), lambda g: (np.ascontiguousarray(g).reshape(x.shape),))
 
 
-def permute(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise DimensionError(f"permute: axes {axes} are not a permutation of 0..{x.ndim - 1}")
+def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    if not (
+        isinstance(axes, tuple)
+        and all(_is_int(a, 0) for a in axes)
+        and sorted(axes) == list(range(x.ndim))
+    ):
+        raise DimensionError(f"permute: axes {axes!r} are not a tuple permuting 0..{x.ndim - 1}")
     inv = tuple(np.argsort(axes))
     out = Tensor._wrap(x.data.transpose(axes))
     return _record(out, (x,), lambda g: (g.transpose(inv),))
@@ -427,8 +437,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ContractError("concat: empty tensor list")
     shapes = [t.shape for t in tensors]
     ndim = len(shapes[0])
-    if not -ndim <= axis < ndim:
-        raise DimensionError(f"concat: axis {axis} invalid for shape {shapes[0]}")
+    if not _is_int(axis, -ndim) or axis >= ndim:
+        raise DimensionError(f"concat: axis {axis!r} invalid for shape {shapes[0]}")
     axis %= ndim
     if len({s[:axis] + s[axis + 1 :] for s in shapes}) > 1:
         raise DimensionError(f"concat: shapes {shapes} differ off axis {axis}")
@@ -473,15 +483,14 @@ def tsum(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (np.full(x.shape, float(g)),))
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbour spatial upsampling of a [C,H,W] tensor."""
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Nearest-neighbour 2x spatial upsampling of a [C,H,W] tensor."""
     _need_rank(x, "[C,H,W]", "upsample_nearest")
-    _need_int(factor, 1, "upsample_nearest: factor")
     C, H, W = x.shape
-    out = Tensor._wrap(np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2))
+    out = Tensor._wrap(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
 
     def back(g):
-        return (g.reshape(C, H, factor, W, factor).sum(axis=(2, 4)),)
+        return (g.reshape(C, H, 2, W, 2).sum(axis=(2, 4)),)
 
     return _record(out, (x,), back)
 

@@ -22,7 +22,7 @@ PATCH = 8  # global-branch patch side and stride
 
 def _window_grid(height: int, width: int, s: int) -> tuple[int, int]:
     """(window rows, window columns) of an s x s tiling; s must divide both sides."""
-    if not isinstance(s, int) or s < 1 or height % s or width % s:
+    if not T._is_int(s, 1) or height % s or width % s:
         raise PartitionError(f"window size {s!r} must be an int >= 1 that divides feature map {height}x{width}")
     return height // s, width // s
 
@@ -41,6 +41,8 @@ def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
     """[num_windows, s*s, C] -> [C,H,W]; exact inverse of window_partition."""
     T._need_rank(w, "[num_windows,s*s,C]", "window_reverse")
     nwin, tokens, C = w.shape
+    T._need_int(height, 1, "window_reverse: height")
+    T._need_int(width, 1, "window_reverse: width")
     nh, nw = _window_grid(height, width, s)
     if nwin * tokens != height * width or tokens != s * s:
         raise PartitionError(
@@ -75,13 +77,15 @@ def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, wid
     """
     T._need_rank(z, "[L,d]", "patch_recover")
     L, d = z.shape
+    T._need_int(height, 1, "patch_recover: height")
+    T._need_int(width, 1, "patch_recover: width")
     hh, ww = height // PATCH, width // PATCH
     if L != hh * ww or height % PATCH or width % PATCH:
         raise ConfigError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
     x = T.permute(z, (1, 0))
     x = T.reshape(x, (d, hh, ww))
     for i in range(3):
-        x = T.upsample_nearest(x, 2)
+        x = T.upsample_nearest(x)
         x = T.conv2d(x, p[f"{prefix}.convs.{i}.0"], p[f"{prefix}.convs.{i}.1"], stride=1, pad=1)
         x = T.leaky_relu(x, 0.2)
     return x

@@ -6,9 +6,11 @@ import pytest
 from finite_diff import finite_diff
 from relight import attention as A
 from relight import discriminator as D
+from relight import generator as G
+from relight import losses as L
 from relight import tensor as T
 from relight import windows as W
-from relight.errors import ConfigError, DimensionError
+from relight.errors import ConfigError, ContractError, DimensionError, PartitionError
 from relight.tensor import Tensor
 
 
@@ -99,8 +101,8 @@ class TestMhsa:
         hook = []
         softmax = T.softmax
 
-        def recording_softmax(x, axis):
-            out = softmax(x, axis)
+        def recording_softmax(x):
+            out = softmax(x)
             hook.append(out.data)
             return out
 
@@ -273,3 +275,84 @@ WRONG_RANK = {
 def test_wrong_rank_is_a_dimension_error_naming_the_shape(call, shape):
     with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
         call(Tensor(np.zeros(shape)))
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+_GEN = G.init_weights(G.GeneratorConfig(height=16, width=16), 0).params
+_DISC = D.init_discriminator(8, 0)
+
+# Each int, axis or shape argument of a public function: (call taking the value,
+# error class, values it must reject).  Every value is True or a non-int or lies
+# below the least allowed, and the error must name it.
+BAD_ARGUMENTS = {
+    "reshape-shape": (lambda v: T.reshape(_zeros(2, 3), v), DimensionError, [True, (2, 3.0), "6", (True, 6)]),
+    "permute-axes": (lambda v: T.permute(_zeros(2, 3), v), DimensionError, [True, 0, None, (1, True), (1, -1)]),
+    "concat-axis": (lambda v: T.concat([_zeros(2, 3)] * 2, v), DimensionError, [True, 1.0, -3]),
+    "crop-top": (lambda v: T.crop(_zeros(1, 4, 4), v, 0, 1, 1), ContractError, [True, 1.0, -1]),
+    "crop-left": (lambda v: T.crop(_zeros(1, 4, 4), 0, v, 1, 1), ContractError, [True, "1", -1]),
+    "crop-height": (lambda v: T.crop(_zeros(1, 4, 4), 0, 0, v, 1), ContractError, [True, 2.0, -1]),
+    "crop-width": (lambda v: T.crop(_zeros(1, 4, 4), 0, 0, 1, v), ContractError, [True, None, -1]),
+    "conv2d-stride": (
+        lambda v: T.conv2d(_zeros(1, 4, 4), _zeros(1, 1, 3, 3), _zeros(1), stride=v), ContractError, [True, 1.5, -1],
+    ),
+    "conv2d-pad": (
+        lambda v: T.conv2d(_zeros(1, 4, 4), _zeros(1, 1, 3, 3), _zeros(1), pad=v), ContractError, [True, 1.0, -1],
+    ),
+    "window_partition-s": (lambda v: W.window_partition(_zeros(2, 8, 8), v), PartitionError, [True, 2.0, -2]),
+    "window_reverse-s": (lambda v: W.window_reverse(_zeros(4, 4, 2), v, 4, 4), PartitionError, [True, "2", -2]),
+    "window_reverse-height": (lambda v: W.window_reverse(_zeros(4, 4, 2), 2, v, 4), ContractError, [True, 4.0, -4]),
+    "window_reverse-width": (lambda v: W.window_reverse(_zeros(4, 4, 2), 2, 4, v), ContractError, [True, None, -4]),
+    "patch_recover-height": (
+        lambda v: W.patch_recover(_zeros(4, 16), _GEN, "global_.recover", v, 16), ContractError, [True, 16.0, -16],
+    ),
+    "patch_recover-width": (
+        lambda v: W.patch_recover(_zeros(4, 16), _GEN, "global_.recover", 16, v), ContractError, [True, "16", -16],
+    ),
+    "mhsa-heads": (lambda v: A.mhsa(_zeros(3, 16), _GEN, "local.blocks.0.mhsa", v), ConfigError, [True, 2.0, -2]),
+    "transformer_block-heads": (
+        lambda v: A.transformer_block(_zeros(2, 3, 16), _GEN, "local.blocks.0", v), ConfigError, [True, None, -2],
+    ),
+    "window_attention_block-s": (
+        lambda v: A.window_attention_block(_zeros(16, 8, 8), v, _GEN, "local.blocks.0", 2), PartitionError, [True, 2.0],
+    ),
+    "window_attention_block-heads": (
+        lambda v: A.window_attention_block(_zeros(16, 8, 8), 2, _GEN, "local.blocks.0", v), ConfigError, [True, "2"],
+    ),
+    "local_branch-heads": (lambda v: A.local_branch(_zeros(3, 8, 8), _GEN, "local", v), ConfigError, [True, -2]),
+    "global_branch-heads": (
+        lambda v: A.global_branch(_zeros(3, 16, 16), _GEN, "global_", v), ConfigError, [True, None],
+    ),
+    "GeneratorConfig-height": (lambda v: G.GeneratorConfig(height=v), ConfigError, [True, 64.0, -8]),
+    "GeneratorConfig-width": (lambda v: G.GeneratorConfig(width=v), ConfigError, [True, "64", -8]),
+    "init_weights-seed": (lambda v: G.init_weights(G.GeneratorConfig(), v), ContractError, [True, 1.5, -1]),
+    "init_discriminator-input_size": (lambda v: D.init_discriminator(v, 0), ConfigError, [True, 16.0, 7]),
+    "init_discriminator-seed": (lambda v: D.init_discriminator(16, v), ContractError, [True, 1.5, -1]),
+    "discriminate_local-n_patches": (
+        lambda v: D.discriminate_local(_zeros(3, 8, 8), _DISC, np.random.default_rng(0), v),
+        ConfigError,
+        [True, 2.0, -1],
+    ),
+    "luminance_consistency_loss-region-top": (
+        lambda v: L.luminance_consistency_loss(_zeros(3, 8, 8), _zeros(3, 8, 8), (v, 0, 2, 2)),
+        ContractError,
+        [True, None, -1],
+    ),
+    "luminance_consistency_loss-region-height": (
+        lambda v: L.luminance_consistency_loss(_zeros(3, 8, 8), _zeros(3, 8, 8), (0, 0, v, 2)),
+        ContractError,
+        [True, None, "2"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error, value",
+    [(call, error, v) for call, error, values in BAD_ARGUMENTS.values() for v in values],
+    ids=[f"{key}-{v!r}" for key, (_, _, values) in BAD_ARGUMENTS.items() for v in values],
+)
+def test_bad_argument_is_rejected_naming_the_value(call, error, value):
+    with pytest.raises(error, match=re.escape(repr(value))):
+        call(value)

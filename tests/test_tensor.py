@@ -254,12 +254,8 @@ class TestSoftmax:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
-        out = T.softmax(Tensor(rng.normal(size=(4, 6))), axis=-1).data
+        out = T.softmax(Tensor(rng.normal(size=(4, 6)))).data
         assert np.allclose(out.sum(axis=-1), 1.0)
-
-    def test_bad_axis(self):
-        with pytest.raises(DimensionError):
-            T.softmax(Tensor([1.0]), axis=3)
 
 
 class TestLayerNorm:
@@ -293,7 +289,7 @@ class TestShapeOps:
 
     def test_upsample_nearest_example(self):
         x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
-        out = T.upsample_nearest(x, 2)
+        out = T.upsample_nearest(x)
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
         assert np.array_equal(out.data[0], expected)
 
@@ -310,8 +306,8 @@ class TestShapeOps:
         x = Tensor(rng.normal(size=(2, 3, 4)))
         back = T.reshape(T.reshape(x, (4, 6)), (2, 3, 4))
         assert np.array_equal(back.data, x.data)
-        axes = tuple(rng.permutation(3))
-        inv = tuple(np.argsort(axes))
+        axes = tuple(rng.permutation(3).tolist())
+        inv = tuple(np.argsort(axes).tolist())
         assert np.array_equal(T.permute(T.permute(x, axes), inv).data, x.data)
 
     def test_concat_and_backward(self):
@@ -368,11 +364,6 @@ class TestShapeOps:
         with pytest.raises(ContractError, match=re.escape(f"crop: {what} must be an int >= {least}, got {value!r}")):
             T.crop(Tensor(np.zeros((1, 4, 4))), *rect)
 
-    @pytest.mark.parametrize("factor", [2.0, 0, -1, True])
-    def test_upsample_bad_factor_rejected(self, factor):
-        with pytest.raises(ContractError, match=re.escape(f"factor must be an int >= 1, got {factor!r}")):
-            T.upsample_nearest(Tensor(np.zeros((1, 2, 2))), factor)
-
 
 class TestBackward:
     def test_linear_loss(self):
@@ -413,7 +404,7 @@ class TestBackward:
         c = Tensor(rng.normal(size=(2, 4, 8)))
         leaves = [x, *p.values()]
         with Tape() as tape:
-            loss = T.tsum(T.mul(T.softmax(T.gelu(A.mhsa(x, p, "m", 2)), axis=-1), c))
+            loss = T.tsum(T.mul(T.softmax(T.gelu(A.mhsa(x, p, "m", 2))), c))
             tape.backward(loss)
             once = [t.grad.copy() for t in leaves]
             tape.backward(loss)
@@ -554,7 +545,7 @@ class TestTensorInvariants:
     def test_ops_finite_on_finite_inputs(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-3, 3, size=(2, 5)))
-        for op in (T.sigmoid, T.square, T.softplus, T.gelu, lambda t: T.softmax(t, -1)):
+        for op in (T.sigmoid, T.square, T.softplus, T.gelu, T.softmax):
             assert np.isfinite(op(x).data).all()
 
 
@@ -582,8 +573,7 @@ def _buffer_cases(rng):
         "gelu-0d": (T.gelu, [a()]),
         "matmul": (T.matmul, [a(2, 3, 4), a(2, 4, 5)]),
         "add_bias": (T.add_bias, [a(2, 3), a(3)]),
-        "softmax": (lambda x: T.softmax(x, axis=-1), [a(2, 3, 4)]),
-        "softmax-axis0": (lambda x: T.softmax(x, axis=0), [a(2, 3, 4)]),
+        "softmax": (T.softmax, [a(2, 3, 4)]),
         "layer_norm": (T.layer_norm, [a(2, 3), a(3), a(3)]),
         "reshape": (lambda x: T.reshape(x, (3, 2)), [a(2, 3)]),
         "permute": (lambda x: T.permute(x, (1, 0)), [a(2, 3)]),
@@ -591,7 +581,7 @@ def _buffer_cases(rng):
         "crop": (lambda x: T.crop(x, 1, 1, 2, 2), [a(2, 4, 4)]),
         "mean": (T.mean, [a(2, 3)]),
         "tsum": (T.tsum, [a(2, 3)]),
-        "upsample_nearest": (lambda x: T.upsample_nearest(x, 2), [a(2, 2, 3)]),
+        "upsample_nearest": (T.upsample_nearest, [a(2, 2, 3)]),
         "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1), [a(2, 5, 5), a(3, 2, 3, 3), a(3)]),
         "conv2d-stride8": (lambda x, w, b: T.conv2d(x, w, b, stride=8), [a(2, 16, 16), a(3, 2, 8, 8), a(3)]),
     }
