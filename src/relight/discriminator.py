@@ -1,77 +1,67 @@
-"""Whole-image and random-patch discriminators for adversarial training.
+"""Whole-image and random-patch discriminators, and the conv trunk they share.
 
-Both share the same architecture — three stride-2 3x3 convolutions
-(channels 16 -> 32 -> 64, leaky_relu 0.2) followed by a linear layer to a
-single logit — instantiated separately for the full image and for the
-smaller random patches.  Outputs are raw logits; loss code applies a
-numerically stable log-sigmoid.
+Both are the trunk (16 -> 32 -> 64 channels, leaky_relu 0.2) and a linear
+layer to one logit, in a ``generator.Weights`` for the full image or for the
+smaller random patches; ``losses.FeatureExtractor`` is the trunk, frozen.
+Outputs are raw logits; loss code applies a numerically stable log-sigmoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import generator as G
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 CONV_CHANNELS = (16, 32, 64)
 
 
-@dataclass
-class DiscriminatorWeights:
-    """The square input side the stack was built for and its parameters:
-    ``convs.{i}.0``/``convs.{i}.1`` (3x3, stride 2, pad 1), ``linear_w``, ``linear_b``."""
-
-    input_size: int
-    params: dict[str, Tensor]
+def init_trunk(rng, channels) -> list[tuple[Tensor, Tensor]]:
+    """(weight, bias) pairs of 3x3 convs 3 -> channels[0] -> channels[1] -> ..., drawn from rng."""
+    return [G._conv(rng, cout, cin, 3) for cin, cout in zip((3, *channels), channels)]
 
 
-def _spatial_after_convs(size: int) -> int:
-    for _ in CONV_CHANNELS:
-        size = (size + 2 - 3) // 2 + 1  # 3x3, stride 2, pad 1
-    return size
+def trunk(x: Tensor, convs, slope: float) -> list[Tensor]:
+    """Every layer's output of x through (weight, bias) pairs as 3x3 stride-2
+    pad-1 convs, each followed by leaky_relu(slope); each halves a side, rounding up."""
+    feats = []
+    for w, b in convs:
+        x = T.leaky_relu(T.conv2d(x, w, b, stride=2, pad=1), slope)
+        feats.append(x)
+    return feats
 
 
-def init_discriminator(input_size: int, seed: int) -> DiscriminatorWeights:
-    """Deterministic fan-in uniform init for a given square input side."""
+def init_discriminator(input_size: int, seed: int) -> G.Weights:
+    """Deterministic fan-in uniform init for a given square input side: the
+    trunk's ``convs.{i}.0``/``convs.{i}.1``, then ``linear_w``, ``linear_b``."""
     if not T._is_int(input_size, 8):
         raise ConfigError(f"discriminator input side must be an int >= 8 for three stride-2 convs, got {input_size!r}")
     T._need_int(seed, 0, "init_discriminator: seed")
     rng = np.random.default_rng(seed)
     p = {}
-    cin = 3
-    for i, cout in enumerate(CONV_CHANNELS):
-        bound = 1.0 / np.sqrt(9 * cin)
-        p[f"convs.{i}.0"] = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)), requires_grad=True)
-        p[f"convs.{i}.1"] = Tensor(np.zeros(cout), requires_grad=True)
-        cin = cout
-    side = _spatial_after_convs(input_size)
+    for i, (w, b) in enumerate(init_trunk(rng, CONV_CHANNELS)):
+        p[f"convs.{i}.0"], p[f"convs.{i}.1"] = w, b
+    side = -(-input_size // 2 ** len(CONV_CHANNELS))  # ceil: each conv halves a side, rounding up
     feat = CONV_CHANNELS[-1] * side * side
-    bound = 1.0 / np.sqrt(feat)
-    p["linear_w"] = Tensor(rng.uniform(-bound, bound, size=(feat, 1)), requires_grad=True)
-    p["linear_b"] = Tensor(np.zeros(1), requires_grad=True)
-    return DiscriminatorWeights(input_size, p)
+    p["linear_w"], p["linear_b"] = G._uniform(rng, (feat, 1), feat), G._zeros(1)
+    return G.Weights((3, input_size, input_size), p)
 
 
-def discriminate(x: Tensor, w: DiscriminatorWeights) -> Tensor:
+def discriminate(x: Tensor, w: G.Weights) -> Tensor:
     """Score one [3,S,S] image or patch; returns a scalar logit tensor."""
-    if x.shape != (3, w.input_size, w.input_size):
-        raise ConfigError(f"discriminator built for 3x{w.input_size}x{w.input_size}, got {x.shape}")
+    if x.shape != w.input_shape:
+        raise ConfigError(f"discriminator built for input shape {w.input_shape}, got {x.shape}")
     p = w.params
-    feat = x
-    for i in range(len(CONV_CHANNELS)):
-        feat = T.leaky_relu(T.conv2d(feat, p[f"convs.{i}.0"], p[f"convs.{i}.1"], stride=2, pad=1), 0.2)
+    convs = [(p[f"convs.{i}.0"], p[f"convs.{i}.1"]) for i in range(len(CONV_CHANNELS))]
+    feat = trunk(x, convs, 0.2)[-1]
     flat = T.reshape(feat, (1, feat.size))
     logit = T.add_bias(flat @ p["linear_w"], p["linear_b"])
     return T.reshape(logit, ())
 
 
-def discriminate_local(
-    x: Tensor, w: DiscriminatorWeights, rng, n_patches: int = 4
-) -> list[tuple[Tensor, Tensor]]:
+def discriminate_local(x: Tensor, w: G.Weights, rng, n_patches: int = 4) -> list[tuple[Tensor, Tensor]]:
     """Score n_patches random crops of x; returns [(patch, logit)] pairs.
 
     Each crop's top, then left offset is drawn uniformly from rng, so a
@@ -79,11 +69,13 @@ def discriminate_local(
     """
     T._need_rank(x, "[C,H,W]", "discriminate_local")
     _, H, Wd = x.shape
-    patch = w.input_size
+    patch = w.input_shape[-1]
     if patch > H or patch > Wd:
         raise ConfigError(f"patch side {patch} exceeds image {H}x{Wd}")
     if not T._is_int(n_patches, 1):
         raise ConfigError(f"n_patches must be an int >= 1, got {n_patches!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise ContractError(f"discriminate_local: rng must be a numpy.random.Generator, got {rng!r}")
     out = []
     for _ in range(n_patches):
         top, left = int(rng.integers(0, H - patch + 1)), int(rng.integers(0, Wd - patch + 1))

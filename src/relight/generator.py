@@ -48,11 +48,11 @@ class GeneratorConfig:
 
 
 @dataclass
-class GeneratorWeights:
-    """A config and its parameters, keyed by dotted name (``local.embed_w``,
-    ``global_.blocks.1.mhsa.w_o``, ``fuse1_w``, ...) in initialisation order."""
+class Weights:
+    """The one input shape a network accepts and its parameters, keyed by dotted
+    name (``local.embed_w``, ``fuse1_w``, ``convs.0.0``, ...) in initialisation order."""
 
-    cfg: GeneratorConfig
+    input_shape: tuple[int, ...]
     params: dict[str, Tensor]
 
 
@@ -65,9 +65,9 @@ def _zeros(shape):
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _conv(p, rng, w_name, b_name, cout, cin, k):
-    p[w_name] = _uniform(rng, (cout, cin, k, k), cin * k * k)
-    p[b_name] = _zeros(cout)
+def _conv(rng, cout, cin, k):
+    """A kxk conv's (weight, bias) pair: fan-in uniform weight, zero bias."""
+    return _uniform(rng, (cout, cin, k, k), cin * k * k), _zeros(cout)
 
 
 def _block(p, rng, prefix, d):
@@ -83,55 +83,56 @@ def _block(p, rng, prefix, d):
     p[f"{prefix}.mlp_b2"] = _zeros(d)
 
 
-def init_weights(cfg: GeneratorConfig, seed: int) -> GeneratorWeights:
+def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
     """Deterministic weight construction: scaled-uniform (fan-in) linears and
     convs, zero biases, small-normal (sigma 0.02) positional encoding."""
+    if not isinstance(cfg, GeneratorConfig):
+        raise ConfigError(f"init_weights: cfg must be a GeneratorConfig, got {cfg!r}")
     T._need_int(seed, 0, "init_weights: seed")
     rng = np.random.default_rng(seed)
     p: dict[str, Tensor] = {}
 
-    _conv(p, rng, "local.embed_w", "local.embed_b", cfg.local_dim, 3, 1)
+    p["local.embed_w"], p["local.embed_b"] = _conv(rng, cfg.local_dim, 3, 1)
     for i in range(len(A.LOCAL_WINDOW_SIZES)):
         _block(p, rng, f"local.blocks.{i}", cfg.local_dim)
 
     d, c = cfg.global_embed_dim, cfg.global_out_dim
     for i, cin in enumerate((d, c, c)):
-        _conv(p, rng, f"global_.recover.convs.{i}.0", f"global_.recover.convs.{i}.1", c, cin, 3)
-    _conv(p, rng, "global_.patch_w", "global_.patch_b", d, 3, W.PATCH)
+        p[f"global_.recover.convs.{i}.0"], p[f"global_.recover.convs.{i}.1"] = _conv(rng, c, cin, 3)
+    p["global_.patch_w"], p["global_.patch_b"] = _conv(rng, d, 3, W.PATCH)
     tokens = (cfg.height // W.PATCH) * (cfg.width // W.PATCH)
     p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(tokens, d)), requires_grad=True)
     for i in range(2):
         _block(p, rng, f"global_.blocks.{i}", d)
 
     fc = cfg.fusion_channels
-    _conv(p, rng, "fuse1_w", "fuse1_b", fc, cfg.local_dim + c, 3)
-    _conv(p, rng, "fuse2_w", "fuse2_b", fc, fc, 3)
-    _conv(p, rng, "out_w", "out_b", 3, fc, 1)
-    return GeneratorWeights(cfg, p)
+    p["fuse1_w"], p["fuse1_b"] = _conv(rng, fc, cfg.local_dim + c, 3)
+    p["fuse2_w"], p["fuse2_b"] = _conv(rng, fc, fc, 3)
+    p["out_w"], p["out_b"] = _conv(rng, 3, fc, 1)
+    return Weights((3, cfg.height, cfg.width), p)
 
 
-def forward(x: Tensor, w: GeneratorWeights) -> Tensor:
+def forward(x: Tensor, w: Weights) -> Tensor:
     """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in (0,1)."""
-    cfg = w.cfg
-    if x.shape != (3, cfg.height, cfg.width):
-        raise ConfigError(f"input shape {x.shape} does not match configured resolution (3, {cfg.height}, {cfg.width})")
+    if x.shape != w.input_shape:
+        raise ConfigError(f"input shape {x.shape} does not match the weights' input shape {w.input_shape}")
     if not np.isfinite(x.data).all():
         raise ContractError("generator input contains non-finite values")
 
     p = w.params
-    local = A.local_branch(x, p, "local", cfg.local_heads)
-    feat = T.concat([local, A.global_branch(x, p, "global_", cfg.global_heads)], axis=0)
+    local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
+    feat = T.concat([local, A.global_branch(x, p, "global_", GeneratorConfig.global_heads)], axis=0)
 
     feat = T.leaky_relu(T.conv2d(feat, p["fuse1_w"], p["fuse1_b"], pad=1), 0.2)
     feat = T.leaky_relu(T.conv2d(feat, p["fuse2_w"], p["fuse2_b"], pad=1), 0.2)
     return T.sigmoid(T.conv2d(feat, p["out_w"], p["out_b"]))
 
 
-def named_parameters(w) -> Iterable[tuple[str, Tensor]]:
-    """(dotted_name, tensor) pairs of generator or discriminator weights."""
+def named_parameters(w: Weights) -> Iterable[tuple[str, Tensor]]:
+    """(dotted_name, tensor) pairs of any network's Weights, in initialisation order."""
     return w.params.items()
 
 
-def parameters(w) -> dict[str, Tensor]:
-    """Named trainable parameters of generator or discriminator weights."""
+def parameters(w: Weights) -> dict[str, Tensor]:
+    """Named trainable parameters of any network's Weights."""
     return dict(w.params)

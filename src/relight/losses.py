@@ -7,18 +7,18 @@ softplus so no logit magnitude can overflow.
 
 The content-preservation term compares activations of a frozen
 random-weight conv pyramid (an established perceptual-distance proxy)
-instead of a pretrained classifier, keeping the build hermetic; the
-extractor weights are drawn once from a fixed published seed.
+instead of a pretrained classifier, keeping the build hermetic: the
+discriminators' conv trunk, its weights drawn once from a fixed published seed.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import discriminator as D
 from . import tensor as T
 from .errors import ContractError, DivergenceError
 from .tensor import Tensor
@@ -38,7 +38,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.to_dict().items():
-            if not isinstance(v, numbers.Real) or not np.isfinite(v) or v < 0:
+            if not T._is_real(v) or v < 0:
                 raise ContractError(f"loss weight {name} must be a finite real >= 0, got {v!r}")
 
     def to_dict(self) -> dict:
@@ -49,7 +49,7 @@ LOSS_TERMS = tuple(LossWeights().to_dict())
 
 
 class FeatureExtractor:
-    """Three frozen conv layers (3->8->16->32, 3x3, stride 2, relu as leaky_relu slope 0).
+    """The discriminators' conv trunk, 3->8->16->32, frozen, with relu as leaky_relu slope 0.
 
     Weights are drawn once from FEATURE_EXTRACTOR_SEED and never trained;
     calling the extractor returns the three post-relu feature maps.
@@ -59,22 +59,10 @@ class FeatureExtractor:
 
     def __init__(self):
         rng = np.random.default_rng(FEATURE_EXTRACTOR_SEED)
-        self.convs = []
-        cin = 3
-        for cout in self.CHANNELS:
-            bound = 1.0 / np.sqrt(9 * cin)
-            w = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)))
-            b = Tensor(np.zeros(cout))
-            self.convs.append((w, b))
-            cin = cout
+        self.convs = [(w.detach(), b.detach()) for w, b in D.init_trunk(rng, self.CHANNELS)]
 
     def __call__(self, x: Tensor) -> list[Tensor]:
-        feats = []
-        feat = x
-        for w, b in self.convs:
-            feat = T.leaky_relu(T.conv2d(feat, w, b, stride=2, pad=1), 0.0)
-            feats.append(feat)
-        return feats
+        return D.trunk(x, self.convs, 0.0)
 
 
 def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int, int]) -> Tensor:

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Values are contiguous numpy float64 arrays.  Differentiable operations
-executed while a :class:`Tape` is active append a backward rule to it;
-``Tape.backward(loss)`` then walks the records in reverse and accumulates
-``d loss / d leaf`` into the ``.grad`` of every ``requires_grad`` leaf.
-With no active tape every operation is a plain forward computation, which
-is how inference runs.
+Values are numpy float64 arrays, not all contiguous (``permute`` returns a
+view).  Differentiable operations executed while a :class:`Tape` is active
+append a backward rule to it; ``Tape.backward(loss)`` then walks the records
+in reverse and accumulates ``d loss / d leaf`` into the ``.grad`` of every
+``requires_grad`` leaf.  With no active tape every operation is a plain
+forward computation, which is how inference runs.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -19,7 +19,8 @@ Conventions, fixed here and relied on everywhere else:
   the incoming gradient ``g`` (``add`` hands the same ``g`` to both of
   its inputs, and a second ``backward`` reuses every kept array).
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
-  checked by ``_is_int``; a shape is an int or a tuple of them.
+  checked by ``_is_int``; a shape is an int or a tuple of them.  A real
+  argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -215,6 +217,13 @@ def _is_int(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _is_real(value) -> bool:
+    try:  # isfinite raises OverflowError on an int too large for a float64
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _need_int(value, least: int, what: str):
     if not _is_int(value, least):
         raise ContractError(f"{what} must be an int >= {least}, got {value!r}")
@@ -250,11 +259,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
+    if not _is_real(s):
+        raise ContractError(f"scale: factor must be a finite real, got {s!r}")
     out = Tensor._wrap(x.data * s)
     return _record(out, (x,), lambda g: (g * s,))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    if not _is_real(slope):
+        raise ContractError(f"leaky_relu: slope must be a finite real, got {slope!r}")
     out = Tensor._wrap(np.where(x.data > 0.0, x.data, slope * x.data))
     return _record(out, (x,), lambda g: (g * np.where(x.data > 0.0, 1.0, slope),))
 

@@ -284,10 +284,13 @@ def _zeros(*shape):
 _GEN = G.init_weights(G.GeneratorConfig(height=16, width=16), 0).params
 _DISC = D.init_discriminator(8, 0)
 
-# Each int, axis or shape argument of a public function: (call taking the value,
-# error class, values it must reject).  Every value is True or a non-int or lies
-# below the least allowed, and the error must name it.
+# Each int, axis, shape or real argument of a public function, and each argument
+# of a required type: (call taking the value, error class, values it must reject).
+# Every value is True, of the wrong type, below the least allowed or not finite,
+# and the error must name it.
 BAD_ARGUMENTS = {
+    "scale-factor": (lambda v: T.scale(_zeros(2, 3), v), ContractError, [True, float("nan"), float("inf"), "a"]),
+    "leaky_relu-slope": (lambda v: T.leaky_relu(_zeros(2, 3), v), ContractError, [True, float("-inf"), "a", None]),
     "reshape-shape": (lambda v: T.reshape(_zeros(2, 3), v), DimensionError, [True, (2, 3.0), "6", (True, 6)]),
     "permute-axes": (lambda v: T.permute(_zeros(2, 3), v), DimensionError, [True, 0, None, (1, True), (1, -1)]),
     "concat-axis": (lambda v: T.concat([_zeros(2, 3)] * 2, v), DimensionError, [True, 1.0, -3]),
@@ -327,6 +330,7 @@ BAD_ARGUMENTS = {
     ),
     "GeneratorConfig-height": (lambda v: G.GeneratorConfig(height=v), ConfigError, [True, 64.0, -8]),
     "GeneratorConfig-width": (lambda v: G.GeneratorConfig(width=v), ConfigError, [True, "64", -8]),
+    "init_weights-cfg": (lambda v: G.init_weights(v, 0), ConfigError, [None, (64, 64), "64x64"]),
     "init_weights-seed": (lambda v: G.init_weights(G.GeneratorConfig(), v), ContractError, [True, 1.5, -1]),
     "init_discriminator-input_size": (lambda v: D.init_discriminator(v, 0), ConfigError, [True, 16.0, 7]),
     "init_discriminator-seed": (lambda v: D.init_discriminator(16, v), ContractError, [True, 1.5, -1]),
@@ -334,6 +338,9 @@ BAD_ARGUMENTS = {
         lambda v: D.discriminate_local(_zeros(3, 8, 8), _DISC, np.random.default_rng(0), v),
         ConfigError,
         [True, 2.0, -1],
+    ),
+    "discriminate_local-rng": (
+        lambda v: D.discriminate_local(_zeros(3, 8, 8), _DISC, v, 1), ContractError, [0, None, "rng"],
     ),
     "luminance_consistency_loss-region-top": (
         lambda v: L.luminance_consistency_loss(_zeros(3, 8, 8), _zeros(3, 8, 8), (v, 0, 2, 2)),

@@ -33,6 +33,14 @@ def test_parameter_names_and_shapes():
     assert all(t.requires_grad for t in G.parameters(d).values())
 
 
+def test_linear_rows_match_the_trunk_output_for_every_side():
+    for side in range(8, 71):
+        p = D.init_discriminator(side, seed=0).params
+        convs = [(p[f"convs.{i}.0"], p[f"convs.{i}.1"]) for i in range(len(D.CONV_CHANNELS))]
+        last = D.trunk(Tensor(np.zeros((3, side, side))), convs, 0.2)[-1]
+        assert p["linear_w"].shape == (last.size, 1), side
+
+
 def test_same_seed_same_weights():
     a, b = G.parameters(D.init_discriminator(8, seed=3)), G.parameters(D.init_discriminator(8, seed=3))
     assert all(np.array_equal(a[k].data, b[k].data) for k in a)

@@ -200,6 +200,6 @@ def test_total_rejects_a_non_scalar_term_naming_it_and_its_shape():
 
 
 def test_loss_weights_must_be_finite_and_non_negative():
-    for bad in (-1.0, float("inf"), float("nan"), "a", None):
+    for bad in (-1.0, float("inf"), float("nan"), "a", None, True, 2**1024):
         with pytest.raises(ContractError, match=re.escape(f"got {bad!r}")):
             L.LossWeights(w_sfp=bad)
