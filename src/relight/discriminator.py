@@ -51,6 +51,8 @@ def init_discriminator(input_size: int, seed: int) -> G.Weights:
 
 def discriminate(x: Tensor, w: G.Weights) -> Tensor:
     """Score one [3,S,S] image or patch; returns a scalar logit tensor."""
+    if not isinstance(w, G.Weights):
+        raise ConfigError(f"discriminate: w must be a generator.Weights, got {w!r}")
     if x.shape != w.input_shape:
         raise ConfigError(f"discriminator built for input shape {w.input_shape}, got {x.shape}")
     p = w.params
@@ -68,6 +70,8 @@ def discriminate_local(x: Tensor, w: G.Weights, rng, n_patches: int = 4) -> list
     seeded generator reproduces them; gradients flow through the crops into x.
     """
     T._need_rank(x, "[C,H,W]", "discriminate_local")
+    if not isinstance(w, G.Weights):
+        raise ConfigError(f"discriminate_local: w must be a generator.Weights, got {w!r}")
     _, H, Wd = x.shape
     patch = w.input_shape[-1]
     if patch > H or patch > Wd:

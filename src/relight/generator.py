@@ -114,6 +114,8 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
 
 def forward(x: Tensor, w: Weights) -> Tensor:
     """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in (0,1)."""
+    if not isinstance(w, Weights):
+        raise ConfigError(f"forward: w must be a generator.Weights, got {w!r}")
     if x.shape != w.input_shape:
         raise ConfigError(f"input shape {x.shape} does not match the weights' input shape {w.input_shape}")
     if not np.isfinite(x.data).all():

@@ -102,6 +102,8 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
     Not differentiable exactly at zero feature distance (the norm's kink),
     which training never hits for distinct images.
     """
+    if not isinstance(fe, FeatureExtractor):
+        raise ContractError(f"self_feature_preserving_loss: fe must be a FeatureExtractor, got {fe!r}")
     if x_low.shape != x_enh.shape:
         raise ContractError(f"sfp operands differ in shape: {x_low.shape} vs {x_enh.shape}")
     feats_low = fe(x_low)
@@ -128,6 +130,8 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
     contribution and sums to the total.  A non-finite part raises
     DivergenceError naming the term.
     """
+    if not isinstance(w, LossWeights):
+        raise ContractError(f"total_generator_loss: w must be a LossWeights, got {w!r}")
     weights = w.to_dict()
     missing = [name for name in LOSS_TERMS if name not in parts]
     unknown = sorted(set(parts) - set(LOSS_TERMS))

@@ -18,6 +18,10 @@ Conventions, fixed here and relied on everywhere else:
   never into an input's ``.data``, an array a backward closure keeps, or
   the incoming gradient ``g`` (``add`` hands the same ``g`` to both of
   its inputs, and a second ``backward`` reuses every kept array).
+- Every op ends in ``return _record(array, inputs, backward)``; nothing
+  else builds op outputs.  ``_record`` wraps the array and, under a tape
+  with an input that requires grad, appends exactly one record, whose
+  ``.out`` is the returned tensor.
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
@@ -83,7 +87,8 @@ class Tensor:
     ``data`` is always a numpy float64 array.  ``grad`` is either None or
     an array of the same shape.  Tensors are treated as immutable values
     by all operations; only the optimizer mutates ``data`` in place,
-    between tapes.
+    between tapes.  ``Tensor(data)`` rejects non-finite values; op outputs
+    and ``detach`` are built by ``_record``, which skips that scan.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -95,16 +100,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal constructor for op outputs: skips the finiteness scan.
-        # asarray turns the numpy scalar an op on 0-d input returns into a 0-d array.
-        t = cls.__new__(cls)
-        t.data = np.asarray(arr)
-        t.requires_grad = False
-        t.grad = None
-        return t
 
     @property
     def shape(self):
@@ -120,7 +115,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A new leaf sharing this tensor's data, outside the tape."""
-        return Tensor._wrap(self.data)
+        return _record(self.data, (), None)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -187,8 +182,9 @@ class Tape:
         # own record, which the reverse walk reaches after all its consumers.
         for t, g in grads.items():
             if t.requires_grad:
-                g = np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
-                t.grad = g.copy() if t.grad is None else t.grad + g
+                g = np.broadcast_to(g, t.shape)
+                # np.array: an owned array even for a 0-d leaf, where t.grad + g is a numpy scalar.
+                t.grad = np.array(g if t.grad is None else t.grad + g, dtype=np.float64)
 
 
 def zero_grad(params: Iterable[Tensor]):
@@ -196,10 +192,18 @@ def zero_grad(params: Iterable[Tensor]):
         p.grad = None
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable):
+def _record(value: np.ndarray, inputs: Sequence[Tensor], backward: Callable | None) -> Tensor:
+    """The one constructor of op outputs: ``value`` as a Tensor, without the finiteness scan.
+
+    With a tape active and an input that requires grad, the output requires
+    grad and the tape gets one record of it; otherwise it is a plain value.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(value)  # a numpy scalar (a reduction, an op on 0-d input) becomes a 0-d array
+    out.grad = None
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    out.requires_grad = tape is not None and any(t.requires_grad for t in inputs)
+    if out.requires_grad:
         tape._records.append(_Node(out, tuple(inputs), backward))
     return out
 
@@ -242,34 +246,30 @@ def _need_rank(x: Tensor, layout: str, what: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "add")
-    out = Tensor._wrap(a.data + b.data)
-    return _record(out, (a, b), lambda g: (g, g))
+    return _record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "sub")
-    out = Tensor._wrap(a.data - b.data)
-    return _record(out, (a, b), lambda g: (g, -g))
+    return _record(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "mul")
-    out = Tensor._wrap(a.data * b.data)
-    return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return _record(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     if not _is_real(s):
         raise ContractError(f"scale: factor must be a finite real, got {s!r}")
-    out = Tensor._wrap(x.data * s)
-    return _record(out, (x,), lambda g: (g * s,))
+    return _record(x.data * s, (x,), lambda g: (g * s,))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     if not _is_real(slope):
         raise ContractError(f"leaky_relu: slope must be a finite real, got {slope!r}")
-    out = Tensor._wrap(np.where(x.data > 0.0, x.data, slope * x.data))
-    return _record(out, (x,), lambda g: (g * np.where(x.data > 0.0, 1.0, slope),))
+    y = np.where(x.data > 0.0, x.data, slope * x.data)
+    return _record(y, (x,), lambda g: (g * np.where(x.data > 0.0, 1.0, slope),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -284,27 +284,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    out = Tensor._wrap(s)
-    return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
+    return _record(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0.0):
         raise DomainError("sqrt: input has negative entries")
     r = np.sqrt(x.data)
-    out = Tensor._wrap(r)
-    return _record(out, (x,), lambda g: (g * (0.5 / np.maximum(r, 1e-300)),))
+    return _record(r, (x,), lambda g: (g * (0.5 / np.maximum(r, 1e-300)),))
 
 
 def square(x: Tensor) -> Tensor:
-    out = Tensor._wrap(x.data * x.data)
-    return _record(out, (x,), lambda g: (g * (2.0 * x.data),))
+    return _record(x.data * x.data, (x,), lambda g: (g * (2.0 * x.data),))
 
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow; backward is sigmoid(x)."""
-    out = Tensor._wrap(np.logaddexp(0.0, x.data))
-    return _record(out, (x,), lambda g: (g * _sigmoid(x.data),))
+    return _record(np.logaddexp(0.0, x.data), (x,), lambda g: (g * _sigmoid(x.data),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -325,7 +321,6 @@ def gelu(x: Tensor) -> Tensor:
     y = t + 1.0
     y *= d
     y *= 0.5
-    out = Tensor._wrap(y)
 
     def back(g):
         # g * (0.5*(1 + t) + 0.5*d*(1 - t^2)*C*(1 + 3*0.044715*d^2))
@@ -343,7 +338,7 @@ def gelu(x: Tensor) -> Tensor:
         r *= g
         return (r,)
 
-    return _record(out, (x,), back)
+    return _record(y, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +351,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: incompatible operand shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions differ for shapes {a.shape} and {b.shape}")
-    out = Tensor._wrap(a.data @ b.data)
 
     def back(g):
         return (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
 
-    return _record(out, (a, b), back)
+    return _record(a.data @ b.data, (a, b), back)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -369,19 +363,18 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     _need_rank(x, "[...,d]", "add_bias")
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"add_bias: bias shape {b.shape} does not match input shape {x.shape}")
-    out = Tensor._wrap(x.data + b.data)
 
     def back(g):
         return (g, g.reshape(-1, b.shape[0]).sum(axis=0))
 
-    return _record(out, (x, b), back)
+    return _record(x.data + b.data, (x, b), back)
 
 
 def softmax(x: Tensor) -> Tensor:
+    _need_rank(x, "[...,d]", "softmax")
     y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(y)
 
     def back(g):
         r = g * y
@@ -390,7 +383,7 @@ def softmax(x: Tensor) -> Tensor:
         r *= y
         return (r,)
 
-    return _record(out, (x,), back)
+    return _record(y, (x,), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -404,7 +397,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
-    out = Tensor._wrap(xhat * gamma.data + beta.data)
 
     def back(g):
         lead = tuple(range(g.ndim - 1))
@@ -414,7 +406,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
         return (dx, dgamma, dbeta)
 
-    return _record(out, (x, gamma, beta), back)
+    return _record(xhat * gamma.data + beta.data, (x, gamma, beta), back)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +421,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         out_arr = x.data.reshape(shape)
     except ValueError as e:
         raise DimensionError(f"reshape: cannot view shape {x.shape} as {shape!r}") from e
-    out = Tensor._wrap(out_arr)
-    return _record(out, (x,), lambda g: (np.ascontiguousarray(g).reshape(x.shape),))
+    return _record(out_arr, (x,), lambda g: (np.ascontiguousarray(g).reshape(x.shape),))
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -441,8 +432,7 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     ):
         raise DimensionError(f"permute: axes {axes!r} are not a tuple permuting 0..{x.ndim - 1}")
     inv = tuple(np.argsort(axes))
-    out = Tensor._wrap(x.data.transpose(axes))
-    return _record(out, (x,), lambda g: (g.transpose(inv),))
+    return _record(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -455,14 +445,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     axis %= ndim
     if len({s[:axis] + s[axis + 1 :] for s in shapes}) > 1:
         raise DimensionError(f"concat: shapes {shapes} differ off axis {axis}")
-    out = Tensor._wrap(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
     def back(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _record(out, tuple(tensors), back)
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
 
 
 def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
@@ -473,39 +462,35 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
         _need_int(value, least, f"crop: {what}")
     if top + height > H or left + width > W:
         raise DimensionError(f"crop: rect ({top},{left},{height},{width}) outside {H}x{W}")
-    out = Tensor._wrap(np.ascontiguousarray(x.data[..., top : top + height, left : left + width]))
 
     def back(g):
         gx = np.zeros_like(x.data)
         gx[..., top : top + height, left : left + width] = g
         return (gx,)
 
-    return _record(out, (x,), back)
+    return _record(np.ascontiguousarray(x.data[..., top : top + height, left : left + width]), (x,), back)
 
 
 def mean(x: Tensor) -> Tensor:
     """Mean over every element, as a scalar."""
     n = x.size
-    out = Tensor._wrap(x.data.mean())
-    return _record(out, (x,), lambda g: (np.full(x.shape, float(g) / n),))
+    return _record(x.data.mean(), (x,), lambda g: (np.full(x.shape, float(g) / n),))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum over every element, as a scalar."""
-    out = Tensor._wrap(x.data.sum())
-    return _record(out, (x,), lambda g: (np.full(x.shape, float(g)),))
+    return _record(x.data.sum(), (x,), lambda g: (np.full(x.shape, float(g)),))
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x spatial upsampling of a [C,H,W] tensor."""
     _need_rank(x, "[C,H,W]", "upsample_nearest")
     C, H, W = x.shape
-    out = Tensor._wrap(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
 
     def back(g):
         return (g.reshape(C, H, 2, W, 2).sum(axis=(2, 4)),)
 
-    return _record(out, (x,), back)
+    return _record(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +549,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     acc = next(parts)
     for part in parts:
         acc += part
-    out = Tensor._wrap(acc.reshape(Cout, Ho, Wq)[:, :, :Wo] + b.data[:, None, None])
 
     def back(g):
         gq = np.zeros((Cout, Ho, Wq))
@@ -580,4 +564,4 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
         return (dx, dw, g.sum(axis=(1, 2)))
 
-    return _record(out, (x, w, b), back)
+    return _record(acc.reshape(Cout, Ho, Wq)[:, :, :Wo] + b.data[:, None, None], (x, w, b), back)

@@ -266,6 +266,7 @@ WRONG_RANK = {
     "global_branch": (lambda x: A.global_branch(x, {}, "glob", 2), (8, 8)),
     "discriminate_local": (lambda x: D.discriminate_local(x, None, np.random.default_rng(0)), (8, 8)),
     "layer_norm": (lambda x: T.layer_norm(x, None, None), ()),
+    "softmax": (T.softmax, ()),
     "add_bias": (lambda x: T.add_bias(x, None), ()),
     "crop": (lambda x: T.crop(x, 0, 0, 1, 1), (4,)),
 }
@@ -283,6 +284,7 @@ def _zeros(*shape):
 
 _GEN = G.init_weights(G.GeneratorConfig(height=16, width=16), 0).params
 _DISC = D.init_discriminator(8, 0)
+_PARTS = {name: Tensor(0.0) for name in L.LOSS_TERMS}
 
 # Each int, axis, shape or real argument of a public function, and each argument
 # of a required type: (call taking the value, error class, values it must reject).
@@ -341,6 +343,15 @@ BAD_ARGUMENTS = {
     ),
     "discriminate_local-rng": (
         lambda v: D.discriminate_local(_zeros(3, 8, 8), _DISC, v, 1), ContractError, [0, None, "rng"],
+    ),
+    "forward-w": (lambda v: G.forward(_zeros(3, 16, 16), v), ConfigError, [None, "w", 0]),
+    "discriminate-w": (lambda v: D.discriminate(_zeros(3, 8, 8), v), ConfigError, [None, "w", 0]),
+    "discriminate_local-w": (
+        lambda v: D.discriminate_local(_zeros(3, 8, 8), v, np.random.default_rng(0)), ConfigError, [None, "w", 0],
+    ),
+    "total_generator_loss-w": (lambda v: L.total_generator_loss(_PARTS, v), ContractError, [None, "w", 0]),
+    "self_feature_preserving_loss-fe": (
+        lambda v: L.self_feature_preserving_loss(_zeros(3, 8, 8), _zeros(3, 8, 8), v), ContractError, [None, "fe", 0],
     ),
     "luminance_consistency_loss-region-top": (
         lambda v: L.luminance_consistency_loss(_zeros(3, 8, 8), _zeros(3, 8, 8), (v, 0, 2, 2)),

@@ -471,8 +471,11 @@ class TestBackward:
         x = Tensor(2.0, requires_grad=True)
         with Tape() as tape:
             tape.backward(T.scale(x, 3.0))
-        assert type(x.grad) is np.ndarray
-        assert x.grad.shape == () and x.grad == 3.0
+            assert type(x.grad) is np.ndarray
+            assert x.grad.shape == () and x.grad == 3.0
+            tape.backward(T.scale(x, 3.0))
+        assert type(x.grad) is np.ndarray and x.grad.flags.owndata
+        assert x.grad.shape == () and x.grad == 6.0
 
     def test_add_of_a_tensor_to_itself_gives_two(self):
         x = Tensor([1.0, -4.0], requires_grad=True)
@@ -498,7 +501,7 @@ class TestFiniteDiffCheck:
 
     def test_wrong_backward_fails_only_where_probed(self):
         def drop_entry_4(x):  # the identity, with a backward that loses entry 4
-            return T._record(Tensor._wrap(x.data.copy()), (x,), lambda g: (np.where(np.arange(6) == 4, 0.0, g),))
+            return T._record(x.data.copy(), (x,), lambda g: (np.where(np.arange(6) == 4, 0.0, g),))
 
         x = Tensor(np.random.default_rng(22).normal(size=6))
         assert finite_diff(lambda: T.square(drop_entry_4(x)), [x], entries=[(0, 3), (0, 5)]) < 1e-6
@@ -552,7 +555,7 @@ class TestTensorInvariants:
 def _buffer_cases(rng):
     """The op table: every recorded op (keyed ``op`` or ``op-variant``) with its input arrays.
 
-    The finite-difference and buffer-safety tests run over it, and
+    The finite-difference, one-record and buffer-safety tests run over it, and
     ``test_cases_cover_every_recorded_op`` keeps it complete.
     """
 
@@ -594,6 +597,19 @@ def test_every_recorded_op_gradient_matches_central_differences(key):
     for k, leaf in enumerate(leaves):
         err = finite_diff(lambda: op(*leaves), [leaf])
         assert err < 1e-6, f"{key}: gradient of input {k} {leaf.shape} is off by {err:.2e}"
+
+
+@pytest.mark.parametrize("key", sorted(_buffer_cases(np.random.default_rng(0))))
+def test_every_recorded_op_returns_one_tensor_and_appends_one_record(key):
+    op, arrays = _buffer_cases(np.random.default_rng(0))[key]
+    out = op(*[Tensor(arr, requires_grad=True) for arr in arrays])
+    assert type(out.data) is np.ndarray and out.requires_grad is False
+    with Tape() as tape:
+        out = op(*[Tensor(arr) for arr in arrays])
+        assert len(tape) == 0 and out.requires_grad is False
+        out = op(*[Tensor(arr, requires_grad=True) for arr in arrays])
+    # The bench tracer finds an op's backward as the one record whose .out it returned.
+    assert len(tape) == 1 and tape._records[0].out is out and out.requires_grad is True
 
 
 class TestBufferSafety:
