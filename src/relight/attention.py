@@ -22,7 +22,7 @@ import math
 
 from . import tensor as T
 from . import windows as W
-from .errors import ConfigError
+from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
@@ -39,9 +39,9 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     B = math.prod(lead)
     w_q = p[f"{prefix}.w_q"]
     if d != w_q.shape[0]:
-        raise ConfigError(f"sequence dim {d} does not match weights dim {w_q.shape[0]}")
+        raise DimensionError(f"sequence dim {d} does not match weights dim {w_q.shape[0]}")
     if not T._is_int(heads, 1) or d % heads:
-        raise ConfigError(f"heads {heads!r} must be an int >= 1 that divides dim {d}")
+        raise ContractError(f"heads {heads!r} must be an int >= 1 that divides dim {d}")
     hd = d // heads
     flat = T.reshape(z, (B * L, d))
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import generator as G
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import DimensionError
 from .tensor import Tensor
 
 CONV_CHANNELS = (16, 32, 64)
@@ -36,8 +36,7 @@ def trunk(x: Tensor, convs, slope: float) -> list[Tensor]:
 def init_discriminator(input_size: int, seed: int) -> G.Weights:
     """Deterministic fan-in uniform init for a given square input side: the
     trunk's ``convs.{i}.0``/``convs.{i}.1``, then ``linear_w``, ``linear_b``."""
-    if not T._is_int(input_size, 8):
-        raise ConfigError(f"discriminator input side must be an int >= 8 for three stride-2 convs, got {input_size!r}")
+    T._need_int(input_size, 8, "init_discriminator: input_size")  # three stride-2 convs halve 8 to 1
     T._need_int(seed, 0, "init_discriminator: seed")
     rng = np.random.default_rng(seed)
     p = {}
@@ -53,7 +52,7 @@ def discriminate(x: Tensor, w: G.Weights) -> Tensor:
     """Score one [3,S,S] image or patch; returns a scalar logit tensor."""
     G._need_weights(w, "convs.0.0", "discriminate")
     if x.shape != w.input_shape:
-        raise ConfigError(f"discriminator built for input shape {w.input_shape}, got {x.shape}")
+        raise DimensionError(f"discriminator built for input shape {w.input_shape}, got {x.shape}")
     p = w.params
     convs = [(p[f"convs.{i}.0"], p[f"convs.{i}.1"]) for i in range(len(CONV_CHANNELS))]
     feat = trunk(x, convs, 0.2)[-1]
@@ -73,11 +72,9 @@ def discriminate_local(x: Tensor, w: G.Weights, rng, n_patches: int = 4) -> list
     _, H, Wd = x.shape
     patch = w.input_shape[-1]
     if patch > H or patch > Wd:
-        raise ConfigError(f"patch side {patch} exceeds image {H}x{Wd}")
-    if not T._is_int(n_patches, 1):
-        raise ConfigError(f"n_patches must be an int >= 1, got {n_patches!r}")
-    if not isinstance(rng, np.random.Generator):
-        raise ContractError(f"discriminate_local: rng must be a numpy.random.Generator, got {rng!r}")
+        raise DimensionError(f"patch side {patch} exceeds image {H}x{Wd}")
+    T._need_int(n_patches, 1, "discriminate_local: n_patches")
+    T._need_type(rng, np.random.Generator, "discriminate_local: rng")
     out = []
     for _ in range(n_patches):
         top, left = int(rng.integers(0, H - patch + 1)), int(rng.integers(0, Wd - patch + 1))

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all relight modules."""
+"""Exception hierarchy shared by all relight modules: one class per kind of fault.
+
+- ``DimensionError``: a shape does not fit.  A Tensor's rank or shape does not
+  match the op, another operand or the weights, or a shape or axis argument
+  (``reshape`` target, ``permute`` axes, ``concat`` axis, ``crop`` rect) is
+  malformed or out of range.
+- ``ContractError``: any other argument breaks a precondition: a wrong type, an
+  int or real out of range or not dividing what it must, a region, tape misuse.
+- ``DomainError``: a value lies outside an op's domain.
+- ``DivergenceError``: a loss term became non-finite.
+"""
 
 
 class RelightError(Exception):
@@ -6,24 +16,16 @@ class RelightError(Exception):
 
 
 class DimensionError(RelightError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
-class DomainError(RelightError):
-    """An input value lies outside the mathematical domain of an operation."""
+    """A shape does not fit."""
 
 
 class ContractError(RelightError):
-    """A documented precondition of an operation was violated."""
+    """Any other argument breaks a precondition."""
 
 
-class ConfigError(RelightError):
-    """Invalid or inconsistent configuration."""
-
-
-class PartitionError(RelightError):
-    """Window partition/reverse called with non-divisible geometry."""
+class DomainError(RelightError):
+    """A value lies outside an op's domain."""
 
 
 class DivergenceError(RelightError):
-    """A loss term became non-finite during training."""
+    """A loss term became non-finite."""

@@ -20,7 +20,7 @@ import numpy as np
 from . import attention as A
 from . import tensor as T
 from . import windows as W
-from .errors import ConfigError, ContractError
+from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
 
@@ -38,13 +38,11 @@ class GeneratorConfig:
     fusion_channels = 32
 
     def __post_init__(self):
-        for name in ("height", "width"):
-            v = getattr(self, name)
-            if not T._is_int(v, 1):
-                raise ConfigError(f"train {name} must be a positive int, got {v!r}")
+        T._need_int(self.height, 1, "GeneratorConfig: height")
+        T._need_int(self.width, 1, "GeneratorConfig: width")
         # 8 is both the patch side and the largest window.
         if self.height % 8 or self.width % 8:
-            raise ConfigError(f"train resolution {self.height}x{self.width} must be divisible by 8")
+            raise ContractError(f"train resolution {self.height}x{self.width} must be divisible by 8")
 
 
 @dataclass
@@ -86,8 +84,7 @@ def _block(p, rng, prefix, d):
 def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
     """Deterministic weight construction: scaled-uniform (fan-in) linears and
     convs, zero biases, small-normal (sigma 0.02) positional encoding."""
-    if not isinstance(cfg, GeneratorConfig):
-        raise ConfigError(f"init_weights: cfg must be a GeneratorConfig, got {cfg!r}")
+    T._need_type(cfg, GeneratorConfig, "init_weights: cfg")
     T._need_int(seed, 0, "init_weights: seed")
     rng = np.random.default_rng(seed)
     p: dict[str, Tensor] = {}
@@ -113,20 +110,18 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
 
 
 def _need_weights(w, first: str, what: str):
-    """Raise ConfigError unless w is a Weights holding ``first``, the first parameter its network reads."""
-    if not isinstance(w, Weights):
-        raise ConfigError(f"{what}: w must be a generator.Weights, got {w!r}")
+    """Raise ContractError unless w is a Weights holding ``first``, the first parameter its network reads."""
+    T._need_type(w, Weights, f"{what}: w")
     if first not in w.params:
-        raise ConfigError(f"{what}: w has no parameter {first!r}, so it holds another network's weights")
+        raise ContractError(f"{what}: w has no parameter {first!r}, so it holds another network's weights")
 
 
 def forward(x: Tensor, w: Weights) -> Tensor:
     """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in (0,1)."""
     _need_weights(w, "local.embed_w", "forward")
     if x.shape != w.input_shape:
-        raise ConfigError(f"input shape {x.shape} does not match the weights' input shape {w.input_shape}")
-    if not np.isfinite(x.data).all():
-        raise ContractError("generator input contains non-finite values")
+        raise DimensionError(f"input shape {x.shape} does not match the weights' input shape {w.input_shape}")
+    T._need_finite(x.data, "forward: x")
 
     p = w.params
     local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)

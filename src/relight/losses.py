@@ -20,7 +20,7 @@ import numpy as np
 
 from . import discriminator as D
 from . import tensor as T
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DimensionError, DivergenceError
 from .tensor import Tensor
 
 # Fixed seed for the frozen feature extractor: the bytes "MSATR" read as a
@@ -73,7 +73,7 @@ def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int
     the region's element count.
     """
     if i.shape != k.shape:
-        raise ContractError(f"luminance loss operands differ in shape: {i.shape} vs {k.shape}")
+        raise DimensionError(f"luminance loss operands differ in shape: {i.shape} vs {k.shape}")
     if not isinstance(region, (tuple, list)) or len(region) != 4:
         raise ContractError(f"luminance loss region must be (top, left, height, width), got {region!r}")
     top, left, h, w = region
@@ -102,10 +102,9 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
     Not differentiable exactly at zero feature distance (the norm's kink),
     which training never hits for distinct images.
     """
-    if not isinstance(fe, FeatureExtractor):
-        raise ContractError(f"self_feature_preserving_loss: fe must be a FeatureExtractor, got {fe!r}")
+    T._need_type(fe, FeatureExtractor, "self_feature_preserving_loss: fe")
     if x_low.shape != x_enh.shape:
-        raise ContractError(f"sfp operands differ in shape: {x_low.shape} vs {x_enh.shape}")
+        raise DimensionError(f"sfp operands differ in shape: {x_low.shape} vs {x_enh.shape}")
     feats_low = fe(x_low)
     feats_enh = fe(x_enh)
     total = None
@@ -118,7 +117,7 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
 def identity_invariant_loss(x_r: Tensor, g_out: Tensor) -> Tensor:
     """Penalty for changing an already-normal image: count-normalized MSE."""
     if x_r.shape != g_out.shape:
-        raise ContractError(f"identity loss operands differ in shape: {x_r.shape} vs {g_out.shape}")
+        raise DimensionError(f"identity loss operands differ in shape: {x_r.shape} vs {g_out.shape}")
     return T.mean(T.square(T.sub(g_out, x_r)))
 
 
@@ -130,8 +129,7 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
     contribution and sums to the total.  A non-finite part raises
     DivergenceError naming the term.
     """
-    if not isinstance(w, LossWeights):
-        raise ContractError(f"total_generator_loss: w must be a LossWeights, got {w!r}")
+    T._need_type(w, LossWeights, "total_generator_loss: w")
     weights = w.to_dict()
     missing = [name for name in LOSS_TERMS if name not in parts]
     unknown = sorted(set(parts) - set(LOSS_TERMS))
@@ -142,7 +140,7 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
     for name in LOSS_TERMS:
         part = parts[name]
         if part.shape != ():
-            raise ContractError(f"loss term {name!r} must be a scalar, got shape {part.shape}")
+            raise DimensionError(f"loss term {name!r} must be a scalar, got shape {part.shape}")
         value = float(part.data)
         if not np.isfinite(value):
             raise DivergenceError(f"loss term {name!r} is non-finite ({value})")

@@ -25,6 +25,7 @@ Conventions, fixed here and relied on everywhere else:
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
+- Every module rejects a bad int, type or rank with ``_need_int``/``_need_type``/``_need_rank``.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
@@ -94,10 +95,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ContractError("tensor initialised with non-finite values")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
+        _need_finite(self.data, "Tensor: data")
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -164,10 +163,9 @@ class Tape:
         once on the same tape (e.g. for two different losses); leaf grads
         accumulate across calls.
         """
-        if not isinstance(loss, Tensor):
-            raise ContractError(f"backward needs a Tensor loss, got {loss!r}")
+        _need_type(loss, Tensor, "backward: loss")
         if loss.shape != ():
-            raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+            raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._records:
             raise ContractError("backward called on an empty tape")
         # Keyed by the tensor itself: a Tensor hashes by identity.
@@ -184,7 +182,6 @@ class Tape:
         # own record, which the reverse walk reaches after all its consumers.
         for t, g in grads.items():
             if t.requires_grad:
-                g = np.broadcast_to(g, t.shape)
                 # np.array: an owned array even for a 0-d leaf, where t.grad + g is a numpy scalar.
                 t.grad = np.array(g if t.grad is None else t.grad + g, dtype=np.float64)
 
@@ -233,6 +230,17 @@ def _is_real(value) -> bool:
 def _need_int(value, least: int, what: str):
     if not _is_int(value, least):
         raise ContractError(f"{what} must be an int >= {least}, got {value!r}")
+
+
+def _need_type(value, cls: type, what: str):
+    if not isinstance(value, cls):
+        raise ContractError(f"{what} must be a {cls.__name__}, got {value!r}")
+
+
+def _need_finite(arr: np.ndarray, what: str):
+    if not np.isfinite(arr).all():
+        i = int(np.argmin(np.isfinite(arr)))
+        raise ContractError(f"{what} has non-finite entry {arr.flat[i]} at flat index {i}")
 
 
 def _need_rank(x: Tensor, layout: str, what: str):
@@ -291,7 +299,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0.0):
-        raise DomainError("sqrt: input has negative entries")
+        i = int(np.argmax(x.data < 0.0))
+        raise DomainError(f"sqrt: input has negative entry {x.data.flat[i]} at flat index {i}")
     r = np.sqrt(x.data)
     return _record(r, (x,), lambda g: (g * (0.5 / np.maximum(r, 1e-300)),))
 

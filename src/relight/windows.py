@@ -14,7 +14,7 @@ inside a window run row by row.
 from __future__ import annotations
 
 from . import tensor as T
-from .errors import ConfigError, PartitionError
+from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
 PATCH = 8  # global-branch patch side and stride
@@ -23,7 +23,7 @@ PATCH = 8  # global-branch patch side and stride
 def _window_grid(height: int, width: int, s: int) -> tuple[int, int]:
     """(window rows, window columns) of an s x s tiling; s must divide both sides."""
     if not T._is_int(s, 1) or height % s or width % s:
-        raise PartitionError(f"window size {s!r} must be an int >= 1 that divides feature map {height}x{width}")
+        raise ContractError(f"window size {s!r} must be an int >= 1 that divides feature map {height}x{width}")
     return height // s, width // s
 
 
@@ -45,9 +45,7 @@ def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
     T._need_int(width, 1, "window_reverse: width")
     nh, nw = _window_grid(height, width, s)
     if nwin * tokens != height * width or tokens != s * s:
-        raise PartitionError(
-            f"cannot reverse {nwin} windows of {tokens} tokens into {height}x{width} with size {s}"
-        )
+        raise DimensionError(f"cannot reverse {nwin} windows of {tokens} tokens into {height}x{width} with size {s}")
     t = T.reshape(w, (nh, nw, s, s, C))
     t = T.permute(t, (4, 0, 2, 1, 3))  # (C, nh, s, nw, s)
     return T.reshape(t, (C, height, width))
@@ -61,7 +59,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     T._need_rank(x, "[C,H,W]", "patch_embed")
     _, H, W = x.shape
     if H % PATCH or W % PATCH:
-        raise PartitionError(f"patch embedding needs {PATCH} | H and {PATCH} | W, got {H}x{W}")
+        raise DimensionError(f"patch embedding needs {PATCH} | H and {PATCH} | W, got {H}x{W}")
     d = w.shape[0]
     z = T.conv2d(x, w, b, stride=PATCH)  # (d, H/8, W/8)
     z = T.reshape(z, (d, (H // PATCH) * (W // PATCH)))
@@ -81,7 +79,7 @@ def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, wid
     T._need_int(width, 1, "patch_recover: width")
     hh, ww = height // PATCH, width // PATCH
     if L != hh * ww or height % PATCH or width % PATCH:
-        raise ConfigError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
+        raise DimensionError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
     x = T.permute(z, (1, 0))
     x = T.reshape(x, (d, hh, ww))
     for i in range(3):

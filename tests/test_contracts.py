@@ -12,8 +12,10 @@ per entry point for the rank rows, one per ``case_id`` for the rest.  A few
 tests of single entry points also call ``reject`` on their own rows.
 """
 
+import ast
 import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from relight import generator as G
 from relight import losses as L
 from relight import tensor as T
 from relight import windows as W
-from relight.errors import ConfigError, ContractError, DimensionError, DivergenceError, DomainError, PartitionError
+from relight.errors import ContractError, DimensionError, DivergenceError, DomainError
 from relight.tensor import Tape, Tensor
 
 REPR = "{value!r}"  # the default template: the message shows the value as repr does
@@ -111,16 +113,16 @@ def _luminance(region, k=(3, 8, 8)):
 
 CONTRACTS = {
     # tensor
-    "Tensor-data": (Tensor, ContractError, "tensor initialised with non-finite values", [[1.0, np.nan]]),
+    "Tensor-data": (Tensor, ContractError, "non-finite entry {value[1]} at flat index 1", [[1.0, np.nan]]),
     "Tape-nested": (_enter, ContractError, "a Tape is already active in this thread", [Tape()]),
     "Tape.backward-loss": (lambda v: Tape().backward(v), ContractError, REPR, [3.0, None, np.zeros(())]),
-    "Tape.backward-shape": (lambda s: Tape().backward(_zeros(*s)), ContractError, RANK, [(3,)]),
+    "Tape.backward-shape": (lambda s: Tape().backward(_zeros(*s)), DimensionError, RANK, [(3,)]),
     "add-shapes": (lambda v: T.add(*_each(v)), DimensionError, BOTH, [((1,), (2,))]),
     "sub-shapes": (lambda v: T.sub(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
     "mul-shapes": (lambda v: T.mul(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
     "scale-factor": (lambda v: T.scale(_zeros(2, 3), v), ContractError, REPR, [True, np.nan, np.inf, "a"]),
     "leaky_relu-slope": (lambda v: T.leaky_relu(_zeros(2, 3), v), ContractError, REPR, [True, -np.inf, "a", None]),
-    "sqrt-x": (lambda v: T.sqrt(Tensor(v)), DomainError, "sqrt: input has negative entries", [[1.0, -1e-12]]),
+    "sqrt-x": (lambda v: T.sqrt(Tensor(v)), DomainError, "negative entry {value[1]} at flat index 1", [[1.0, -1e-12]]),
     "matmul-shapes": (lambda v: T.matmul(*_each(v)), DimensionError, BOTH, [((2, 3), (2, 3))]),
     "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), None), DimensionError, RANK, [()]),
     "softmax-rank": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [()]),
@@ -146,75 +148,86 @@ CONTRACTS = {
     "window_partition-rank": (lambda s: W.window_partition(_zeros(*s), 2), DimensionError, RANK, [(4, 4)]),
     "window_partition-s": (
         lambda v: W.window_partition(_zeros(2, 8, 8), v),
-        PartitionError,
+        ContractError,
         "window size {value!r} must be an int >= 1 that divides feature map 8x8",
         [True, 2.0, -2, 3, "2", None],
     ),
     "window_reverse-rank": (_reverse, DimensionError, RANK, [(4, 4)]),
-    "window_reverse-s": (lambda v: _reverse(s=v), PartitionError, REPR, [True, "2", -2]),
+    "window_reverse-s": (lambda v: _reverse(s=v), ContractError, REPR, [True, "2", -2]),
     "window_reverse-height": (lambda v: _reverse(height=v), ContractError, REPR, [True, 4.0, -4]),
     "window_reverse-width": (lambda v: _reverse(width=v), ContractError, REPR, [True, None, -4]),
     "window_reverse-count": (
-        lambda s: _reverse(s, 2, 8, 8), PartitionError, "{value[0]} windows of {value[1]} tokens", [(3, 4, 1)],
+        lambda s: _reverse(s, 2, 8, 8), DimensionError, "{value[0]} windows of {value[1]} tokens", [(3, 4, 1)],
     ),
     "patch_embed-rank": (lambda s: W.patch_embed(_zeros(*s), None, None), DimensionError, RANK, [(8, 8)]),
     "patch_embed-shape": (
-        lambda s: W.patch_embed(_zeros(*s), None, None), PartitionError, "got {value[1]}x{value[2]}", [(3, 12, 16)],
+        lambda s: W.patch_embed(_zeros(*s), None, None), DimensionError, "got {value[1]}x{value[2]}", [(3, 12, 16)],
     ),
     "patch_recover-rank": (_recover, DimensionError, RANK, [(1, 4, 3)]),
     "patch_recover-height": (lambda v: _recover(height=v), ContractError, REPR, [True, 16.0, -16]),
     "patch_recover-width": (lambda v: _recover(width=v), ContractError, REPR, [True, "16", -16]),
-    "patch_recover-count": (_recover, ConfigError, "{value[0]} tokens cannot recover a 16x16 map", [(5, 4)]),
+    "patch_recover-count": (_recover, DimensionError, "{value[0]} tokens cannot recover a 16x16 map", [(5, 4)]),
     # attention
     "mhsa-rank": (lambda s: A.mhsa(_zeros(*s), {}, "m", 2), DimensionError, RANK, [(4,)]),
-    "mhsa-dim": (lambda s: A.mhsa(_zeros(*s), _MHSA, "m", 2), ConfigError, "dim {value[1]} does not match", [(3, 4)]),
+    "mhsa-dim": (
+        lambda s: A.mhsa(_zeros(*s), _MHSA, "m", 2), DimensionError, "dim {value[1]} does not match", [(3, 4)],
+    ),
     "mhsa-heads": (
         lambda v: A.mhsa(_zeros(3, 6), _MHSA, "m", v),
-        ConfigError,
+        ContractError,
         "heads {value!r} must be an int >= 1 that divides dim 6",
         [True, 2.0, -2, 0, "2", None, 4],
     ),
     "transformer_block-heads": (
-        lambda v: A.transformer_block(_zeros(2, 3, 16), _P16, "local.blocks.0", v), ConfigError, REPR, [True, None, -2],
+        lambda v: A.transformer_block(_zeros(2, 3, 16), _P16, "local.blocks.0", v),
+        ContractError,
+        REPR,
+        [True, None, -2],
     ),
     "window_attention_block-rank": (_block, DimensionError, RANK, [(4, 4)]),
-    "window_attention_block-s": (lambda v: _block(s=v), PartitionError, REPR, [True, 2.0]),
-    "window_attention_block-heads": (lambda v: _block(heads=v), ConfigError, REPR, [True, "2"]),
-    "local_branch-heads": (lambda v: A.local_branch(_X8, _P16, "local", v), ConfigError, REPR, [True, -2]),
+    "window_attention_block-s": (lambda v: _block(s=v), ContractError, REPR, [True, 2.0]),
+    "window_attention_block-heads": (lambda v: _block(heads=v), ContractError, REPR, [True, "2"]),
+    "local_branch-heads": (lambda v: A.local_branch(_X8, _P16, "local", v), ContractError, REPR, [True, -2]),
     "global_branch-rank": (_global, DimensionError, RANK, [(8, 8)]),
-    "global_branch-heads": (lambda v: _global(heads=v), ConfigError, REPR, [True, None]),
+    "global_branch-heads": (lambda v: _global(heads=v), ContractError, REPR, [True, None]),
     "global_branch-pos": (lambda s: _global(pos=s), DimensionError, "(4, 16) and {value}", [(5, 16)]),
     # generator
-    "GeneratorConfig-height": (lambda v: G.GeneratorConfig(height=v), ConfigError, REPR, [True, 64.0, -8, 0, 60]),
-    "GeneratorConfig-width": (lambda v: G.GeneratorConfig(width=v), ConfigError, REPR, [True, "64", -8, 0, 64.0]),
-    "GeneratorConfig-both": (lambda v: G.GeneratorConfig(height=v, width=v), ConfigError, REPR, [0, -8, 64.0]),
-    "init_weights-cfg": (lambda v: G.init_weights(v, 0), ConfigError, REPR, [None, (64, 64), "64x64"]),
+    "GeneratorConfig-height": (lambda v: G.GeneratorConfig(height=v), ContractError, REPR, [True, 64.0, -8, 0, 60]),
+    "GeneratorConfig-width": (lambda v: G.GeneratorConfig(width=v), ContractError, REPR, [True, "64", -8, 0, 64.0]),
+    "GeneratorConfig-both": (lambda v: G.GeneratorConfig(height=v, width=v), ContractError, REPR, [0, -8, 64.0]),
+    "init_weights-cfg": (lambda v: G.init_weights(v, 0), ContractError, REPR, [None, (64, 64), "64x64"]),
     "init_weights-seed": (lambda v: G.init_weights(G.GeneratorConfig(), v), ContractError, REPR, [True, 1.5, -1]),
-    "forward-w": (lambda v: G.forward(_zeros(3, 16, 16), v), ConfigError, REPR, [None, "w", 0]),
-    "forward-w-network": (lambda v: G.forward(_X8, v), ConfigError, "has no parameter 'local.embed_w'", [_D8]),
-    "forward-x-shape": (lambda s: G.forward(_zeros(*s), _G16), ConfigError, "input shape {value}", [(3, 24, 24)]),
+    "forward-w": (lambda v: G.forward(_zeros(3, 16, 16), v), ContractError, REPR, [None, "w", 0]),
+    "forward-w-network": (lambda v: G.forward(_X8, v), ContractError, "has no parameter 'local.embed_w'", [_D8]),
+    "forward-x-shape": (lambda s: G.forward(_zeros(*s), _G16), DimensionError, "input shape {value}", [(3, 24, 24)]),
     "forward-x-finite": (
-        lambda v: G.forward(_poisoned((3, 16, 16), v), _G16), ContractError, "contains non-finite values", [np.inf],
+        lambda v: G.forward(_poisoned((3, 16, 16), v), _G16),
+        ContractError,
+        "non-finite entry {value} at flat index 0",
+        [np.inf],
     ),
     # discriminator
     "init_discriminator-input_size": (
-        lambda v: D.init_discriminator(v, 0), ConfigError, "got {value!r}", [True, 16.0, 7, 64.0, "64", None],
+        lambda v: D.init_discriminator(v, 0), ContractError, "got {value!r}", [True, 16.0, 7, 64.0, "64", None],
     ),
     "init_discriminator-seed": (lambda v: D.init_discriminator(16, v), ContractError, REPR, [True, 1.5, -1]),
-    "discriminate-w": (lambda v: D.discriminate(_X8, v), ConfigError, REPR, [None, "w", 0]),
+    "discriminate-w": (lambda v: D.discriminate(_X8, v), ContractError, REPR, [None, "w", 0]),
     "discriminate-w-network": (
-        lambda v: D.discriminate(_zeros(3, 16, 16), v), ConfigError, "has no parameter 'convs.0.0'", [_G16],
+        lambda v: D.discriminate(_zeros(3, 16, 16), v), ContractError, "has no parameter 'convs.0.0'", [_G16],
     ),
     "discriminate-x-shape": (
-        lambda s: D.discriminate(_zeros(*s), _D16), ConfigError, "got {value}", [(3, 16, 8), (1, 16, 16), (3, 32, 32)],
+        lambda s: D.discriminate(_zeros(*s), _D16),
+        DimensionError,
+        "got {value}",
+        [(3, 16, 8), (1, 16, 16), (3, 32, 32)],
     ),
     "discriminate_local-rank": (_local, DimensionError, RANK, [(8, 8)]),
-    "discriminate_local-w": (lambda v: _local(w=v), ConfigError, REPR, [None, "w", 0]),
+    "discriminate_local-w": (lambda v: _local(w=v), ContractError, REPR, [None, "w", 0]),
     "discriminate_local-patch": (
-        lambda s: _local(s, _D16), ConfigError, "16 exceeds image {value[1]}x{value[2]}", [(3, 8, 8)],
+        lambda s: _local(s, _D16), DimensionError, "16 exceeds image {value[1]}x{value[2]}", [(3, 8, 8)],
     ),
     "discriminate_local-n_patches": (
-        lambda v: _local(n_patches=v), ConfigError, _int("n_patches", 1), [True, 2.0, -1, 0, None],
+        lambda v: _local(n_patches=v), ContractError, _int("n_patches", 1), [True, 2.0, -1, 0, None],
     ),
     "discriminate_local-rng": (lambda v: _local(rng=v), ContractError, REPR, [0, None, "rng"]),
     # losses
@@ -233,7 +246,7 @@ CONTRACTS = {
     ),
     "total_generator_loss-scalar": (
         lambda s: _total({**_PARTS, "identity": _zeros(*s)}),
-        ContractError,
+        DimensionError,
         "loss term 'identity' must be a scalar, got shape {value}",
         [(2,)],
     ),
@@ -247,13 +260,13 @@ CONTRACTS = {
         lambda v: L.self_feature_preserving_loss(_X8, _X8, v), ContractError, REPR, [None, "fe", 0],
     ),
     "self_feature_preserving_loss-shapes": (
-        lambda v: L.self_feature_preserving_loss(*_each(v), _FE), ContractError, VS, [((3, 8, 8), (3, 16, 16))],
+        lambda v: L.self_feature_preserving_loss(*_each(v), _FE), DimensionError, VS, [((3, 8, 8), (3, 16, 16))],
     ),
     "identity_invariant_loss-shapes": (
-        lambda v: L.identity_invariant_loss(*_each(v)), ContractError, VS, [((3, 8, 8), (3, 8, 4))],
+        lambda v: L.identity_invariant_loss(*_each(v)), DimensionError, VS, [((3, 8, 8), (3, 8, 4))],
     ),
     "luminance_consistency_loss-shapes": (
-        lambda s: _luminance((0, 0, 2, 2), s), ContractError, "(3, 8, 8) vs {value}", [(3, 4, 4)],
+        lambda s: _luminance((0, 0, 2, 2), s), DimensionError, "(3, 8, 8) vs {value}", [(3, 4, 4)],
     ),
     "luminance_consistency_loss-region": (_luminance, ContractError, "got {value!r}", [(0, 0, 2), 4]),
     "luminance_consistency_loss-region-empty": (
@@ -313,3 +326,30 @@ def test_every_public_entry_point_has_a_row_or_a_reason():
     covered = {key.split("-")[0] for key in CONTRACTS}
     assert public - covered - NO_CONTRACT.keys() == set()
     assert NO_CONTRACT.keys() <= public - covered
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "relight"
+# One class per kind of fault, each with its base; the rule is in the errors.py docstring.
+ERRORS = {
+    "RelightError": "Exception",
+    "DimensionError": "RelightError",
+    "ContractError": "RelightError",
+    "DomainError": "RelightError",
+    "DivergenceError": "RelightError",
+}
+
+
+def raised_names(path):
+    """(line, class name or None) of every ``raise`` in path."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, getattr(exc, "id", None)
+
+
+def test_every_raise_names_one_of_the_four_fault_classes():
+    classes = ast.parse((SRC / "errors.py").read_text()).body[1:]  # past the docstring
+    assert {c.name: [b.id for b in c.bases] for c in classes} == {name: [base] for name, base in ERRORS.items()}
+    raises = [(path.name, line, name) for path in sorted(SRC.glob("*.py")) for line, name in raised_names(path)]
+    assert raises
+    assert [r for r in raises if r[2] not in ERRORS.keys() - {"RelightError"}] == []
