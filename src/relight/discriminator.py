@@ -50,9 +50,7 @@ def init_discriminator(input_size: int, seed: int) -> G.Weights:
 
 def discriminate(x: Tensor, w: G.Weights) -> Tensor:
     """Score one [3,S,S] image or patch; returns a scalar logit tensor."""
-    G._need_weights(w, "convs.0.0", "discriminate")
-    if x.shape != w.input_shape:
-        raise DimensionError(f"discriminator built for input shape {w.input_shape}, got {x.shape}")
+    G._need_input(x, w, "convs.0.0", "discriminate")
     p = w.params
     convs = [(p[f"convs.{i}.0"], p[f"convs.{i}.1"]) for i in range(len(CONV_CHANNELS))]
     feat = trunk(x, convs, 0.2)[-1]
@@ -67,8 +65,9 @@ def discriminate_local(x: Tensor, w: G.Weights, rng, n_patches: int = 4) -> list
     Each crop's top, then left offset is drawn uniformly from rng, so a
     seeded generator reproduces them; gradients flow through the crops into x.
     """
+    T._need_type(x, Tensor, "discriminate_local: x")
     T._need_rank(x, "[C,H,W]", "discriminate_local")
-    G._need_weights(w, "convs.0.0", "discriminate_local")
+    T._need_type(w, G.Weights, "discriminate_local: w")  # discriminate checks its network on each crop
     _, H, Wd = x.shape
     patch = w.input_shape[-1]
     if patch > H or patch > Wd:

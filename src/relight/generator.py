@@ -12,6 +12,7 @@ are not the paper's values.  Only the training resolution is configured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -38,11 +39,7 @@ class GeneratorConfig:
     fusion_channels = 32
 
     def __post_init__(self):
-        T._need_int(self.height, 1, "GeneratorConfig: height")
-        T._need_int(self.width, 1, "GeneratorConfig: width")
-        # 8 is both the patch side and the largest window.
-        if self.height % 8 or self.width % 8:
-            raise ContractError(f"train resolution {self.height}x{self.width} must be divisible by 8")
+        W._window_grid(self.height, self.width, math.lcm(W.PATCH, *A.LOCAL_WINDOW_SIZES), "GeneratorConfig")
 
 
 @dataclass
@@ -109,18 +106,20 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
     return Weights((3, cfg.height, cfg.width), p)
 
 
-def _need_weights(w, first: str, what: str):
-    """Raise ContractError unless w is a Weights holding ``first``, the first parameter its network reads."""
+def _need_input(x, w, first: str, what: str):
+    """Raise unless w is a Weights holding ``first``, the first parameter its network
+    reads, and x a Tensor of w's input shape."""
     T._need_type(w, Weights, f"{what}: w")
     if first not in w.params:
         raise ContractError(f"{what}: w has no parameter {first!r}, so it holds another network's weights")
+    T._need_type(x, Tensor, f"{what}: x")
+    if x.shape != w.input_shape:
+        raise DimensionError(f"{what}: input shape {x.shape} does not match the weights' input shape {w.input_shape}")
 
 
 def forward(x: Tensor, w: Weights) -> Tensor:
     """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in (0,1)."""
-    _need_weights(w, "local.embed_w", "forward")
-    if x.shape != w.input_shape:
-        raise DimensionError(f"input shape {x.shape} does not match the weights' input shape {w.input_shape}")
+    _need_input(x, w, "local.embed_w", "forward")
     T._need_finite(x.data, "forward: x")
 
     p = w.params

@@ -72,8 +72,7 @@ def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int
     image; region is (top, left, height, width) in ints.  The normalizer is
     the region's element count.
     """
-    if i.shape != k.shape:
-        raise DimensionError(f"luminance loss operands differ in shape: {i.shape} vs {k.shape}")
+    T._need_same_shape(i, k, "luminance_consistency_loss")
     if not isinstance(region, (tuple, list)) or len(region) != 4:
         raise ContractError(f"luminance loss region must be (top, left, height, width), got {region!r}")
     top, left, h, w = region
@@ -103,8 +102,7 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
     which training never hits for distinct images.
     """
     T._need_type(fe, FeatureExtractor, "self_feature_preserving_loss: fe")
-    if x_low.shape != x_enh.shape:
-        raise DimensionError(f"sfp operands differ in shape: {x_low.shape} vs {x_enh.shape}")
+    T._need_same_shape(x_low, x_enh, "self_feature_preserving_loss")
     feats_low = fe(x_low)
     feats_enh = fe(x_enh)
     total = None
@@ -116,8 +114,7 @@ def self_feature_preserving_loss(x_low: Tensor, x_enh: Tensor, fe: FeatureExtrac
 
 def identity_invariant_loss(x_r: Tensor, g_out: Tensor) -> Tensor:
     """Penalty for changing an already-normal image: count-normalized MSE."""
-    if x_r.shape != g_out.shape:
-        raise DimensionError(f"identity loss operands differ in shape: {x_r.shape} vs {g_out.shape}")
+    T._need_same_shape(x_r, g_out, "identity_invariant_loss")
     return T.mean(T.square(T.sub(g_out, x_r)))
 
 

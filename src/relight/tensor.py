@@ -25,7 +25,9 @@ Conventions, fixed here and relied on everywhere else:
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
-- Every module rejects a bad int, type or rank with ``_need_int``/``_need_type``/``_need_rank``.
+- Every module rejects a bad int, type or rank with ``_need_int``/``_need_type``/``_need_rank``,
+  two operands of different shapes with ``_need_same_shape``, and a side that does
+  not cut into windows or patches with the one tiling rule, ``windows._window_grid``.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
@@ -88,14 +90,20 @@ class Tensor:
     ``data`` is always a numpy float64 array.  ``grad`` is either None or
     an array of the same shape.  Tensors are treated as immutable values
     by all operations; only the optimizer mutates ``data`` in place,
-    between tapes.  ``Tensor(data)`` rejects non-finite values; op outputs
-    and ``detach`` are built by ``_record``, which skips that scan.
+    between tapes.  ``Tensor(data)`` rejects data that is None, not an array
+    of reals or non-finite; op outputs and ``detach`` are built by
+    ``_record``, which skips those checks.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if data is None:  # np.asarray would make it a 0-d NaN
+            raise ContractError("Tensor: no data, got None")
+        try:
+            self.data = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ContractError(f"Tensor: data {data!r} is not an array of finite reals") from e
         _need_finite(self.data, "Tensor: data")
         self.requires_grad = requires_grad
         self.grad = None
@@ -358,10 +366,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; both operands 2-D, or stacked with equal batch dims."""
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible operand shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dimensions differ for shapes {a.shape} and {b.shape}")
 
     def back(g):
         return (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)

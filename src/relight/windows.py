@@ -20,8 +20,10 @@ from .tensor import Tensor
 PATCH = 8  # global-branch patch side and stride
 
 
-def _window_grid(height: int, width: int, s: int) -> tuple[int, int]:
-    """(window rows, window columns) of an s x s tiling; s must divide both sides."""
+def _window_grid(height: int, width: int, s: int, what: str) -> tuple[int, int]:
+    """The one tiling rule: (rows, columns) of an s x s tiling of ints >= 1 that s divides."""
+    T._need_int(height, 1, f"{what}: height")
+    T._need_int(width, 1, f"{what}: width")
     if not T._is_int(s, 1) or height % s or width % s:
         raise ContractError(f"window size {s!r} must be an int >= 1 that divides feature map {height}x{width}")
     return height // s, width // s
@@ -31,7 +33,7 @@ def window_partition(x: Tensor, s: int) -> Tensor:
     """[C,H,W] -> [num_windows, s*s, C]; lossless, exactly inverted by window_reverse."""
     T._need_rank(x, "[C,H,W]", "window_partition")
     C, H, W = x.shape
-    nh, nw = _window_grid(H, W, s)
+    nh, nw = _window_grid(H, W, s, "window_partition")
     t = T.reshape(x, (C, nh, s, nw, s))
     t = T.permute(t, (1, 3, 2, 4, 0))  # (nh, nw, s, s, C)
     return T.reshape(t, (nh * nw, s * s, C))
@@ -41,9 +43,7 @@ def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
     """[num_windows, s*s, C] -> [C,H,W]; exact inverse of window_partition."""
     T._need_rank(w, "[num_windows,s*s,C]", "window_reverse")
     nwin, tokens, C = w.shape
-    T._need_int(height, 1, "window_reverse: height")
-    T._need_int(width, 1, "window_reverse: width")
-    nh, nw = _window_grid(height, width, s)
+    nh, nw = _window_grid(height, width, s, "window_reverse")
     if nwin * tokens != height * width or tokens != s * s:
         raise DimensionError(f"cannot reverse {nwin} windows of {tokens} tokens into {height}x{width} with size {s}")
     t = T.reshape(w, (nh, nw, s, s, C))
@@ -75,10 +75,8 @@ def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, wid
     """
     T._need_rank(z, "[L,d]", "patch_recover")
     L, d = z.shape
-    T._need_int(height, 1, "patch_recover: height")
-    T._need_int(width, 1, "patch_recover: width")
-    hh, ww = height // PATCH, width // PATCH
-    if L != hh * ww or height % PATCH or width % PATCH:
+    hh, ww = _window_grid(height, width, PATCH, "patch_recover")
+    if L != hh * ww:
         raise DimensionError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
     x = T.permute(z, (1, 0))
     x = T.reshape(x, (d, hh, ww))

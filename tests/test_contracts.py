@@ -32,7 +32,6 @@ from relight.tensor import Tape, Tensor
 REPR = "{value!r}"  # the default template: the message shows the value as repr does
 RANK = "got shape {value}"  # a rank row's values are input shapes, one axis off
 BOTH = "{value[0]} and {value[1]}"  # the values of a two-operand shape row are pairs of shapes
-VS = "{value[0]} vs {value[1]}"  # the same, as the losses word it
 
 
 def _int(what, least):
@@ -114,6 +113,8 @@ def _luminance(region, k=(3, 8, 8)):
 CONTRACTS = {
     # tensor
     "Tensor-data": (Tensor, ContractError, "non-finite entry {value[1]} at flat index 1", [[1.0, np.nan]]),
+    "Tensor-data-convert": (Tensor, ContractError, REPR, ["a", [[1.0], [1.0, 2.0]], 10**400]),
+    "Tensor-data-none": (Tensor, ContractError, "no data", [None]),
     "Tape-nested": (_enter, ContractError, "a Tape is already active in this thread", [Tape()]),
     "Tape.backward-loss": (lambda v: Tape().backward(v), ContractError, REPR, [3.0, None, np.zeros(())]),
     "Tape.backward-shape": (lambda s: Tape().backward(_zeros(*s)), DimensionError, RANK, [(3,)]),
@@ -164,13 +165,13 @@ CONTRACTS = {
         lambda s: W.patch_embed(_zeros(*s), None, None), DimensionError, "got {value[1]}x{value[2]}", [(3, 12, 16)],
     ),
     "patch_recover-rank": (_recover, DimensionError, RANK, [(1, 4, 3)]),
-    "patch_recover-height": (lambda v: _recover(height=v), ContractError, REPR, [True, 16.0, -16]),
+    "patch_recover-height": (lambda v: _recover(height=v), ContractError, REPR, [True, 16.0, -16, 12]),
     "patch_recover-width": (lambda v: _recover(width=v), ContractError, REPR, [True, "16", -16]),
     "patch_recover-count": (_recover, DimensionError, "{value[0]} tokens cannot recover a 16x16 map", [(5, 4)]),
     # attention
     "mhsa-rank": (lambda s: A.mhsa(_zeros(*s), {}, "m", 2), DimensionError, RANK, [(4,)]),
     "mhsa-dim": (
-        lambda s: A.mhsa(_zeros(*s), _MHSA, "m", 2), DimensionError, "dim {value[1]} does not match", [(3, 4)],
+        lambda s: A.mhsa(_zeros(*s), _MHSA, "m", 2), DimensionError, "shapes {value} and (6, 6)", [(3, 4)],
     ),
     "mhsa-heads": (
         lambda v: A.mhsa(_zeros(3, 6), _MHSA, "m", v),
@@ -199,6 +200,7 @@ CONTRACTS = {
     "init_weights-seed": (lambda v: G.init_weights(G.GeneratorConfig(), v), ContractError, REPR, [True, 1.5, -1]),
     "forward-w": (lambda v: G.forward(_zeros(3, 16, 16), v), ContractError, REPR, [None, "w", 0]),
     "forward-w-network": (lambda v: G.forward(_X8, v), ContractError, "has no parameter 'local.embed_w'", [_D8]),
+    "forward-x": (lambda v: G.forward(v, _G16), ContractError, REPR, [np.zeros((3, 16, 16)), None]),
     "forward-x-shape": (lambda s: G.forward(_zeros(*s), _G16), DimensionError, "input shape {value}", [(3, 24, 24)]),
     "forward-x-finite": (
         lambda v: G.forward(_poisoned((3, 16, 16), v), _G16),
@@ -215,13 +217,17 @@ CONTRACTS = {
     "discriminate-w-network": (
         lambda v: D.discriminate(_zeros(3, 16, 16), v), ContractError, "has no parameter 'convs.0.0'", [_G16],
     ),
+    "discriminate-x": (lambda v: D.discriminate(v, _D8), ContractError, REPR, [np.zeros((3, 8, 8)), None]),
     "discriminate-x-shape": (
         lambda s: D.discriminate(_zeros(*s), _D16),
         DimensionError,
-        "got {value}",
+        "input shape {value}",
         [(3, 16, 8), (1, 16, 16), (3, 32, 32)],
     ),
     "discriminate_local-rank": (_local, DimensionError, RANK, [(8, 8)]),
+    "discriminate_local-x": (
+        lambda v: D.discriminate_local(v, _D8, _RNG, 1), ContractError, REPR, [np.zeros((3, 8, 8)), None],
+    ),
     "discriminate_local-w": (lambda v: _local(w=v), ContractError, REPR, [None, "w", 0]),
     "discriminate_local-patch": (
         lambda s: _local(s, _D16), DimensionError, "16 exceeds image {value[1]}x{value[2]}", [(3, 8, 8)],
@@ -260,13 +266,13 @@ CONTRACTS = {
         lambda v: L.self_feature_preserving_loss(_X8, _X8, v), ContractError, REPR, [None, "fe", 0],
     ),
     "self_feature_preserving_loss-shapes": (
-        lambda v: L.self_feature_preserving_loss(*_each(v), _FE), DimensionError, VS, [((3, 8, 8), (3, 16, 16))],
+        lambda v: L.self_feature_preserving_loss(*_each(v), _FE), DimensionError, BOTH, [((3, 8, 8), (3, 16, 16))],
     ),
     "identity_invariant_loss-shapes": (
-        lambda v: L.identity_invariant_loss(*_each(v)), DimensionError, VS, [((3, 8, 8), (3, 8, 4))],
+        lambda v: L.identity_invariant_loss(*_each(v)), DimensionError, BOTH, [((3, 8, 8), (3, 8, 4))],
     ),
     "luminance_consistency_loss-shapes": (
-        lambda s: _luminance((0, 0, 2, 2), s), DimensionError, "(3, 8, 8) vs {value}", [(3, 4, 4)],
+        lambda s: _luminance((0, 0, 2, 2), s), DimensionError, "(3, 8, 8) and {value}", [(3, 4, 4)],
     ),
     "luminance_consistency_loss-region": (_luminance, ContractError, "got {value!r}", [(0, 0, 2), 4]),
     "luminance_consistency_loss-region-empty": (
