@@ -64,10 +64,12 @@ def discriminate_local(x: Tensor, w: G.Weights, rng, n_patches: int = 4) -> list
 
     Each crop's top, then left offset is drawn uniformly from rng, so a
     seeded generator reproduces them; gradients flow through the crops into x.
+    Every argument is checked before the first draw, so a rejected call leaves
+    rng as it was.
     """
     T._need_type(x, Tensor, "discriminate_local: x")
     T._need_rank(x, "[C,H,W]", "discriminate_local")
-    T._need_type(w, G.Weights, "discriminate_local: w")  # discriminate checks its network on each crop
+    G._need_weights(w, "convs.0.0", "discriminate_local")
     _, H, Wd = x.shape
     patch = w.input_shape[-1]
     if patch > H or patch > Wd:

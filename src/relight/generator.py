@@ -106,12 +106,16 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
     return Weights((3, cfg.height, cfg.width), p)
 
 
-def _need_input(x, w, first: str, what: str):
-    """Raise unless w is a Weights holding ``first``, the first parameter its network
-    reads, and x a Tensor of w's input shape."""
+def _need_weights(w, first: str, what: str):
+    """Raise unless w is a Weights holding ``first``, the first parameter its network reads."""
     T._need_type(w, Weights, f"{what}: w")
     if first not in w.params:
         raise ContractError(f"{what}: w has no parameter {first!r}, so it holds another network's weights")
+
+
+def _need_input(x, w, first: str, what: str):
+    """Raise unless w is a Weights holding ``first`` (``_need_weights``) and x a Tensor of w's input shape."""
+    _need_weights(w, first, what)
     T._need_type(x, Tensor, f"{what}: x")
     if x.shape != w.input_shape:
         raise DimensionError(f"{what}: input shape {x.shape} does not match the weights' input shape {w.input_shape}")

@@ -37,12 +37,31 @@ Conventions, fixed here and relied on everywhere else:
   returns a fresh array, so otherwise the next op faults the same pages
   in again; the price is that the process keeps its peak memory.
   Without glibc nothing changes.
+- One reduction rule: a sum over the last axis is ``_sum_last`` and a sum
+  over every axis but the last is ``_sum_lead``, each one BLAS product with
+  a vector of ones.  numpy reduces the short rows of attention and
+  layer_norm one at a time, at more than ``exp`` costs per element.  A
+  tier-1 guard keeps every other ``.sum``/``.mean``/``.max`` over an axis
+  out of this module, but for ``upsample_nearest``'s 2x2 block sum.
+  softmax's row max is ``np.fmax.reduce``, twice as fast as ``.max`` on
+  64-logit rows.
+- One block rule: an op that makes several passes over a large array makes
+  all of them on one block of about ``_BLOCK_BYTES`` (2 MiB) before it
+  moves to the next, so each pass finds the block in cache (Goto & van de
+  Geijn, "Anatomy of High-Performance Matrix Multiplication", TOMS 2008).
+  ``_blocks`` cuts a range into such blocks, each a multiple of 64 items;
+  ``gelu`` runs on flat blocks, ``conv2d`` on column blocks of its output.
+  gelu's blocks change no bit of a result.  conv2d's change none where the
+  column count is a multiple of 8, as in every conv at 64² and 256²;
+  elsewhere the BLAS may round the last few columns differently.
 - ``conv2d`` has no column matrix.  The zero-padded input is split into
   its stride*stride phases, each a flat grid ``Wq`` columns wide; tap
   (i, j) is one GEMM of the kernel's (C_out, C_in) slice with a
   contiguous run of phase (i % s, j % s) starting at
-  ``(i // s) * Wq + j // s``.  Output rows are computed ``Wq`` wide and
-  the columns past the true width dropped; backward feeds zeros there.
+  ``(i // s) * Wq + j // s``.  The tap products add up one column block
+  at a time, each tap after the first through one reused buffer.  Output
+  rows are computed ``Wq`` wide and the columns past the true width
+  dropped; backward feeds zeros there.
 """
 
 from __future__ import annotations
@@ -60,6 +79,7 @@ from .errors import ContractError, DimensionError, DomainError
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_BYTES = 1 << 30
+_BLOCK_BYTES = 2 << 20  # one block of a blocked op's output; see the block rule
 
 
 def _keep_freed_memory():
@@ -90,9 +110,10 @@ class Tensor:
     ``data`` is always a numpy float64 array.  ``grad`` is either None or
     an array of the same shape.  Tensors are treated as immutable values
     by all operations; only the optimizer mutates ``data`` in place,
-    between tapes.  ``Tensor(data)`` rejects data that is None, not an array
-    of reals or non-finite; op outputs and ``detach`` are built by
-    ``_record``, which skips those checks.
+    between tapes.  ``Tensor(data)`` rejects data that is None, complex, not
+    an array of reals or non-finite, and a ``requires_grad`` that is not a
+    ``bool``; op outputs and ``detach`` are built by ``_record``, which skips
+    those checks.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -101,10 +122,13 @@ class Tensor:
         if data is None:  # np.asarray would make it a 0-d NaN
             raise ContractError("Tensor: no data, got None")
         try:
+            if np.iscomplexobj(data):  # the float64 conversion would drop the imaginary part, with only a warning
+                raise ContractError(f"Tensor: data {data!r} is complex, not an array of reals")
             self.data = np.asarray(data, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as e:
             raise ContractError(f"Tensor: data {data!r} is not an array of finite reals") from e
         _need_finite(self.data, "Tensor: data")
+        _need_type(requires_grad, bool, "Tensor: requires_grad")
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -213,6 +237,33 @@ def _record(value: np.ndarray, inputs: Sequence[Tensor], backward: Callable | No
     if out.requires_grad:
         tape._records.append(_Node(out, tuple(inputs), backward))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reductions and blocks
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis, which is kept with length 1: one BLAS product with ones."""
+    lead, n = x.shape[:-1], x.shape[-1]
+    return (x.reshape(math.prod(lead), n) @ np.ones(n)).reshape(*lead, 1)
+
+
+def _sum_lead(x: np.ndarray) -> np.ndarray:
+    """x summed over every axis but the last: one BLAS product with ones."""
+    rows = math.prod(x.shape[:-1])
+    return np.ones(rows) @ x.reshape(rows, x.shape[-1])
+
+
+def _blocks(n: int, item_bytes: int) -> list[slice]:
+    """range(n) cut into slices of _BLOCK_BYTES worth of items, item_bytes each.
+
+    A block is a multiple of 64 items, so each one starts on the SIMD lane and
+    GEMM column panel an unblocked pass would; only the last is shorter.  There
+    is always a first block, the widest, even for n = 0.
+    """
+    step = max(64, _BLOCK_BYTES // item_bytes // 64 * 64)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +378,45 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh form); smooth, so FD-checkable."""
-    d = x.data
-    # t becomes tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since numpy
-    # runs d**3 through pow, about 40x slower than d*d*d.
-    # The out= buffers keep t an array for 0-d input too, so tanh can write into it.
-    t = np.multiply(d, d, out=np.empty_like(d))
-    t *= 0.044715
-    t += 1.0
-    t *= d
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = t + 1.0
-    y *= d
-    y *= 0.5
+    # Flat views, so a 0-d input is a block of one.  t becomes
+    # tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since numpy runs
+    # d**3 through pow, about 40x slower than d*d*d.
+    d = x.data.reshape(-1)
+    t, y = np.empty(d.size), np.empty(d.size)
+    blocks = _blocks(d.size, 8)
+    for blk in blocks:
+        db, tb, yb = d[blk], t[blk], y[blk]
+        np.multiply(db, db, out=tb)
+        tb *= 0.044715
+        tb += 1.0
+        tb *= db
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=yb)
+        yb *= db
+        yb *= 0.5
 
     def back(g):
         # g * (0.5*(1 + t) + 0.5*d*(1 - t^2)*C*(1 + 3*0.044715*d^2))
-        r = np.multiply(d, d, out=np.empty_like(d))
-        r *= 3 * 0.044715
-        r += 1.0
-        r *= d
-        r *= 0.5 * _GELU_C
-        s = np.multiply(t, t, out=np.empty_like(t))
-        np.subtract(1.0, s, out=s)
-        r *= s
-        np.add(t, 1.0, out=s)
-        s *= 0.5
-        r += s
-        r *= g
-        return (r,)
+        g = g.reshape(-1)
+        r, scratch = np.empty(d.size), np.empty(blocks[0].stop)
+        for blk in blocks:
+            db, tb, rb, s = d[blk], t[blk], r[blk], scratch[: blk.stop - blk.start]
+            np.multiply(db, db, out=rb)
+            rb *= 3 * 0.044715
+            rb += 1.0
+            rb *= db
+            rb *= 0.5 * _GELU_C
+            np.multiply(tb, tb, out=s)
+            np.subtract(1.0, s, out=s)
+            rb *= s
+            np.add(tb, 1.0, out=s)
+            s *= 0.5
+            rb += s
+            rb *= g[blk]
+        return (r.reshape(x.shape),)
 
-    return _record(y, (x,), back)
+    return _record(y.reshape(x.shape), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +441,21 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add_bias: bias shape {b.shape} does not match input shape {x.shape}")
 
     def back(g):
-        return (g, g.reshape(-1, b.shape[0]).sum(axis=0))
+        return (g, _sum_lead(g))
 
     return _record(x.data + b.data, (x, b), back)
 
 
 def softmax(x: Tensor) -> Tensor:
     _need_rank(x, "[...,d]", "softmax")
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+    # fmax skips a NaN, but x - max then carries it, so a row with a NaN still comes out all NaN.
+    y = x.data - np.fmax.reduce(x.data, axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= _sum_last(y)
 
     def back(g):
         r = g * y
-        inner = r.sum(axis=-1, keepdims=True)
+        inner = _sum_last(r)
         np.subtract(g, inner, out=r)
         r *= y
         return (r,)
@@ -409,18 +469,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _sum_last(x.data) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _sum_last(xc * xc) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
 
     def back(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
+        dgamma = _sum_lead(g * xhat)
+        dbeta = _sum_lead(g)
         gx = g * gamma.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (gx - _sum_last(gx) / d - xhat * (_sum_last(gx * xhat) / d))
         return (dx, dgamma, dbeta)
 
     return _record(xhat * gamma.data + beta.data, (x, gamma, beta), back)
@@ -562,10 +621,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     n = Ho * Wq  # output rows are Wq wide; columns c >= Wo are computed, then dropped
     taps = [(i, j, (i % s) * s + j % s, (i // s) * Wq + j // s) for i in range(kh) for j in range(kw)]
     wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
-    parts = (wt[i, j] @ phases[ph, :, off : off + n] for i, j, ph, off in taps)
-    acc = next(parts)
-    for part in parts:
-        acc += part
+    # A single tap adds nothing up, so it runs as one block.
+    acc = np.empty((Cout, n))
+    blocks = _blocks(n, 8 * Cout) if len(taps) > 1 else [slice(0, n)]
+    scratch = np.empty((Cout, blocks[0].stop))
+    for blk in blocks:
+        out, part = acc[:, blk], scratch[:, : blk.stop - blk.start]
+        for k, (i, j, ph, off) in enumerate(taps):
+            tap = phases[ph, :, off + blk.start : off + blk.stop]
+            if k == 0:
+                np.matmul(wt[i, j], tap, out=out)
+            else:
+                np.matmul(wt[i, j], tap, out=part)
+                out += part
 
     def back(g):
         gq = np.zeros((Cout, Ho, Wq))
@@ -579,6 +647,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             dxs[ph, :, off : off + n] += wt[i, j].T @ gq
         dx = _from_stride_phases(dxs, H, W, s, pad)
         dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
-        return (dx, dw, g.sum(axis=(1, 2)))
+        return (dx, dw, _sum_last(g.reshape(Cout, Ho * Wo)).reshape(Cout))
 
     return _record(acc.reshape(Cout, Ho, Wq)[:, :, :Wo] + b.data[:, None, None], (x, w, b), back)

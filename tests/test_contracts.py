@@ -115,6 +115,11 @@ CONTRACTS = {
     "Tensor-data": (Tensor, ContractError, "non-finite entry {value[1]} at flat index 1", [[1.0, np.nan]]),
     "Tensor-data-convert": (Tensor, ContractError, REPR, ["a", [[1.0], [1.0, 2.0]], 10**400]),
     "Tensor-data-none": (Tensor, ContractError, "no data", [None]),
+    "Tensor-data-complex": (Tensor, ContractError, REPR, [np.array([1 + 1j]), [1.0, 2j], 1 + 0j]),
+    "Tensor-requires_grad": (
+        lambda v: Tensor([1.0], requires_grad=v), ContractError, "requires_grad must be a bool, got {value!r}",
+        ["yes", 1, None, np.True_],
+    ),
     "Tape-nested": (_enter, ContractError, "a Tape is already active in this thread", [Tape()]),
     "Tape.backward-loss": (lambda v: Tape().backward(v), ContractError, REPR, [3.0, None, np.zeros(())]),
     "Tape.backward-shape": (lambda s: Tape().backward(_zeros(*s)), DimensionError, RANK, [(3,)]),
@@ -229,6 +234,9 @@ CONTRACTS = {
         lambda v: D.discriminate_local(v, _D8, _RNG, 1), ContractError, REPR, [np.zeros((3, 8, 8)), None],
     ),
     "discriminate_local-w": (lambda v: _local(w=v), ContractError, REPR, [None, "w", 0]),
+    "discriminate_local-w-network": (
+        lambda v: _local((3, 32, 32), v), ContractError, "discriminate_local: w has no parameter 'convs.0.0'", [_G16],
+    ),
     "discriminate_local-patch": (
         lambda s: _local(s, _D16), DimensionError, "16 exceeds image {value[1]}x{value[2]}", [(3, 8, 8)],
     ),

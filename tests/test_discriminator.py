@@ -5,6 +5,7 @@ from finite_diff import discriminator_convs, finite_diff, trunk_preactivations
 from relight import discriminator as D
 from relight import generator as G
 from relight import tensor as T
+from relight.errors import ContractError
 from relight.tensor import Tape, Tensor
 from test_contracts import reject
 
@@ -92,3 +93,12 @@ def test_discriminate_local_gradient_reaches_x_only_inside_crops():
 @pytest.mark.parametrize("n", [0, -1, 2.0, None])
 def test_bad_patch_count_rejected_naming_the_value(n):
     reject("discriminate_local-n_patches", n)
+
+
+def test_discriminate_local_checks_the_weights_before_drawing_a_crop():
+    # On a 32x32 x the generator's 16x16 weights leave room for crops, so a draw before the check would show.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ContractError, match="discriminate_local: w has no parameter 'convs.0.0'"):
+        D.discriminate_local(Tensor(np.zeros((3, 32, 32))), G.init_weights(G.GeneratorConfig(16, 16), 0), rng, 2)
+    assert rng.bit_generator.state == state

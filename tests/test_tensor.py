@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from finite_diff import finite_diff
 from relight import attention as A
@@ -173,6 +174,29 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < im2col_bytes
 
+    @staticmethod
+    def three_column_blocks():
+        """A 32 -> 32 3x3 pad-1 conv whose 4 x 5002 output columns make two full column blocks and a partial one."""
+        blocks = T._blocks(4 * 5002, 8 * 32)
+        assert len(blocks) == 3 and blocks[2].stop - blocks[2].start < blocks[0].stop
+        rng = np.random.default_rng(10)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((32, 4, 5000), (32, 32, 3, 3), (32,)))
+        return x, w, b, blocks
+
+    def test_column_blocks_against_direct_correlation(self):
+        x, w, _, _ = self.three_column_blocks()
+        got = T.conv2d(x, w, zero_bias(w), pad=1).data
+        windows = sliding_window_view(np.pad(x.data, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+        expected = np.einsum("chwij,ocij->ohw", windows, w.data, optimize=True)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_gradient_either_side_of_a_column_block_boundary(self):
+        x, w, b, blocks = self.three_column_blocks()
+        r, c = divmod(blocks[1].start, 5002)  # the first output of the second block, in the 5002-wide rows
+        around = [ci * 4 * 5000 + r * 5000 + cc for ci in (0, 31) for cc in (c - 2, c - 1, c, c + 1)]
+        entries = [(0, i) for i in around] + [(1, 0), (1, w.size - 1), (2, 0), (2, 31)]
+        assert finite_diff(lambda: T.conv2d(x, w, b, pad=1), [x, w, b], entries) < 1e-6
+
     @pytest.mark.parametrize(
         "arg, value, least",
         [
@@ -219,6 +243,24 @@ class TestElementwise:
         assert np.allclose(T.gelu(Tensor(x)).data, expected, rtol=1e-14, atol=1e-15)
         assert np.allclose(T.gelu(Tensor(x[1500])).data, expected[1500], rtol=1e-14, atol=1e-15)
 
+    def test_gelu_blocks_match_the_closed_form_bitwise(self):
+        # The closed form in the op's own order, so blocking is the only difference.
+        step = T._BLOCK_BYTES // 8
+        n = 2 * step + step // 3
+        assert len(T._blocks(n, 8)) == 3
+        rng = np.random.default_rng(13)
+        raw, g = rng.uniform(-6.0, 6.0, size=n), rng.normal(size=n)
+        t = np.tanh((raw * raw * 0.044715 + 1.0) * raw * T._GELU_C)
+        expected = (t + 1.0) * raw * 0.5
+        slope = (raw * raw * (3 * 0.044715) + 1.0) * raw * (0.5 * T._GELU_C) * (1.0 - t * t) + (t + 1.0) * 0.5
+        for at in (slice(None), 7):  # every entry, then a 0-d input
+            x = Tensor(raw[at], requires_grad=True)
+            with Tape() as tape:
+                y = T.gelu(x)
+                tape.backward(T.tsum(T.mul(y, Tensor(g[at]))))
+            assert np.array_equal(y.data, expected[at]) and y.shape == x.shape
+            assert np.array_equal(x.grad, slope[at] * g[at])
+
     def test_gelu_gradient_on_both_signs(self):
         raw = np.random.default_rng(11).uniform(-4.0, 4.0, size=7)
         assert (raw < -2.0).any() and (raw > 2.0).any()
@@ -241,6 +283,14 @@ class TestSoftmax:
         rng = np.random.default_rng(12)
         out = T.softmax(Tensor(rng.normal(size=(4, 6)))).data
         assert np.allclose(out.sum(axis=-1), 1.0)
+
+    def test_a_row_with_a_nan_or_inf_logit_comes_out_all_nan(self):
+        x = Tensor(np.zeros((3, 4)))  # poisoned past the constructor's check, as a diverged op output would be
+        x.data[0, 1], x.data[1, 2] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            out = T.softmax(x).data
+        assert np.isnan(out[:2]).all()
+        assert np.array_equal(out[2], np.full(4, 0.25))
 
 
 class TestLayerNorm:
