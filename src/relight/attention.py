@@ -40,10 +40,11 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     if not T._is_int(heads, 1) or d % heads:
         raise ContractError(f"heads {heads!r} must be an int >= 1 that divides dim {d}")
     hd = d // heads
+    param = T._params(p, prefix, "mhsa")
     flat = T.reshape(z, (B * L, d))
 
     def project(name, axes):
-        return T.permute(T.reshape(flat @ p[f"{prefix}.{name}"], (B, L, heads, hd)), axes)
+        return T.permute(T.reshape(flat @ param(name), (B, L, heads, hd)), axes)
 
     q = project("w_q", (0, 2, 1, 3))  # (B, heads, L, hd)
     k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
@@ -52,7 +53,7 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     attn = T.softmax(q @ k)
     ctx = attn @ v  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
-    return T.reshape(ctx @ p[f"{prefix}.w_o"], z.shape)
+    return T.reshape(ctx @ param("w_o"), z.shape)
 
 
 def transformer_block(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
@@ -60,12 +61,13 @@ def transformer_block(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) 
 
     Reads norm1_g/b, mhsa.*, norm2_g/b, mlp_w1/b1 and mlp_w2/b2 under prefix.
     """
-    attn = mhsa(T.layer_norm(z, p[f"{prefix}.norm1_g"], p[f"{prefix}.norm1_b"]), p, f"{prefix}.mhsa", heads)
+    param = T._params(p, prefix, "transformer_block")
+    attn = mhsa(T.layer_norm(z, param("norm1_g"), param("norm1_b")), p, f"{prefix}.mhsa", heads)
     z = T.add(z, attn)
     lead, d = z.shape[:-1], z.shape[-1]
-    flat = T.reshape(T.layer_norm(z, p[f"{prefix}.norm2_g"], p[f"{prefix}.norm2_b"]), (-1, d))
-    hidden = T.gelu(T.add_bias(flat @ p[f"{prefix}.mlp_w1"], p[f"{prefix}.mlp_b1"]))
-    mlp = T.reshape(T.add_bias(hidden @ p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"]), lead + (d,))
+    flat = T.reshape(T.layer_norm(z, param("norm2_g"), param("norm2_b")), (-1, d))
+    hidden = T.gelu(T.add_bias(flat @ param("mlp_w1"), param("mlp_b1")))
+    mlp = T.reshape(T.add_bias(hidden @ param("mlp_w2"), param("mlp_b2")), lead + (d,))
     return T.add(z, mlp)
 
 
@@ -87,7 +89,8 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
 
     Reads embed_w/b and blocks.{0,1,2}.* under prefix.
     """
-    feat = T.conv2d(x, p[f"{prefix}.embed_w"], p[f"{prefix}.embed_b"])
+    param = T._params(p, prefix, "local_branch")
+    feat = T.conv2d(x, param("embed_w"), param("embed_b"))
     acc = None
     for i, s in enumerate(LOCAL_WINDOW_SIZES):
         feat = window_attention_block(feat, s, p, f"{prefix}.blocks.{i}", heads)
@@ -101,7 +104,8 @@ def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> T
     Reads patch_w/b, the [L,d] table pos, blocks.{0,1}.* and recover.* under prefix.
     pos is added to the tokens, so a table of another shape raises DimensionError.
     """
-    z = T.add(W.patch_embed(x, p[f"{prefix}.patch_w"], p[f"{prefix}.patch_b"]), p[f"{prefix}.pos"])
+    param = T._params(p, prefix, "global_branch")
+    z = T.add(W.patch_embed(x, param("patch_w"), param("patch_b")), param("pos"))
     for i in range(2):
         z = transformer_block(z, p, f"{prefix}.blocks.{i}", heads)
     return W.patch_recover(z, p, f"{prefix}.recover", x.shape[1], x.shape[2])  # patch_embed checks x's rank

@@ -51,11 +51,11 @@ def init_discriminator(input_size: int, seed: int) -> G.Weights:
 def discriminate(x: Tensor, w: G.Weights) -> Tensor:
     """Score one [3,S,S] image or patch; returns a scalar logit tensor."""
     G._need_input(x, w, "convs.0.0", "discriminate")
-    p = w.params
-    convs = [(p[f"convs.{i}.0"], p[f"convs.{i}.1"]) for i in range(len(CONV_CHANNELS))]
+    param = T._params(w.params, "", "discriminate")
+    convs = [(param(f"convs.{i}.0"), param(f"convs.{i}.1")) for i in range(len(CONV_CHANNELS))]
     feat = trunk(x, convs, 0.2)[-1]
     flat = T.reshape(feat, (1, feat.size))
-    logit = T.add_bias(flat @ p["linear_w"], p["linear_b"])
+    logit = T.add_bias(flat @ param("linear_w"), param("linear_b"))
     return T.reshape(logit, ())
 
 

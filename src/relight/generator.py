@@ -130,9 +130,10 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
     feat = T.concat([local, A.global_branch(x, p, "global_", GeneratorConfig.global_heads)], axis=0)
 
-    feat = T.leaky_relu(T.conv2d(feat, p["fuse1_w"], p["fuse1_b"], pad=1), 0.2)
-    feat = T.leaky_relu(T.conv2d(feat, p["fuse2_w"], p["fuse2_b"], pad=1), 0.2)
-    return T.sigmoid(T.conv2d(feat, p["out_w"], p["out_b"]))
+    param = T._params(p, "", "forward")
+    feat = T.leaky_relu(T.conv2d(feat, param("fuse1_w"), param("fuse1_b"), pad=1), 0.2)
+    feat = T.leaky_relu(T.conv2d(feat, param("fuse2_w"), param("fuse2_b"), pad=1), 0.2)
+    return T.sigmoid(T.conv2d(feat, param("out_w"), param("out_b")))
 
 
 def named_parameters(w: Weights) -> Iterable[tuple[str, Tensor]]:

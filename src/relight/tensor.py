@@ -22,12 +22,20 @@ Conventions, fixed here and relied on everywhere else:
   else builds op outputs.  ``_record`` wraps the array and, under a tape
   with an input that requires grad, appends exactly one record, whose
   ``.out`` is the returned tensor.
+- A record keeps its closure and its inputs' keys, never array data; a
+  closure keeps only the arrays its backward reads.  An input's key is its
+  own record on this tape, the input itself if it is a leaf here (a tensor
+  made on another tape included), or None if it needs no grad.  So an
+  activation no backward reads is freed as soon as the caller drops it,
+  and only the tape keeps records alive: a record holds its output, and a
+  tensor its record, by weak reference.
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
 - Every module rejects a bad int, type or rank with ``_need_int``/``_need_type``/``_need_rank``,
   two operands of different shapes with ``_need_same_shape``, and a side that does
   not cut into windows or patches with the one tiling rule, ``windows._window_grid``.
+  A function reads its parameters by dotted name through ``_params``, which names a missing one.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).
@@ -42,7 +50,7 @@ Conventions, fixed here and relied on everywhere else:
   a vector of ones.  numpy reduces the short rows of attention and
   layer_norm one at a time, at more than ``exp`` costs per element.  A
   tier-1 guard keeps every other ``.sum``/``.mean``/``.max`` over an axis
-  out of this module, but for ``upsample_nearest``'s 2x2 block sum.
+  out of this module; ``upsample_nearest`` adds its 2x2 blocks up by hand.
   softmax's row max is ``np.fmax.reduce``, twice as fast as ``.max`` on
   64-logit rows.
 - One block rule: an op that makes several passes over a large array makes
@@ -67,9 +75,11 @@ Conventions, fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import numbers
 import threading
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -98,6 +108,7 @@ def _keep_freed_memory():
 _keep_freed_memory()
 
 _tls = threading.local()
+_tape_serials = itertools.count()
 
 
 def _active_tape():
@@ -113,10 +124,12 @@ class Tensor:
     between tapes.  ``Tensor(data)`` rejects data that is None, complex, not
     an array of reals or non-finite, and a ``requires_grad`` that is not a
     ``bool``; op outputs and ``detach`` are built by ``_record``, which skips
-    those checks.
+    those checks.  ``_node`` is a weak reference to the record that made
+    the tensor, or None for a leaf; ``__weakref__`` lets a record refer to
+    its output without keeping it alive.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if data is None:  # np.asarray would make it a 0-d NaN
@@ -131,6 +144,7 @@ class Tensor:
         _need_type(requires_grad, bool, "Tensor: requires_grad")
         self.requires_grad = requires_grad
         self.grad = None
+        self._node = None
 
     @property
     def shape(self):
@@ -156,12 +170,20 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "backward")
+    """One record: an op's backward closure and, per input, the key its gradient goes to."""
 
-    def __init__(self, out, inputs, backward):
-        self.out = out
-        self.inputs = inputs
+    __slots__ = ("_out", "keys", "backward", "tape_serial", "__weakref__")
+
+    def __init__(self, out, keys, backward, tape_serial):
+        self._out = weakref.ref(out)
+        self.keys = keys
         self.backward = backward
+        self.tape_serial = tape_serial
+
+    @property
+    def out(self):
+        """The op's output while something else keeps it alive (the record holds it weakly), else None."""
+        return self._out()
 
 
 class Tape:
@@ -169,11 +191,14 @@ class Tape:
 
     Records are appended in execution order, so an operation's inputs are
     always recorded before the operation itself; ``backward`` exploits
-    this by walking the list once in reverse.
+    this by walking the list once in reverse.  Each tape has its own
+    serial, and a record the one of its tape, so a tensor made on another
+    tape is a leaf of this one.
     """
 
     def __init__(self):
         self._records: list[_Node] = []
+        self._serial = next(_tape_serials)
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -188,6 +213,13 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
+    def _key(self, t: Tensor):
+        """Where t's gradient collects: its record on this tape, t itself if a leaf here, None if it needs none."""
+        if not t.requires_grad:
+            return None
+        node = t._node() if t._node is not None else None
+        return node if node is not None and node.tape_serial == self._serial else t
+
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
@@ -200,20 +232,20 @@ class Tape:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._records:
             raise ContractError("backward called on an empty tape")
-        # Keyed by the tensor itself: a Tensor hashes by identity.
-        grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
+        # Keyed by record or leaf, each of which hashes by identity.
+        grads: dict[_Node | Tensor | None, np.ndarray] = {self._key(loss): np.ones((), dtype=np.float64)}
         for node in reversed(self._records):
-            g = grads.pop(node.out, None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            for t, gin in zip(node.inputs, node.backward(g)):
-                if t.requires_grad:
-                    prev = grads.get(t)
-                    grads[t] = gin if prev is None else prev + gin
-        # Only leaves remain: each produced tensor's gradient was popped at its
-        # own record, which the reverse walk reaches after all its consumers.
+            for key, gin in zip(node.keys, node.backward(g)):
+                if key is not None:
+                    prev = grads.get(key)
+                    grads[key] = gin if prev is None else prev + gin
+        # Only leaves remain (and None, for a loss that needs no grad): the reverse
+        # walk popped each record's gradient after all its consumers had added to it.
         for t, g in grads.items():
-            if t.requires_grad:
+            if t is not None:
                 # np.array: an owned array even for a 0-d leaf, where t.grad + g is a numpy scalar.
                 t.grad = np.array(g if t.grad is None else t.grad + g, dtype=np.float64)
 
@@ -232,10 +264,14 @@ def _record(value: np.ndarray, inputs: Sequence[Tensor], backward: Callable | No
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(value)  # a numpy scalar (a reduction, an op on 0-d input) becomes a 0-d array
     out.grad = None
+    out._node = None
     tape = _active_tape()
-    out.requires_grad = tape is not None and any(t.requires_grad for t in inputs)
+    keys = tuple(tape._key(t) for t in inputs) if tape is not None else ()
+    out.requires_grad = any(key is not None for key in keys)
     if out.requires_grad:
-        tape._records.append(_Node(out, tuple(inputs), backward))
+        node = _Node(out, keys, backward, tape._serial)
+        tape._records.append(node)
+        out._node = weakref.ref(node)
     return out
 
 
@@ -302,6 +338,19 @@ def _need_finite(arr: np.ndarray, what: str):
         raise ContractError(f"{what} has non-finite entry {arr.flat[i]} at flat index {i}")
 
 
+def _params(p: dict[str, Tensor], prefix: str, what: str) -> Callable[[str], Tensor]:
+    """The reader of p under prefix: name -> p[f"{prefix}.{name}"] (p[name] for an empty prefix),
+    raising ContractError that names the dotted name p lacks."""
+
+    def param(name: str) -> Tensor:
+        dotted = f"{prefix}.{name}" if prefix else name
+        if dotted not in p:
+            raise ContractError(f"{what}: missing parameter {dotted!r}")
+        return p[dotted]
+
+    return param
+
+
 def _need_rank(x: Tensor, layout: str, what: str):
     """Raise DimensionError naming x's shape unless x has one axis per name in layout.
 
@@ -311,6 +360,13 @@ def _need_rank(x: Tensor, layout: str, what: str):
     axes = layout[1:-1].split(",")
     if x.ndim != len(axes) and not (axes[0] == "..." and x.ndim >= len(axes) - 1):
         raise DimensionError(f"{what}: expected {layout}, got shape {x.shape}")
+
+
+def _need_rows(x: Tensor, what: str):
+    """Raise DimensionError naming x's shape unless x has a last axis and it is not empty."""
+    _need_rank(x, "[...,d]", what)
+    if x.shape[-1] == 0:
+        raise DimensionError(f"{what}: expected a non-empty last axis, got shape {x.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -325,7 +381,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "mul")
-    return _record(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _record(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -337,8 +394,9 @@ def scale(x: Tensor, s: float) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     if not _is_real(slope):
         raise ContractError(f"leaky_relu: slope must be a finite real, got {slope!r}")
-    y = np.where(x.data > 0.0, x.data, slope * x.data)
-    return _record(y, (x,), lambda g: (g * np.where(x.data > 0.0, 1.0, slope),))
+    positive = x.data > 0.0  # kept by backward in place of x: one byte an entry
+    y = np.where(positive, x.data, slope * x.data)
+    return _record(y, (x,), lambda g: (g * np.where(positive, 1.0, slope),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -365,12 +423,14 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def square(x: Tensor) -> Tensor:
-    return _record(x.data * x.data, (x,), lambda g: (g * (2.0 * x.data),))
+    xd = x.data
+    return _record(xd * xd, (x,), lambda g: (g * (2.0 * xd),))
 
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow; backward is sigmoid(x)."""
-    return _record(np.logaddexp(0.0, x.data), (x,), lambda g: (g * _sigmoid(x.data),))
+    xd = x.data
+    return _record(np.logaddexp(0.0, xd), (x,), lambda g: (g * _sigmoid(xd),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -381,7 +441,7 @@ def gelu(x: Tensor) -> Tensor:
     # Flat views, so a 0-d input is a block of one.  t becomes
     # tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since numpy runs
     # d**3 through pow, about 40x slower than d*d*d.
-    d = x.data.reshape(-1)
+    d, shape = x.data.reshape(-1), x.shape
     t, y = np.empty(d.size), np.empty(d.size)
     blocks = _blocks(d.size, 8)
     for blk in blocks:
@@ -414,9 +474,9 @@ def gelu(x: Tensor) -> Tensor:
             s *= 0.5
             rb += s
             rb *= g[blk]
-        return (r.reshape(x.shape),)
+        return (r.reshape(shape),)
 
-    return _record(y.reshape(x.shape), (x,), back)
+    return _record(y.reshape(shape), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +487,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; both operands 2-D, or stacked with equal batch dims."""
     if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible operand shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
 
     def back(g):
-        return (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
+        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
 
-    return _record(a.data @ b.data, (a, b), back)
+    return _record(ad @ bd, (a, b), back)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -447,7 +508,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    _need_rank(x, "[...,d]", "softmax")
+    _need_rows(x, "softmax")
     # fmax skips a NaN, but x - max then carries it, so a row with a NaN still comes out all NaN.
     y = x.data - np.fmax.reduce(x.data, axis=-1, keepdims=True)
     np.exp(y, out=y)
@@ -465,7 +526,7 @@ def softmax(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize to zero mean / unit variance (eps 1e-5) along the last axis, then affine."""
-    _need_rank(x, "[...,d]", "layer_norm")
+    _need_rows(x, "layer_norm")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
@@ -474,15 +535,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = _sum_last(xc * xc) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
+    gd = gamma.data
 
     def back(g):
         dgamma = _sum_lead(g * xhat)
         dbeta = _sum_lead(g)
-        gx = g * gamma.data
+        gx = g * gd
         dx = inv * (gx - _sum_last(gx) / d - xhat * (_sum_last(gx * xhat) / d))
         return (dx, dgamma, dbeta)
 
-    return _record(xhat * gamma.data + beta.data, (x, gamma, beta), back)
+    return _record(xhat * gd + beta.data, (x, gamma, beta), back)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +559,8 @@ def reshape(x: Tensor, shape) -> Tensor:
         out_arr = x.data.reshape(shape)
     except ValueError as e:
         raise DimensionError(f"reshape: cannot view shape {x.shape} as {shape!r}") from e
-    return _record(out_arr, (x,), lambda g: (np.ascontiguousarray(g).reshape(x.shape),))
+    in_shape = x.shape
+    return _record(out_arr, (x,), lambda g: (np.ascontiguousarray(g).reshape(in_shape),))
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -538,9 +601,10 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
         _need_int(value, least, f"crop: {what}")
     if top + height > H or left + width > W:
         raise DimensionError(f"crop: rect ({top},{left},{height},{width}) outside {H}x{W}")
+    shape = x.shape
 
     def back(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[..., top : top + height, left : left + width] = g
         return (gx,)
 
@@ -549,13 +613,14 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
 
 def mean(x: Tensor) -> Tensor:
     """Mean over every element, as a scalar."""
-    n = x.size
-    return _record(x.data.mean(), (x,), lambda g: (np.full(x.shape, float(g) / n),))
+    n, shape = x.size, x.shape
+    return _record(x.data.mean(), (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum over every element, as a scalar."""
-    return _record(x.data.sum(), (x,), lambda g: (np.full(x.shape, float(g)),))
+    shape = x.shape
+    return _record(x.data.sum(), (x,), lambda g: (np.full(shape, float(g)),))
 
 
 def upsample_nearest(x: Tensor) -> Tensor:
@@ -564,7 +629,9 @@ def upsample_nearest(x: Tensor) -> Tensor:
     C, H, W = x.shape
 
     def back(g):
-        return (g.reshape(C, H, 2, W, 2).sum(axis=(2, 4)),)
+        # The order in which .sum(axis=(2, 4)) adds up a 2x2 block where W > 1, in a sixth of its time or less.
+        q = g.reshape(C, H, 2, W, 2)
+        return ((q[:, :, 0, :, 0] + q[:, :, 0, :, 1]) + (q[:, :, 1, :, 0] + q[:, :, 1, :, 1]),)
 
     return _record(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), (x,), back)
 
@@ -617,7 +684,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     s = stride
     Ho = (H + 2 * pad - kh) // s + 1
     Wo = (W + 2 * pad - kw) // s + 1
-    phases, Wq = _stride_phases(x.data, s, pad, (kw - 1) // s)
+    xd = x.data
+    phases, Wq = _stride_phases(xd, s, pad, (kw - 1) // s)
     n = Ho * Wq  # output rows are Wq wide; columns c >= Wo are computed, then dropped
     taps = [(i, j, (i % s) * s + j % s, (i // s) * Wq + j // s) for i in range(kh) for j in range(kw)]
     wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
@@ -639,7 +707,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         gq = np.zeros((Cout, Ho, Wq))
         gq[:, :, :Wo] = g
         gq = gq.reshape(Cout, n)
-        xs, _ = _stride_phases(x.data, s, pad, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
+        xs, _ = _stride_phases(xd, s, pad, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
         dxs = np.zeros_like(xs)
         dwt = np.empty_like(wt)
         for i, j, ph, off in taps:

@@ -78,10 +78,11 @@ def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, wid
     hh, ww = _window_grid(height, width, PATCH, "patch_recover")
     if L != hh * ww:
         raise DimensionError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
+    param = T._params(p, prefix, "patch_recover")
     x = T.permute(z, (1, 0))
     x = T.reshape(x, (d, hh, ww))
     for i in range(3):
         x = T.upsample_nearest(x)
-        x = T.conv2d(x, p[f"{prefix}.convs.{i}.0"], p[f"{prefix}.convs.{i}.1"], stride=1, pad=1)
+        x = T.conv2d(x, param(f"convs.{i}.0"), param(f"convs.{i}.1"), stride=1, pad=1)
         x = T.leaky_relu(x, 0.2)
     return x

@@ -31,6 +31,7 @@ from relight.tensor import Tape, Tensor
 
 REPR = "{value!r}"  # the default template: the message shows the value as repr does
 RANK = "got shape {value}"  # a rank row's values are input shapes, one axis off
+MISSING = "missing parameter {value!r}"  # a missing-parameter row's values are the dotted names left out
 BOTH = "{value[0]} and {value[1]}"  # the values of a two-operand shape row are pairs of shapes
 
 
@@ -70,6 +71,11 @@ _PARTS = {name: Tensor(0.0) for name in L.LOSS_TERMS}
 _MHSA = {f"m.{name}": _zeros(6, 6) for name in ("w_q", "w_k", "w_v", "w_o")}
 
 
+def _without(params, name):
+    """params with the parameter name left out."""
+    return {k: t for k, t in params.items() if k != name}
+
+
 def _crop(*rect):
     return T.crop(_zeros(1, 4, 4), *rect)
 
@@ -86,8 +92,8 @@ def _reverse(w=(4, 4, 2), s=2, height=4, width=4):
     return W.window_reverse(_zeros(*w), s, height, width)
 
 
-def _recover(z=(4, 16), height=16, width=16):
-    return W.patch_recover(_zeros(*z), _P16, "global_.recover", height, width)
+def _recover(z=(4, 16), height=16, width=16, p=_P16):
+    return W.patch_recover(_zeros(*z), p, "global_.recover", height, width)
 
 
 def _block(x=(16, 8, 8), s=2, heads=2):
@@ -132,7 +138,11 @@ CONTRACTS = {
     "matmul-shapes": (lambda v: T.matmul(*_each(v)), DimensionError, BOTH, [((2, 3), (2, 3))]),
     "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), None), DimensionError, RANK, [()]),
     "softmax-rank": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [()]),
+    "softmax-empty": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)]),
     "layer_norm-rank": (lambda s: T.layer_norm(_zeros(*s), None, None), DimensionError, RANK, [()]),
+    "layer_norm-empty": (
+        lambda s: T.layer_norm(_zeros(*s), _zeros(0), _zeros(0)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)],
+    ),
     "reshape-shape": (
         lambda v: T.reshape(_zeros(2, 3), v), DimensionError, REPR, [True, (2, 3.0), "6", (True, 6), (4, 2)],
     ),
@@ -173,10 +183,19 @@ CONTRACTS = {
     "patch_recover-height": (lambda v: _recover(height=v), ContractError, REPR, [True, 16.0, -16, 12]),
     "patch_recover-width": (lambda v: _recover(width=v), ContractError, REPR, [True, "16", -16]),
     "patch_recover-count": (_recover, DimensionError, "{value[0]} tokens cannot recover a 16x16 map", [(5, 4)]),
+    "patch_recover-params": (
+        lambda n: _recover(p=_without(_P16, n)),
+        ContractError,
+        MISSING,
+        ["global_.recover.convs.0.0", "global_.recover.convs.2.1"],
+    ),
     # attention
     "mhsa-rank": (lambda s: A.mhsa(_zeros(*s), {}, "m", 2), DimensionError, RANK, [(4,)]),
     "mhsa-dim": (
         lambda s: A.mhsa(_zeros(*s), _MHSA, "m", 2), DimensionError, "shapes {value} and (6, 6)", [(3, 4)],
+    ),
+    "mhsa-params": (
+        lambda n: A.mhsa(_zeros(3, 6), _without(_MHSA, n), "m", 2), ContractError, MISSING, ["m.w_q", "m.w_v", "m.w_o"],
     ),
     "mhsa-heads": (
         lambda v: A.mhsa(_zeros(3, 6), _MHSA, "m", v),
@@ -190,13 +209,31 @@ CONTRACTS = {
         REPR,
         [True, None, -2],
     ),
+    "transformer_block-params": (
+        lambda n: A.transformer_block(_zeros(2, 3, 16), _without(_P16, n), "local.blocks.0", 2),
+        ContractError,
+        MISSING,
+        ["local.blocks.0.norm1_g", "local.blocks.0.mhsa.w_k", "local.blocks.0.norm2_b", "local.blocks.0.mlp_b2"],
+    ),
     "window_attention_block-rank": (_block, DimensionError, RANK, [(4, 4)]),
     "window_attention_block-s": (lambda v: _block(s=v), ContractError, REPR, [True, 2.0]),
     "window_attention_block-heads": (lambda v: _block(heads=v), ContractError, REPR, [True, "2"]),
     "local_branch-heads": (lambda v: A.local_branch(_X8, _P16, "local", v), ContractError, REPR, [True, -2]),
+    "local_branch-params": (
+        lambda n: A.local_branch(_X8, _without(_P16, n), "local", 2),
+        ContractError,
+        MISSING,
+        ["local.embed_w", "local.embed_b", "local.blocks.2.mlp_w1"],
+    ),
     "global_branch-rank": (_global, DimensionError, RANK, [(8, 8)]),
     "global_branch-heads": (lambda v: _global(heads=v), ContractError, REPR, [True, None]),
     "global_branch-pos": (lambda s: _global(pos=s), DimensionError, "(4, 16) and {value}", [(5, 16)]),
+    "global_branch-params": (
+        lambda n: A.global_branch(_zeros(3, 16, 16), _without(_P16, n), "global_", 4),
+        ContractError,
+        MISSING,
+        ["global_.patch_b", "global_.pos", "global_.blocks.1.norm1_b", "global_.recover.convs.1.0"],
+    ),
     # generator
     "GeneratorConfig-height": (lambda v: G.GeneratorConfig(height=v), ContractError, REPR, [True, 64.0, -8, 0, 60]),
     "GeneratorConfig-width": (lambda v: G.GeneratorConfig(width=v), ContractError, REPR, [True, "64", -8, 0, 64.0]),
@@ -206,6 +243,12 @@ CONTRACTS = {
     "forward-w": (lambda v: G.forward(_zeros(3, 16, 16), v), ContractError, REPR, [None, "w", 0]),
     "forward-w-network": (lambda v: G.forward(_X8, v), ContractError, "has no parameter 'local.embed_w'", [_D8]),
     "forward-x": (lambda v: G.forward(v, _G16), ContractError, REPR, [np.zeros((3, 16, 16)), None]),
+    "forward-params": (
+        lambda n: G.forward(_zeros(3, 16, 16), G.Weights((3, 16, 16), _without(_P16, n))),
+        ContractError,
+        MISSING,
+        ["local.embed_b", "global_.blocks.0.mhsa.w_o", "fuse1_w", "out_b"],
+    ),
     "forward-x-shape": (lambda s: G.forward(_zeros(*s), _G16), DimensionError, "input shape {value}", [(3, 24, 24)]),
     "forward-x-finite": (
         lambda v: G.forward(_poisoned((3, 16, 16), v), _G16),
@@ -221,6 +264,12 @@ CONTRACTS = {
     "discriminate-w": (lambda v: D.discriminate(_X8, v), ContractError, REPR, [None, "w", 0]),
     "discriminate-w-network": (
         lambda v: D.discriminate(_zeros(3, 16, 16), v), ContractError, "has no parameter 'convs.0.0'", [_G16],
+    ),
+    "discriminate-params": (
+        lambda n: D.discriminate(_X8, G.Weights((3, 8, 8), _without(_D8.params, n))),
+        ContractError,
+        MISSING,
+        ["convs.0.1", "convs.2.0", "linear_w", "linear_b"],
     ),
     "discriminate-x": (lambda v: D.discriminate(v, _D8), ContractError, REPR, [np.zeros((3, 8, 8)), None]),
     "discriminate-x-shape": (

@@ -6,8 +6,6 @@ from pathlib import Path
 TENSOR = Path(__file__).resolve().parents[1] / "src" / "relight" / "tensor.py"
 REDUCTIONS = {"sum", "mean", "max"}
 RULE = {"_sum_last", "_sum_lead"}
-# The one exception, with its reason: a sum over two inner axes, which neither helper takes.
-ALLOWED = {"upsample_nearest": "its backward sums each 2x2 block over axes (2, 4)"}
 
 
 def axis_reductions(source: str) -> list[tuple[str, int]]:
@@ -30,12 +28,8 @@ def axis_reductions(source: str) -> list[tuple[str, int]]:
 
 
 def test_every_axis_reduction_goes_through_the_rule():
-    stray = [(name, line) for name, line in axis_reductions(TENSOR.read_text()) if name not in RULE | ALLOWED.keys()]
+    stray = [(name, line) for name, line in axis_reductions(TENSOR.read_text()) if name not in RULE]
     assert stray == []
-
-
-def test_the_allow_list_is_still_needed():
-    assert {name for name, _ in axis_reductions(TENSOR.read_text())} >= ALLOWED.keys()
 
 
 def test_the_guard_sees_each_form_of_an_axis():

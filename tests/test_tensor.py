@@ -3,6 +3,7 @@ import platform
 import re
 import resource
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -320,6 +321,17 @@ class TestShapeOps:
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
         assert np.array_equal(out.data[0], expected)
 
+    @pytest.mark.parametrize("shape", [(16, 8, 8), (3, 5, 2), (1, 1, 7)])
+    def test_upsample_nearest_backward_sums_each_block_as_numpy_does(self, shape):
+        # numpy adds a 2x2 block up in this order where the width is at least 2.
+        C, H, W = shape
+        rng = np.random.default_rng(31)
+        g = rng.normal(size=(C, 2 * H, 2 * W)) * 10.0 ** rng.uniform(-5, 5, size=(C, 2 * H, 2 * W))
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(T.tsum(T.mul(T.upsample_nearest(x), Tensor(g))))
+        assert np.array_equal(x.grad, g.reshape(C, H, 2, W, 2).sum(axis=(2, 4)))
+
     def test_sum_backward_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
@@ -610,6 +622,48 @@ def test_every_recorded_op_returns_one_tensor_and_appends_one_record(key):
         out = op(*[Tensor(arr, requires_grad=True) for arr in arrays])
     # The bench tracer finds an op's backward as the one record whose .out it returned.
     assert len(tape) == 1 and tape._records[0].out is out and out.requires_grad is True
+
+
+# What each op's record may keep alive of its inputs' arrays (by position) and its output's ("out"):
+# exactly the arrays its backward reads.
+KEEPS = {
+    "add": (), "sub": (), "mul": (0, 1), "scale": (), "leaky_relu": (), "sigmoid": ("out",), "sqrt": ("out",),
+    "square": (0,), "softplus": (0,), "gelu": (0,), "gelu-0d": (0,), "matmul": (0, 1), "add_bias": (),
+    "softmax": ("out",), "layer_norm": (1,), "reshape": (), "permute": (), "concat": (), "crop": (), "mean": (),
+    "tsum": (), "upsample_nearest": (), "conv2d": (0,), "conv2d-stride8": (0,),
+}
+
+
+class TestTapeMemory:
+    """A record keeps its closure and its inputs' keys, never array data."""
+
+    @pytest.mark.parametrize("key", sorted(_buffer_cases(np.random.default_rng(0))))
+    def test_a_record_keeps_alive_only_what_its_backward_reads(self, key):
+        op, arrays = _buffer_cases(np.random.default_rng(0))[key]
+        leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+        with Tape() as tape:
+            inputs = [T.scale(leaf, 1.0) for leaf in leaves]  # intermediates: only the tape could keep them
+            out = op(*inputs)
+            loss = T.tsum(out)
+        refs = {k: weakref.ref(t.data) for k, t in enumerate(inputs)} | {"out": weakref.ref(out.data)}
+        del inputs, out
+        assert {k for k, ref in refs.items() if ref() is not None} == set(KEEPS[key])
+        tape.backward(loss)
+        assert all(leaf.grad.shape == leaf.shape for leaf in leaves)
+
+    def test_a_tensor_made_on_another_tape_is_a_leaf_there(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with Tape() as tape_a:
+            y = T.scale(T.square(x), 2.0)
+        with Tape() as tape_b:
+            loss = T.tsum(T.scale(y, 3.0))
+        tape_b.backward(loss)  # while tape A and its records are alive
+        assert np.array_equal(y.grad, np.full(3, 3.0)) and x.grad is None
+        records_a = [weakref.ref(node) for node in tape_a._records]
+        del tape_a
+        assert [ref() for ref in records_a] == [None, None]  # tape B, y and loss keep none of them
+        tape_b.backward(loss)
+        assert np.array_equal(y.grad, np.full(3, 6.0)) and x.grad is None
 
 
 class TestBufferSafety:
