@@ -3,9 +3,18 @@
 The local branch embeds the image with a 1x1 convolution and runs window
 attention at sizes 2, 4, 8 in sequence, summing each layer's output into
 a running multi-scale feature (no window shifting, no positional encoding
-inside windows).  The global branch tokenizes the image into 8x8 patches,
-adds a learnable positional encoding, applies two serial transformer
-blocks and recovers the full-resolution feature map.
+inside windows).  It runs on horizontal strips of ``STRIP_ROWS`` rows, the
+last one shorter, and joins them along the rows.  That is exact: the 1x1
+embedding, LayerNorm and MLP act on one pixel at a time and the unshifted
+windows never cross an aligned 8-row band, so no output pixel reads a pixel
+of another strip, as with Swin's non-overlapping windows (Liu et al., arXiv
+2103.14030).  Only the attention scores of one strip are alive at a time.
+Under a tape, each weight's gradient is summed strip by strip, which rounds
+differently from a whole-map run.
+
+The global branch tokenizes the image into 8x8 patches, adds a learnable
+positional encoding, applies two serial transformer blocks and recovers
+the full-resolution feature map.
 
 Blocks are pre-norm: LN -> MHSA -> residual -> LN -> MLP -> residual,
 with the MLP hidden width fixed at 4x the embedding dim and a GELU
@@ -26,6 +35,7 @@ from .errors import ContractError
 from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
+STRIP_ROWS = 64  # rows per local-branch strip; a multiple of the largest window
 
 def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     """Scaled dot-product multi-head self-attention over a token sequence.
@@ -87,8 +97,28 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
     """1x1 embedding, then window blocks at sizes 2,4,8 chained sequentially;
     the returned multi-scale feature is the sum of every layer's output.
 
+    x is [C,H,W] with H and W multiples of the largest window.  An input of
+    more than STRIP_ROWS rows runs as strips of STRIP_ROWS rows (the last one
+    shorter) cropped from x and concatenated along the rows; no window crosses
+    a strip edge, so the output is the whole-map one.  A shorter input is one
+    strip and records no crop or concat.
+
     Reads embed_w/b and blocks.{0,1,2}.* under prefix.
     """
+    T._need_rank(x, "[C,H,W]", "local_branch")
+    _, height, width = x.shape
+    W._window_grid(height, width, LOCAL_WINDOW_SIZES[-1], "local_branch")
+    if height <= STRIP_ROWS:
+        return _local_strip(x, p, prefix, heads)
+    strips = [
+        _local_strip(T.crop(x, top, 0, min(STRIP_ROWS, height - top), width), p, prefix, heads)
+        for top in range(0, height, STRIP_ROWS)
+    ]
+    return T.concat(strips, axis=1)
+
+
+def _local_strip(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
+    """local_branch on one strip: the embedding, the three window blocks and their running sum."""
     param = T._params(p, prefix, "local_branch")
     feat = T.conv2d(x, param("embed_w"), param("embed_b"))
     acc = None

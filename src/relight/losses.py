@@ -84,7 +84,7 @@ def luminance_consistency_loss(i: Tensor, k: Tensor, region: tuple[int, int, int
 
 
 def adversarial_losses(logits_real: Tensor, logits_fake: Tensor) -> tuple[Tensor, Tensor]:
-    """(discriminator loss, generator loss) from raw logits of any shape.
+    """(discriminator loss, generator loss) from raw logits of any non-empty shape.
 
     d_loss = mean -[log s(real) + log(1 - s(fake))]
     g_loss = mean -log s(fake)

@@ -9,8 +9,10 @@ forward computation, which is how inference runs.
 
 Conventions, fixed here and relied on everywhere else:
 
-- 64-bit floats throughout; desk-scale sizes make memory irrelevant and
-  tight gradient-check tolerances possible.
+- 64-bit floats throughout; they make tight gradient-check tolerances
+  possible, at twice float32's memory.  Memory is what bounds the image
+  size: attention scores grow with the square of the token count and set
+  the peak of a large forward, and the tape's records that of a train step.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
@@ -612,8 +614,10 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
 
 
 def mean(x: Tensor) -> Tensor:
-    """Mean over every element, as a scalar."""
+    """Mean over every element, as a scalar; an empty x raises DimensionError naming its shape."""
     n, shape = x.size, x.shape
+    if n == 0:
+        raise DimensionError(f"mean: expected a non-empty tensor, got shape {shape}")
     return _record(x.data.mean(), (x,), lambda g: (np.full(shape, float(g) / n),))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,63 @@ class TestLocalBranch:
         w = self._weights(rng, 8)
         out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2)
         assert np.isfinite(out.data).all()
+
+    def _whole_map(self, x, w):
+        """The branch composed by hand on the whole map, with no strips."""
+        feat = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
+        acc = None
+        for i, s in enumerate(A.LOCAL_WINDOW_SIZES):
+            feat = A.window_attention_block(feat, s, w, f"loc.blocks.{i}", 2)
+            acc = feat if acc is None else T.add(acc, feat)
+        return acc
+
+    def test_strip_rows_tile_the_largest_window(self):
+        assert A.STRIP_ROWS % A.LOCAL_WINDOW_SIZES[-1] == 0
+
+    # 72, 136 and 200 rows cut into one, two and three full strips and an 8-row remainder
+    @pytest.mark.parametrize("height, width", [(72, 8), (136, 40), (200, 16)])
+    def test_strips_equal_the_whole_map_bitwise(self, height, width):
+        rng = np.random.default_rng(20)
+        w = self._weights(rng, 8)
+        x = Tensor(rng.uniform(size=(3, height, width)))
+        assert np.array_equal(A.local_branch(x, w, "loc", 2).data, self._whole_map(x, w).data)
+
+    def test_one_strip_records_the_whole_map_ops(self):
+        rng = np.random.default_rng(21)
+        w = self._weights(rng, 8)
+        x = Tensor(rng.uniform(size=(3, A.STRIP_ROWS, 16)), requires_grad=True)
+        with T.Tape() as tape:
+            out = A.local_branch(x, w, "loc", 2)
+        with T.Tape() as whole:
+            expected = self._whole_map(x, w)
+        assert len(tape) == len(whole)
+        assert np.array_equal(out.data, expected.data)
+
+    def test_gradient_across_two_strips(self):
+        rng = np.random.default_rng(22)
+        w = self._weights(rng, 8)
+        x = Tensor(rng.uniform(size=(3, 72, 8)))
+        weights = ["loc.embed_w", "loc.blocks.0.mhsa.w_q", "loc.blocks.1.mlp_w1", "loc.blocks.2.norm1_g"]
+        wrt = [x] + [w[name] for name in weights]
+        # pixels of both strips, on either side of the edge at row 64, in every channel
+        pixels = [(0, 0, 0), (1, 31, 5), (2, 63, 7), (0, 64, 0), (1, 65, 3), (2, 71, 7)]
+        entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels]
+        entries += [(k, 3) for k in range(1, len(wrt))]
+        assert finite_diff(lambda: A.local_branch(x, w, "loc", 2), wrt, entries) < 1e-6
+
+    def test_peak_memory_stays_below_one_whole_map_score_array(self):
+        # At 256 rows the s=8 block of a whole map holds (256/8)*(64/8) windows x 2 heads
+        # of 64x64 float64 scores at once: 16 MiB, and as much again in probabilities.
+        rng = np.random.default_rng(23)
+        w = self._weights(rng, 16)
+        x = Tensor(rng.uniform(size=(3, 256, 64)))
+        tracemalloc.start()
+        try:
+            A.local_branch(x, w, "loc", 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 * 64**2 * 8
 
 
 class TestGlobalBranch:

@@ -138,6 +138,7 @@ CONTRACTS = {
     "matmul-shapes": (lambda v: T.matmul(*_each(v)), DimensionError, BOTH, [((2, 3), (2, 3))]),
     "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), None), DimensionError, RANK, [()]),
     "softmax-rank": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [()]),
+    "mean-empty": (lambda s: T.mean(_zeros(*s)), DimensionError, RANK, [(0,), (2, 0, 3)]),
     "softmax-empty": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)]),
     "layer_norm-rank": (lambda s: T.layer_norm(_zeros(*s), None, None), DimensionError, RANK, [()]),
     "layer_norm-empty": (
@@ -218,6 +219,13 @@ CONTRACTS = {
     "window_attention_block-rank": (_block, DimensionError, RANK, [(4, 4)]),
     "window_attention_block-s": (lambda v: _block(s=v), ContractError, REPR, [True, 2.0]),
     "window_attention_block-heads": (lambda v: _block(heads=v), ContractError, REPR, [True, "2"]),
+    "local_branch-rank": (lambda s: A.local_branch(_zeros(*s), _P16, "local", 2), DimensionError, RANK, [(8, 8)]),
+    "local_branch-height": (
+        lambda s: A.local_branch(_zeros(*s), _P16, "local", 2),
+        ContractError,
+        "divides feature map {value[1]}x{value[2]}",
+        [(3, 100, 8)],
+    ),
     "local_branch-heads": (lambda v: A.local_branch(_X8, _P16, "local", v), ContractError, REPR, [True, -2]),
     "local_branch-params": (
         lambda n: A.local_branch(_X8, _without(_P16, n), "local", 2),
@@ -319,6 +327,9 @@ CONTRACTS = {
         "{value!r} is non-finite",
         ["luminance"],
     ),
+    "adversarial_losses-empty": (
+        lambda s: L.adversarial_losses(_zeros(*s), _zeros(*s)), DimensionError, RANK, [(0,), (4, 0)],
+    ),
     "self_feature_preserving_loss-fe": (
         lambda v: L.self_feature_preserving_loss(_X8, _X8, v), ContractError, REPR, [None, "fe", 0],
     ),
@@ -352,9 +363,7 @@ NO_CONTRACT = {
     "square": TAKES_ONLY_TENSORS,
     "softplus": TAKES_ONLY_TENSORS,
     "gelu": TAKES_ONLY_TENSORS,
-    "mean": TAKES_ONLY_TENSORS,
     "tsum": TAKES_ONLY_TENSORS,
-    "adversarial_losses": "takes two Tensors of any shape; the operand rule is ROADMAP item 5",
     "Weights": "a plain record; forward and discriminate check the one they are given",
     "named_parameters": "a one-line accessor of w.params",
     "parameters": "a one-line accessor of w.params",
