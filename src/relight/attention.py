@@ -21,6 +21,14 @@ with the MLP hidden width fixed at 4x the embedding dim and a GELU
 activation.  The queries are scaled by 1/sqrt(head_dim) before the
 query-key product.
 
+``mhsa`` computes its scores one tile of query rows at a time, under the
+block rule of ``tensor._blocks``: a tile's scores are about one 2 MiB block,
+in multiples of 64 rows.  That is exact, since a query row's softmax reads
+only its own row of scores (Rabe & Staats, arXiv 2112.05682; Dao et al.,
+arXiv 2205.14135, Sec. 3.1); only the BLAS rounding of the two products may
+differ.  Every local window and the global branch up to 128x128 pixels fit
+in one tile; at 256x256 the global branch's 1024 tokens take 16 tiles of 64.
+
 Weights come from one flat name -> Tensor map; each function reads its
 own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
 """
@@ -43,6 +51,12 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     z is [L,d] or batched [B,L,d] (windows attend independently), and the
     output has z's shape; the square projections are p[f"{prefix}.w_q"],
     w_k, w_v and w_o.  heads must be an int >= 1 that divides d.
+
+    The scores are computed one tile of query rows at a time: ``T._blocks``
+    over the L rows, one row of B*heads*L scores an item, so a tile's scores
+    are about one block.  Each tile's softmax runs over all L keys, and each
+    row's softmax stands alone, so the tiles are exact; one concat joins
+    their contexts.  One tile records the untiled ops, with no crop or concat.
     """
     T._need_rank(z, "[...,L,d]", "mhsa")
     *lead, L, d = z.shape
@@ -60,8 +74,11 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
     v = project("w_v", (0, 2, 1, 3))
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
-    attn = T.softmax(q @ k)
-    ctx = attn @ v  # (B, heads, L, hd)
+    tiles = T._blocks(L, 8 * B * heads * L)
+    if len(tiles) == 1:
+        ctx = T.softmax(q @ k) @ v  # (B, heads, L, hd)
+    else:
+        ctx = T.concat([T.softmax(T.crop(q, t.start, 0, t.stop - t.start, hd) @ k) @ v for t in tiles], axis=2)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
     return T.reshape(ctx @ param("w_o"), z.shape)
 

@@ -127,8 +127,14 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     T._need_finite(x.data, "forward: x")
 
     p = w.params
-    local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
-    feat = T.concat([local, A.global_branch(x, p, "global_", GeneratorConfig.global_heads)], axis=0)
+    # The local features go straight into the concat: a name would keep them alive through the fusion head.
+    feat = T.concat(
+        [
+            A.local_branch(x, p, "local", GeneratorConfig.local_heads),
+            A.global_branch(x, p, "global_", GeneratorConfig.global_heads),
+        ],
+        axis=0,
+    )
 
     param = T._params(p, "", "forward")
     feat = T.leaky_relu(T.conv2d(feat, param("fuse1_w"), param("fuse1_b"), pad=1), 0.2)

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values are numpy float64 arrays, not all contiguous (``permute`` returns a
-view).  Differentiable operations executed while a :class:`Tape` is active
-append a backward rule to it; ``Tape.backward(loss)`` then walks the records
-in reverse and accumulates ``d loss / d leaf`` into the ``.grad`` of every
+view, ``conv2d`` a strided view of an array it allocated).  Differentiable
+operations executed while a :class:`Tape` is active append a backward rule
+to it; ``Tape.backward(loss)`` then walks the records in reverse and
+accumulates ``d loss / d leaf`` into the ``.grad`` of every
 ``requires_grad`` leaf.  With no active tape every operation is a plain
 forward computation, which is how inference runs.
 
@@ -11,8 +12,10 @@ Conventions, fixed here and relied on everywhere else:
 
 - 64-bit floats throughout; they make tight gradient-check tolerances
   possible, at twice float32's memory.  Memory is what bounds the image
-  size: attention scores grow with the square of the token count and set
-  the peak of a large forward, and the tape's records that of a train step.
+  size.  The tape's records set the peak of a train step.  Attention scores
+  grow with the square of the token count, but ``attention.mhsa`` computes
+  them one tile of query rows at a time, so they no longer set the peak of
+  a large forward: full-size feature maps do, at the fusion head's convs.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
@@ -70,8 +73,9 @@ Conventions, fixed here and relied on everywhere else:
   contiguous run of phase (i % s, j % s) starting at
   ``(i // s) * Wq + j // s``.  The tap products add up one column block
   at a time, each tap after the first through one reused buffer.  Output
-  rows are computed ``Wq`` wide and the columns past the true width
-  dropped; backward feeds zeros there.
+  rows are computed ``Wq`` wide into one accumulator, which also takes the
+  bias in place; the op returns the strided view that drops the columns
+  past the true width, with no full-size copy.  Backward feeds zeros there.
 """
 
 from __future__ import annotations
@@ -397,7 +401,10 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     if not _is_real(slope):
         raise ContractError(f"leaky_relu: slope must be a finite real, got {slope!r}")
     positive = x.data > 0.0  # kept by backward in place of x: one byte an entry
-    y = np.where(positive, x.data, slope * x.data)
+    # slope * x, then x copied over it where positive: no second full-size array.
+    # out= keeps the result an array for a 0-d x.
+    y = np.multiply(x.data, slope, out=np.empty_like(x.data))
+    np.copyto(y, x.data, where=positive)
     return _record(y, (x,), lambda g: (g * np.where(positive, 1.0, slope),))
 
 
@@ -706,6 +713,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             else:
                 np.matmul(wt[i, j], tap, out=part)
                 out += part
+    y = acc.reshape(Cout, Ho, Wq)[:, :, :Wo]  # a view: the bias goes into acc, no full-size copy
+    y += b.data[:, None, None]
 
     def back(g):
         gq = np.zeros((Cout, Ho, Wq))
@@ -721,4 +730,4 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
         return (dx, dw, _sum_last(g.reshape(Cout, Ho * Wo)).reshape(Cout))
 
-    return _record(acc.reshape(Cout, Ho, Wq)[:, :, :Wo] + b.data[:, None, None], (x, w, b), back)
+    return _record(y, (x, w, b), back)

@@ -129,6 +129,70 @@ class TestMhsa:
         assert finite_diff(lambda: A.mhsa(z, w, "m", 2), [z]) < 1e-4
 
 
+def untiled_mhsa(z, w, heads):
+    """mhsa composed by hand with every score at once, with no query tiles."""
+    *lead, L, d = z.shape
+    B, hd = int(np.prod(lead)), d // heads
+    flat = T.reshape(z, (B * L, d))
+
+    def project(name, axes):
+        return T.permute(T.reshape(flat @ w[f"m.{name}"], (B, L, heads, hd)), axes)
+
+    q = T.scale(project("w_q", (0, 2, 1, 3)), 1.0 / np.sqrt(hd))
+    ctx = T.softmax(q @ project("w_k", (0, 2, 3, 1))) @ project("w_v", (0, 2, 1, 3))
+    return T.reshape(T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d)) @ w["m.w_o"], z.shape)
+
+
+class TestMhsaQueryTiles:
+    # (windows, tokens, dim) at 2 heads: 16 x 128 tokens cut into two 64-row tiles,
+    # 8 x 160 into 64, 64 and a shorter 32.
+    @pytest.mark.parametrize("shape, rows", [((16, 128, 8), [64, 64]), ((8, 160, 8), [64, 64, 32])])
+    def test_tiles_equal_the_untiled_chain(self, shape, rows):
+        B, L, _ = shape
+        assert [t.stop - t.start for t in T._blocks(L, 8 * B * 2 * L)] == rows
+        rng = np.random.default_rng(30)
+        w = make_mhsa(rng, 8)
+        z = Tensor(rng.normal(size=shape))
+        assert np.max(np.abs(A.mhsa(z, w, "m", 2).data - untiled_mhsa(z, w, 2).data)) <= 1e-15
+
+    def test_one_tile_records_the_untiled_ops(self):
+        rng = np.random.default_rng(31)
+        w = make_mhsa(rng, 8)
+        z = Tensor(rng.normal(size=(4, 64, 8)), requires_grad=True)
+        assert len(T._blocks(64, 8 * 4 * 2 * 64)) == 1
+        with T.Tape() as tape:
+            out = A.mhsa(z, w, "m", 2)
+        with T.Tape() as untiled:
+            expected = untiled_mhsa(z, w, 2)
+        assert len(tape) == len(untiled)
+        assert np.array_equal(out.data, expected.data)
+
+    def test_gradient_across_a_tile_edge(self):
+        rng = np.random.default_rng(32)
+        w = make_mhsa(rng, 8)
+        z = Tensor(rng.normal(size=(16, 128, 8)))
+        wrt = [z] + [w[f"m.{name}"] for name in ("w_q", "w_k", "w_v", "w_o")]
+        # query rows on both sides of the tile edge at row 64, in two windows
+        tokens = [(0, 0, 0), (0, 63, 3), (0, 64, 5), (0, 65, 7), (15, 62, 1), (15, 66, 2), (15, 127, 6)]
+        entries = [(0, int(np.ravel_multi_index(at, z.shape))) for at in tokens]
+        entries += [(k, 9) for k in range(1, len(wrt))]
+        assert finite_diff(lambda: A.mhsa(z, w, "m", 2), wrt, entries) < 1e-6
+
+    def test_peak_memory_stays_below_one_score_array(self):
+        # Untiled, 1024 tokens at 4 heads hold a (4, 1024, 1024) float64 score array
+        # (32 MiB) and as much again in probabilities.
+        rng = np.random.default_rng(33)
+        w = make_mhsa(rng, 16)
+        z = Tensor(rng.normal(size=(1024, 16)))
+        tracemalloc.start()
+        try:
+            A.mhsa(z, w, "m", 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024 * 8
+
+
 class TestWindowAttentionBlock:
     @pytest.mark.parametrize("s", [2, 4, 8])
     def test_shape_preserved(self, s):

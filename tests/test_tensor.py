@@ -175,6 +175,30 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < im2col_bytes
 
+    def test_output_is_a_view_of_its_accumulator(self):
+        # 3x3 pad-1 rows are computed W + 2 wide; the output drops the last two
+        # columns by slicing, so its base is the whole accumulator, not a copy.
+        rng = np.random.default_rng(11)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((2, 5, 7), (3, 2, 3, 3), (3,)))
+        out = T.conv2d(x, w, b, pad=1).data
+        assert out.base is not None and out.base.shape == (3, 5 * 9)
+        assert np.max(np.abs(out - (conv2d_reference(x.data, w.data, 1, 1) + b.data[:, None, None]))) < 1e-12
+
+    def test_peak_memory_is_input_phases_accumulator_and_two_blocks(self):
+        # 4 -> 32 channels, so one more full-size output (as a bias added out of
+        # place makes) is larger than the input and a block together.
+        rng = np.random.default_rng(12)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((4, 128, 128), (32, 4, 3, 3), (32,)))
+        phases = 4 * (128 + 3) * (128 + 2) * 8  # the padded input, one row of tail
+        acc = 32 * 128 * (128 + 2) * 8
+        tracemalloc.start()
+        try:
+            T.conv2d(x, w, b, pad=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes + phases + acc + 2 * T._BLOCK_BYTES
+
     @staticmethod
     def three_column_blocks():
         """A 32 -> 32 3x3 pad-1 conv whose 4 x 5002 output columns make two full column blocks and a partial one."""
@@ -229,6 +253,17 @@ class TestElementwise:
     def test_leaky_relu_slope(self):
         out = T.leaky_relu(Tensor([-1.0, 2.0]), slope=0.2)
         assert np.allclose(out.data, [-0.2, 2.0])
+
+    def test_leaky_relu_peaks_at_one_output_and_its_mask(self):
+        x = Tensor(np.random.default_rng(14).normal(size=1 << 20))
+        tracemalloc.start()
+        try:
+            out = T.leaky_relu(x, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.data.nbytes + x.size + 4096  # float64 output, bool mask, object headers
+        assert np.array_equal(out.data, np.where(x.data > 0.0, x.data, 0.2 * x.data))
 
     def test_softplus_stable_and_correct(self):
         x = Tensor([0.0, 50.0, -50.0, 1000.0])
