@@ -3,14 +3,7 @@
 The local branch embeds the image with a 1x1 convolution and runs window
 attention at sizes 2, 4, 8 in sequence, summing each layer's output into
 a running multi-scale feature (no window shifting, no positional encoding
-inside windows).  It runs on horizontal strips of ``STRIP_ROWS`` rows, the
-last one shorter, and joins them along the rows.  That is exact: the 1x1
-embedding, LayerNorm and MLP act on one pixel at a time and the unshifted
-windows never cross an aligned 8-row band, so no output pixel reads a pixel
-of another strip, as with Swin's non-overlapping windows (Liu et al., arXiv
-2103.14030).  Only the attention scores of one strip are alive at a time.
-Under a tape, each weight's gradient is summed strip by strip, which rounds
-differently from a whole-map run.
+inside windows).
 
 The global branch tokenizes the image into 8x8 patches, adds a learnable
 positional encoding, applies two serial transformer blocks and recovers
@@ -21,13 +14,18 @@ with the MLP hidden width fixed at 4x the embedding dim and a GELU
 activation.  The queries are scaled by 1/sqrt(head_dim) before the
 query-key product.
 
-``mhsa`` computes its scores one tile of query rows at a time, under the
-block rule of ``tensor._blocks``: a tile's scores are about one 2 MiB block,
-in multiples of 64 rows.  That is exact, since a query row's softmax reads
-only its own row of scores (Rabe & Staats, arXiv 2112.05682; Dao et al.,
-arXiv 2205.14135, Sec. 3.1); only the BLAS rounding of the two products may
-differ.  Every local window and the global branch up to 128x128 pixels fit
-in one tile; at 256x256 the global branch's 1024 tokens take 16 tiles of 64.
+One strip rule, ``_by_strips``: the local branch runs on strips of
+``STRIP_ROWS`` image rows and ``mhsa`` on strips of as many query rows,
+the last one shorter, joined along the rows; so only one strip's attention
+scores are alive at a time.  Both cuts are exact, since no output row reads
+an input row of another strip.  The local branch's 1x1 embedding, LayerNorm
+and MLP act on one pixel at a time and its unshifted windows never cross an
+aligned 8-row band, as with Swin's non-overlapping windows (Liu et al., arXiv
+2103.14030); a query row's softmax reads only its own row of scores (Rabe &
+Staats, arXiv 2112.05682).  Only the BLAS rounding of mhsa's products may
+differ, and under a tape each weight's gradient is summed strip by strip.
+Every local window fits in one strip; the global branch's tokens take one
+strip up to 64x64 pixels, four at 128x128 and 16 at 256x256.
 
 Weights come from one flat name -> Tensor map; each function reads its
 own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
@@ -36,6 +34,7 @@ own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from . import tensor as T
 from . import windows as W
@@ -43,7 +42,21 @@ from .errors import ContractError
 from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
-STRIP_ROWS = 64  # rows per local-branch strip; a multiple of the largest window
+STRIP_ROWS = 64  # rows per strip; a multiple of the largest window
+GLOBAL_BLOCKS = 2  # serial transformer blocks of the global branch
+
+
+def _by_strips(x: Tensor, fn: Callable[[Tensor], Tensor]) -> Tensor:
+    """fn on x's rows (axis -2) in strips of STRIP_ROWS, the last one shorter, joined by one concat.
+
+    x of STRIP_ROWS rows or fewer is one strip: fn(x), with no crop or concat.
+    """
+    rows, cols = x.shape[-2:]
+    if rows <= STRIP_ROWS:
+        return fn(x)
+    strips = [fn(T.crop(x, top, 0, min(STRIP_ROWS, rows - top), cols)) for top in range(0, rows, STRIP_ROWS)]
+    return T.concat(strips, axis=-2)
+
 
 def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     """Scaled dot-product multi-head self-attention over a token sequence.
@@ -52,11 +65,8 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     output has z's shape; the square projections are p[f"{prefix}.w_q"],
     w_k, w_v and w_o.  heads must be an int >= 1 that divides d.
 
-    The scores are computed one tile of query rows at a time: ``T._blocks``
-    over the L rows, one row of B*heads*L scores an item, so a tile's scores
-    are about one block.  Each tile's softmax runs over all L keys, and each
-    row's softmax stands alone, so the tiles are exact; one concat joins
-    their contexts.  One tile records the untiled ops, with no crop or concat.
+    The scores are computed on strips of query rows (the strip rule); each
+    strip's softmax runs over all L keys.
     """
     T._need_rank(z, "[...,L,d]", "mhsa")
     *lead, L, d = z.shape
@@ -74,11 +84,7 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
     v = project("w_v", (0, 2, 1, 3))
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
-    tiles = T._blocks(L, 8 * B * heads * L)
-    if len(tiles) == 1:
-        ctx = T.softmax(q @ k) @ v  # (B, heads, L, hd)
-    else:
-        ctx = T.concat([T.softmax(T.crop(q, t.start, 0, t.stop - t.start, hd) @ k) @ v for t in tiles], axis=2)
+    ctx = _by_strips(q, lambda rows: T.softmax(rows @ k) @ v)  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
     return T.reshape(ctx @ param("w_o"), z.shape)
 
@@ -114,35 +120,24 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
     """1x1 embedding, then window blocks at sizes 2,4,8 chained sequentially;
     the returned multi-scale feature is the sum of every layer's output.
 
-    x is [C,H,W] with H and W multiples of the largest window.  An input of
-    more than STRIP_ROWS rows runs as strips of STRIP_ROWS rows (the last one
-    shorter) cropped from x and concatenated along the rows; no window crosses
-    a strip edge, so the output is the whole-map one.  A shorter input is one
-    strip and records no crop or concat.
+    x is [C,H,W] with H and W multiples of the largest window; it runs on
+    strips of rows (the strip rule), and the output is the whole-map one.
 
     Reads embed_w/b and blocks.{0,1,2}.* under prefix.
     """
     T._need_rank(x, "[C,H,W]", "local_branch")
-    _, height, width = x.shape
-    W._window_grid(height, width, LOCAL_WINDOW_SIZES[-1], "local_branch")
-    if height <= STRIP_ROWS:
-        return _local_strip(x, p, prefix, heads)
-    strips = [
-        _local_strip(T.crop(x, top, 0, min(STRIP_ROWS, height - top), width), p, prefix, heads)
-        for top in range(0, height, STRIP_ROWS)
-    ]
-    return T.concat(strips, axis=1)
-
-
-def _local_strip(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
-    """local_branch on one strip: the embedding, the three window blocks and their running sum."""
+    W._window_grid(x.shape[1], x.shape[2], LOCAL_WINDOW_SIZES[-1], "local_branch")
     param = T._params(p, prefix, "local_branch")
-    feat = T.conv2d(x, param("embed_w"), param("embed_b"))
-    acc = None
-    for i, s in enumerate(LOCAL_WINDOW_SIZES):
-        feat = window_attention_block(feat, s, p, f"{prefix}.blocks.{i}", heads)
-        acc = feat if acc is None else T.add(acc, feat)
-    return acc
+
+    def strip(rows: Tensor) -> Tensor:
+        feat = T.conv2d(rows, param("embed_w"), param("embed_b"))
+        acc = None
+        for i, s in enumerate(LOCAL_WINDOW_SIZES):
+            feat = window_attention_block(feat, s, p, f"{prefix}.blocks.{i}", heads)
+            acc = feat if acc is None else T.add(acc, feat)
+        return acc
+
+    return _by_strips(x, strip)
 
 
 def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
@@ -153,6 +148,6 @@ def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> T
     """
     param = T._params(p, prefix, "global_branch")
     z = T.add(W.patch_embed(x, param("patch_w"), param("patch_b")), param("pos"))
-    for i in range(2):
+    for i in range(GLOBAL_BLOCKS):
         z = transformer_block(z, p, f"{prefix}.blocks.{i}", heads)
     return W.patch_recover(z, p, f"{prefix}.recover", x.shape[1], x.shape[2])  # patch_embed checks x's rank

@@ -91,12 +91,12 @@ def init_weights(cfg: GeneratorConfig, seed: int) -> Weights:
         _block(p, rng, f"local.blocks.{i}", cfg.local_dim)
 
     d, c = cfg.global_embed_dim, cfg.global_out_dim
-    for i, cin in enumerate((d, c, c)):
-        p[f"global_.recover.convs.{i}.0"], p[f"global_.recover.convs.{i}.1"] = _conv(rng, c, cin, 3)
+    for i in range(W.RECOVER_STAGES):  # the first stage reads the d-dim tokens
+        p[f"global_.recover.convs.{i}.0"], p[f"global_.recover.convs.{i}.1"] = _conv(rng, c, c if i else d, 3)
     p["global_.patch_w"], p["global_.patch_b"] = _conv(rng, d, 3, W.PATCH)
     tokens = (cfg.height // W.PATCH) * (cfg.width // W.PATCH)
     p["global_.pos"] = Tensor(rng.normal(0.0, 0.02, size=(tokens, d)), requires_grad=True)
-    for i in range(2):
+    for i in range(A.GLOBAL_BLOCKS):
         _block(p, rng, f"global_.blocks.{i}", d)
 
     fc = cfg.fusion_channels

@@ -14,7 +14,7 @@ Conventions, fixed here and relied on everywhere else:
   possible, at twice float32's memory.  Memory is what bounds the image
   size.  The tape's records set the peak of a train step.  Attention scores
   grow with the square of the token count, but ``attention.mhsa`` computes
-  them one tile of query rows at a time, so they no longer set the peak of
+  them one strip of query rows at a time, so they no longer set the peak of
   a large forward: full-size feature maps do, at the fusion head's convs.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
@@ -127,10 +127,11 @@ class Tensor:
     ``data`` is always a numpy float64 array.  ``grad`` is either None or
     an array of the same shape.  Tensors are treated as immutable values
     by all operations; only the optimizer mutates ``data`` in place,
-    between tapes.  ``Tensor(data)`` rejects data that is None, complex, not
-    an array of reals or non-finite, and a ``requires_grad`` that is not a
-    ``bool``; op outputs and ``detach`` are built by ``_record``, which skips
-    those checks.  ``_node`` is a weak reference to the record that made
+    between tapes.  ``Tensor(data)`` rejects data that is None, not an array
+    of bools, ints or floats (strings, dates, complex and object arrays
+    included) or non-finite, and a ``requires_grad`` that is not a ``bool``;
+    op outputs and ``detach`` are built by ``_record``, which skips those
+    checks.  ``_node`` is a weak reference to the record that made
     the tensor, or None for a leaf; ``__weakref__`` lets a record refer to
     its output without keeping it alive.
     """
@@ -138,14 +139,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        if data is None:  # np.asarray would make it a 0-d NaN
+        if data is None:
             raise ContractError("Tensor: no data, got None")
         try:
-            if np.iscomplexobj(data):  # the float64 conversion would drop the imaginary part, with only a warning
-                raise ContractError(f"Tensor: data {data!r} is complex, not an array of reals")
-            self.data = np.asarray(data, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as e:
+            arr = np.asarray(data)
+        except (TypeError, ValueError) as e:
             raise ContractError(f"Tensor: data {data!r} is not an array of finite reals") from e
+        # A float64 conversion would parse strings, bytes and dates, and drop an imaginary part with only a warning.
+        if arr.dtype.kind not in "biuf":
+            raise ContractError(f"Tensor: data {data!r} of dtype {arr.dtype} is not an array of reals")
+        self.data = arr.astype(np.float64, copy=False)
         _need_finite(self.data, "Tensor: data")
         _need_type(requires_grad, bool, "Tensor: requires_grad")
         self.requires_grad = requires_grad

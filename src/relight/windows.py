@@ -18,6 +18,7 @@ from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
 PATCH = 8  # global-branch patch side and stride
+RECOVER_STAGES = 3  # x2 upsample -> conv -> leaky_relu stages of patch_recover
 
 
 def _window_grid(height: int, width: int, s: int, what: str) -> tuple[int, int]:
@@ -69,7 +70,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, width: int) -> Tensor:
     """[L,d] tokens -> [C,H,W] feature map, undoing the 8x downsampling.
 
-    Three stages of x2 nearest upsample -> 3x3 conv -> leaky_relu, with
+    RECOVER_STAGES stages of x2 nearest upsample -> 3x3 conv -> leaky_relu, with
     weights p[f"{prefix}.convs.{i}.0"] and biases p[f"{prefix}.convs.{i}.1"].
     The token count must equal (H/8)*(W/8) for the configured resolution.
     """
@@ -81,7 +82,7 @@ def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, wid
     param = T._params(p, prefix, "patch_recover")
     x = T.permute(z, (1, 0))
     x = T.reshape(x, (d, hh, ww))
-    for i in range(3):
+    for i in range(RECOVER_STAGES):
         x = T.upsample_nearest(x)
         x = T.conv2d(x, param(f"convs.{i}.0"), param(f"convs.{i}.1"), stride=1, pad=1)
         x = T.leaky_relu(x, 0.2)

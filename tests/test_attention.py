@@ -143,13 +143,19 @@ def untiled_mhsa(z, w, heads):
     return T.reshape(T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d)) @ w["m.w_o"], z.shape)
 
 
+def strip_rows(n):
+    """The rows of each strip the strip rule cuts n rows into."""
+    return [min(A.STRIP_ROWS, n - top) for top in range(0, n, A.STRIP_ROWS)]
+
+
 class TestMhsaQueryTiles:
-    # (windows, tokens, dim) at 2 heads: 16 x 128 tokens cut into two 64-row tiles,
-    # 8 x 160 into 64, 64 and a shorter 32.
-    @pytest.mark.parametrize("shape, rows", [((16, 128, 8), [64, 64]), ((8, 160, 8), [64, 64, 32])])
+    # (windows, tokens, dim) at 2 heads: 16 x 128 tokens cut into two 64-row strips,
+    # 8 x 160 into 64, 64 and a shorter 32, and the global branch's 256 tokens at 128² into four.
+    @pytest.mark.parametrize(
+        "shape, rows", [((16, 128, 8), [64, 64]), ((8, 160, 8), [64, 64, 32]), ((1, 256, 8), [64, 64, 64, 64])]
+    )
     def test_tiles_equal_the_untiled_chain(self, shape, rows):
-        B, L, _ = shape
-        assert [t.stop - t.start for t in T._blocks(L, 8 * B * 2 * L)] == rows
+        assert strip_rows(shape[1]) == rows
         rng = np.random.default_rng(30)
         w = make_mhsa(rng, 8)
         z = Tensor(rng.normal(size=shape))
@@ -159,7 +165,7 @@ class TestMhsaQueryTiles:
         rng = np.random.default_rng(31)
         w = make_mhsa(rng, 8)
         z = Tensor(rng.normal(size=(4, 64, 8)), requires_grad=True)
-        assert len(T._blocks(64, 8 * 4 * 2 * 64)) == 1
+        assert strip_rows(64) == [64]
         with T.Tape() as tape:
             out = A.mhsa(z, w, "m", 2)
         with T.Tape() as untiled:

@@ -119,7 +119,10 @@ def _luminance(region, k=(3, 8, 8)):
 CONTRACTS = {
     # tensor
     "Tensor-data": (Tensor, ContractError, "non-finite entry {value[1]} at flat index 1", [[1.0, np.nan]]),
-    "Tensor-data-convert": (Tensor, ContractError, REPR, ["a", [[1.0], [1.0, 2.0]], 10**400]),
+    "Tensor-data-convert": (
+        Tensor, ContractError, REPR,
+        ["a", [[1.0], [1.0, 2.0]], 10**400, "1.5", ["1", "2"], b"1", np.array(["3"]), np.datetime64(1, "s")],
+    ),
     "Tensor-data-none": (Tensor, ContractError, "no data", [None]),
     "Tensor-data-complex": (Tensor, ContractError, REPR, [np.array([1 + 1j]), [1.0, 2j], 1 + 0j]),
     "Tensor-requires_grad": (

@@ -1,0 +1,43 @@
+"""attention.py cuts rows into strips only through its one strip rule, ``_by_strips``."""
+
+import ast
+from pathlib import Path
+
+ATTENTION = Path(__file__).resolve().parents[1] / "src" / "relight" / "attention.py"
+CUTS = {"crop", "concat"}
+RULE = {"_by_strips"}
+
+
+def row_cuts(source: str) -> list[tuple[str, int]]:
+    """(top-level function, line) of every crop or concat call in source, as ``T.crop`` or bare ``crop``."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in CUTS:
+                found.append((getattr(top, "name", "<module>"), node.lineno))
+    return found
+
+
+def test_only_the_rule_crops_or_concats():
+    assert {name for name, _ in row_cuts(ATTENTION.read_text())} == RULE
+
+
+def test_the_guard_sees_a_second_cut():
+    # mhsa as it was written before the rule, with its own tiles, crop and concat.
+    source = """
+def mhsa(q, k, v, L, hd):
+    tiles = T._blocks(L, 8 * L)
+    if len(tiles) == 1:
+        ctx = T.softmax(q @ k) @ v
+    else:
+        ctx = T.concat([T.softmax(T.crop(q, t.start, 0, t.stop - t.start, hd) @ k) @ v for t in tiles], axis=2)
+    return ctx
+
+def strip(x):
+    return concat([crop(x, 0, 0, 1, 1)])
+"""
+    assert row_cuts(source) == [("mhsa", 7), ("mhsa", 7), ("strip", 11), ("strip", 11)]
