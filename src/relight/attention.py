@@ -111,7 +111,7 @@ def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str,
     """
     wins = W.window_partition(x, s)  # checks x's rank
     # Named, the windows live until the block returns; passed inline, the block freed them
-    # early, and the no-trim heap then peaked 7 MB higher on perfbench's enhance-256.
+    # early, and the no-trim heap then peaked 12 MB higher in one 256² forward (117 against 105 MB).
     wins = transformer_block(wins, p, prefix, heads)
     return W.window_reverse(wins, s, x.shape[1], x.shape[2])
 

@@ -58,21 +58,18 @@ Conventions, fixed here and relied on everywhere else:
   out of this module; ``upsample_nearest`` adds its 2x2 blocks up by hand.
   softmax's row max is ``np.fmax.reduce``, twice as fast as ``.max`` on
   64-logit rows.
-- One block rule: an op that makes several passes over a large array makes
-  all of them on one block of about ``_BLOCK_BYTES`` (2 MiB) before it
-  moves to the next, so each pass finds the block in cache (Goto & van de
-  Geijn, "Anatomy of High-Performance Matrix Multiplication", TOMS 2008).
-  ``_blocks`` cuts a range into such blocks, each a multiple of 64 items;
-  ``gelu`` runs on flat blocks, ``conv2d`` on column blocks of its output.
-  gelu's blocks change no bit of a result.  conv2d's change none where the
-  column count is a multiple of 8, as in every conv at 64² and 256²;
-  elsewhere the BLAS may round the last few columns differently.
 - ``conv2d`` has no column matrix.  The zero-padded input is split into
   its stride*stride phases, each a flat grid ``Wq`` columns wide; tap
   (i, j) is one GEMM of the kernel's (C_out, C_in) slice with a
   contiguous run of phase (i % s, j % s) starting at
-  ``(i // s) * Wq + j // s``.  The tap products add up one column block
-  at a time, each tap after the first through one reused buffer.  Output
+  ``(i // s) * Wq + j // s``.  The taps add up one column block at a
+  time, each tap after the first through one reused buffer: ``_blocks``
+  cuts the columns into blocks of about ``_BLOCK_BYTES`` (2 MiB) of
+  output, each a multiple of 64 columns, so every tap finds its block in
+  cache (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+  Multiplication", TOMS 2008).  Blocks change no bit of a result where the
+  column count is a multiple of 8, as in every conv at 64² and 256²;
+  elsewhere the BLAS may round the last few columns differently.  Output
   rows are computed ``Wq`` wide into one accumulator, which also takes the
   bias in place; the op returns the strided view that drops the columns
   past the true width, with no full-size copy.  Backward feeds zeros there.
@@ -95,7 +92,7 @@ from .errors import ContractError, DimensionError, DomainError
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_BYTES = 1 << 30
-_BLOCK_BYTES = 2 << 20  # one block of a blocked op's output; see the block rule
+_BLOCK_BYTES = 2 << 20  # one column block of conv2d's output
 
 
 def _keep_freed_memory():
@@ -303,9 +300,9 @@ def _sum_lead(x: np.ndarray) -> np.ndarray:
 def _blocks(n: int, item_bytes: int) -> list[slice]:
     """range(n) cut into slices of _BLOCK_BYTES worth of items, item_bytes each.
 
-    A block is a multiple of 64 items, so each one starts on the SIMD lane and
-    GEMM column panel an unblocked pass would; only the last is shorter.  There
-    is always a first block, the widest, even for n = 0.
+    A block is a multiple of 64 items, so each one starts on the GEMM column
+    panel an unblocked pass would; only the last is shorter.  There is always
+    a first block, the widest, even for n = 0.
     """
     step = max(64, _BLOCK_BYTES // item_bytes // 64 * 64)
     return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
@@ -401,13 +398,16 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    if not _is_real(slope):
-        raise ContractError(f"leaky_relu: slope must be a finite real, got {slope!r}")
+    """max(slope*x, x), which is x where x > 0 and slope*x elsewhere for a finite real slope <= 1.
+
+    At slope 0 an entry of +inf comes out NaN (0*inf), not +inf.
+    """
+    if not (_is_real(slope) and slope <= 1):
+        raise ContractError(f"leaky_relu: slope must be a finite real <= 1, got {slope!r}")
     positive = x.data > 0.0  # kept by backward in place of x: one byte an entry
-    # slope * x, then x copied over it where positive: no second full-size array.
-    # out= keeps the result an array for a 0-d x.
+    # out= keeps the result an array for a 0-d x, and the max adds no second full-size array.
     y = np.multiply(x.data, slope, out=np.empty_like(x.data))
-    np.copyto(y, x.data, where=positive)
+    np.maximum(y, x.data, out=y)
     return _record(y, (x,), lambda g: (g * np.where(positive, 1.0, slope),))
 
 
@@ -450,45 +450,37 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh form); smooth, so FD-checkable."""
-    # Flat views, so a 0-d input is a block of one.  t becomes
-    # tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since numpy runs
-    # d**3 through pow, about 40x slower than d*d*d.
-    d, shape = x.data.reshape(-1), x.shape
-    t, y = np.empty(d.size), np.empty(d.size)
-    blocks = _blocks(d.size, 8)
-    for blk in blocks:
-        db, tb, yb = d[blk], t[blk], y[blk]
-        np.multiply(db, db, out=tb)
-        tb *= 0.044715
-        tb += 1.0
-        tb *= db
-        tb *= _GELU_C
-        np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=yb)
-        yb *= db
-        yb *= 0.5
+    # t becomes tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since
+    # numpy runs d**3 through pow, about 40x slower than d*d*d.  out= keeps
+    # each result an array for a 0-d input.
+    d = x.data
+    t = np.multiply(d, d, out=np.empty(d.shape))
+    t *= 0.044715
+    t += 1.0
+    t *= d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.add(t, 1.0, out=np.empty(d.shape))
+    y *= d
+    y *= 0.5
 
     def back(g):
         # g * (0.5*(1 + t) + 0.5*d*(1 - t^2)*C*(1 + 3*0.044715*d^2))
-        g = g.reshape(-1)
-        r, scratch = np.empty(d.size), np.empty(blocks[0].stop)
-        for blk in blocks:
-            db, tb, rb, s = d[blk], t[blk], r[blk], scratch[: blk.stop - blk.start]
-            np.multiply(db, db, out=rb)
-            rb *= 3 * 0.044715
-            rb += 1.0
-            rb *= db
-            rb *= 0.5 * _GELU_C
-            np.multiply(tb, tb, out=s)
-            np.subtract(1.0, s, out=s)
-            rb *= s
-            np.add(tb, 1.0, out=s)
-            s *= 0.5
-            rb += s
-            rb *= g[blk]
-        return (r.reshape(shape),)
+        r = np.multiply(d, d, out=np.empty(d.shape))
+        r *= 3 * 0.044715
+        r += 1.0
+        r *= d
+        r *= 0.5 * _GELU_C
+        s = np.multiply(t, t, out=np.empty(d.shape))
+        np.subtract(1.0, s, out=s)
+        r *= s
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        r += s
+        r *= g
+        return (r,)
 
-    return _record(y.reshape(shape), (x,), back)
+    return _record(y, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +695,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     n = Ho * Wq  # output rows are Wq wide; columns c >= Wo are computed, then dropped
     taps = [(i, j, (i % s) * s + j % s, (i // s) * Wq + j // s) for i in range(kh) for j in range(kw)]
     wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
-    # A single tap adds nothing up, so it runs as one block.
     acc = np.empty((Cout, n))
-    blocks = _blocks(n, 8 * Cout) if len(taps) > 1 else [slice(0, n)]
+    blocks = _blocks(n, 8 * Cout)
     scratch = np.empty((Cout, blocks[0].stop))
     for blk in blocks:
         out, part = acc[:, blk], scratch[:, : blk.stop - blk.start]

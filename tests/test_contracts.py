@@ -136,7 +136,10 @@ CONTRACTS = {
     "sub-shapes": (lambda v: T.sub(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
     "mul-shapes": (lambda v: T.mul(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
     "scale-factor": (lambda v: T.scale(_zeros(2, 3), v), ContractError, REPR, [True, np.nan, np.inf, "a"]),
-    "leaky_relu-slope": (lambda v: T.leaky_relu(_zeros(2, 3), v), ContractError, REPR, [True, -np.inf, "a", None]),
+    "leaky_relu-slope": (
+        lambda v: T.leaky_relu(_zeros(2, 3), v), ContractError, "slope must be a finite real <= 1, got {value!r}",
+        [True, -np.inf, "a", None, 1.5, 2],
+    ),
     "sqrt-x": (lambda v: T.sqrt(Tensor(v)), DomainError, "negative entry {value[1]} at flat index 1", [[1.0, -1e-12]]),
     "matmul-shapes": (lambda v: T.matmul(*_each(v)), DimensionError, BOTH, [((2, 3), (2, 3))]),
     "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), None), DimensionError, RANK, [()]),

@@ -8,8 +8,8 @@ CUTS = {"crop", "concat"}
 RULE = {"_by_strips"}
 
 
-def row_cuts(source: str) -> list[tuple[str, int]]:
-    """(top-level function, line) of every crop or concat call in source, as ``T.crop`` or bare ``crop``."""
+def calls(source: str, names: set[str]) -> list[tuple[str, int]]:
+    """(top-level function, line) of every call in source to one of names, as ``T.name`` or bare ``name``."""
     found = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
@@ -17,9 +17,14 @@ def row_cuts(source: str) -> list[tuple[str, int]]:
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in CUTS:
+            if name in names:
                 found.append((getattr(top, "name", "<module>"), node.lineno))
     return found
+
+
+def row_cuts(source: str) -> list[tuple[str, int]]:
+    """(top-level function, line) of every crop or concat call in source."""
+    return calls(source, CUTS)
 
 
 def test_only_the_rule_crops_or_concats():

@@ -200,27 +200,36 @@ class TestConv2d:
         assert peak < x.data.nbytes + phases + acc + 2 * T._BLOCK_BYTES
 
     @staticmethod
-    def three_column_blocks():
-        """A 32 -> 32 3x3 pad-1 conv whose 4 x 5002 output columns make two full column blocks and a partial one."""
-        blocks = T._blocks(4 * 5002, 8 * 32)
+    def three_column_blocks(k, pad):
+        """A 32 -> 32 kxk conv over 4 x 5000 pixels whose output columns make two full column blocks and a partial one.
+
+        conv2d computes its output rows 5000 + 2*pad columns wide, the width of the padded input.
+        """
+        width = 5000 + 2 * pad
+        blocks = T._blocks(4 * width, 8 * 32)
         assert len(blocks) == 3 and blocks[2].stop - blocks[2].start < blocks[0].stop
         rng = np.random.default_rng(10)
-        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((32, 4, 5000), (32, 32, 3, 3), (32,)))
-        return x, w, b, blocks
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((32, 4, 5000), (32, 32, k, k), (32,)))
+        return x, w, b, blocks, width
 
-    def test_column_blocks_against_direct_correlation(self):
-        x, w, _, _ = self.three_column_blocks()
-        got = T.conv2d(x, w, zero_bias(w), pad=1).data
-        windows = sliding_window_view(np.pad(x.data, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+    # a 3x3 pad-1 kernel, and a 1x1 one, whose single tap also runs block by block
+    KERNELS = pytest.mark.parametrize("k, pad", [(3, 1), (1, 0)], ids=["3x3-pad1", "1x1-pad0"])
+
+    @KERNELS
+    def test_column_blocks_against_direct_correlation(self, k, pad):
+        x, w, _, _, _ = self.three_column_blocks(k, pad)
+        got = T.conv2d(x, w, zero_bias(w), pad=pad).data
+        windows = sliding_window_view(np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))), (k, k), axis=(1, 2))
         expected = np.einsum("chwij,ocij->ohw", windows, w.data, optimize=True)
         assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_gradient_either_side_of_a_column_block_boundary(self):
-        x, w, b, blocks = self.three_column_blocks()
-        r, c = divmod(blocks[1].start, 5002)  # the first output of the second block, in the 5002-wide rows
+    @KERNELS
+    def test_gradient_either_side_of_a_column_block_boundary(self, k, pad):
+        x, w, b, blocks, width = self.three_column_blocks(k, pad)
+        r, c = divmod(blocks[1].start, width)  # the first output of the second block, in the phase-wide rows
         around = [ci * 4 * 5000 + r * 5000 + cc for ci in (0, 31) for cc in (c - 2, c - 1, c, c + 1)]
         entries = [(0, i) for i in around] + [(1, 0), (1, w.size - 1), (2, 0), (2, 31)]
-        assert finite_diff(lambda: T.conv2d(x, w, b, pad=1), [x, w, b], entries) < 1e-6
+        assert finite_diff(lambda: T.conv2d(x, w, b, pad=pad), [x, w, b], entries) < 1e-6
 
     @pytest.mark.parametrize(
         "arg, value, least",
@@ -265,6 +274,28 @@ class TestElementwise:
         assert peak <= x.data.nbytes + x.size + 4096  # float64 output, bool mask, object headers
         assert np.array_equal(out.data, np.where(x.data > 0.0, x.data, 0.2 * x.data))
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_relu_is_the_masked_form_bit_for_bit(self, slope):
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        rng = np.random.default_rng(15)
+        edges = [0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308]
+        x = np.concatenate([edges, rng.normal(size=1000)])
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        conv = T.conv2d(Tensor(rng.normal(size=(2, 6, 7))), w, zero_bias(w), pad=1)
+        assert not conv.data.flags.c_contiguous  # the strided view that drops the phase grid's extra columns
+        for data in (x, conv.data):
+            out = T.leaky_relu(Tensor(data), slope).data
+            assert np.array_equal(bits(out), bits(np.where(data > 0, data, slope * data)))
+
+    def test_leaky_relu_at_slope_zero_turns_inf_into_nan(self):
+        # 0 * inf is NaN, as the masked form gives for -inf; the constructor rejects inf, but an op output may hold one
+        inf = T._record(np.array([np.inf, -np.inf, 1.0]), (), None)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(T.leaky_relu(inf, 0.0).data, [np.nan, np.nan, 1.0], equal_nan=True)
+        assert np.array_equal(T.leaky_relu(inf, 0.2).data, [np.inf, -np.inf, 1.0])
+
     def test_softplus_stable_and_correct(self):
         x = Tensor([0.0, 50.0, -50.0, 1000.0])
         out = T.softplus(x).data
@@ -279,11 +310,9 @@ class TestElementwise:
         assert np.allclose(T.gelu(Tensor(x)).data, expected, rtol=1e-14, atol=1e-15)
         assert np.allclose(T.gelu(Tensor(x[1500])).data, expected[1500], rtol=1e-14, atol=1e-15)
 
-    def test_gelu_blocks_match_the_closed_form_bitwise(self):
-        # The closed form in the op's own order, so blocking is the only difference.
-        step = T._BLOCK_BYTES // 8
-        n = 2 * step + step // 3
-        assert len(T._blocks(n, 8)) == 3
+    def test_gelu_matches_the_closed_form_bitwise(self):
+        # The closed form in the op's own order, on a large input and a 0-d one.
+        n = 611_669  # over 4 MiB of float64
         rng = np.random.default_rng(13)
         raw, g = rng.uniform(-6.0, 6.0, size=n), rng.normal(size=n)
         t = np.tanh((raw * raw * 0.044715 + 1.0) * raw * T._GELU_C)
