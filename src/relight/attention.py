@@ -14,18 +14,23 @@ with the MLP hidden width fixed at 4x the embedding dim and a GELU
 activation.  The queries are scaled by 1/sqrt(head_dim) before the
 query-key product.
 
-One strip rule, ``_by_strips``: the local branch runs on strips of
-``STRIP_ROWS`` image rows and ``mhsa`` on strips of as many query rows,
-the last one shorter, joined along the rows; so only one strip's attention
-scores are alive at a time.  Both cuts are exact, since no output row reads
-an input row of another strip.  The local branch's 1x1 embedding, LayerNorm
-and MLP act on one pixel at a time and its unshifted windows never cross an
-aligned 8-row band, as with Swin's non-overlapping windows (Liu et al., arXiv
-2103.14030); a query row's softmax reads only its own row of scores (Rabe &
-Staats, arXiv 2112.05682).  Only the BLAS rounding of mhsa's products may
-differ, and under a tape each weight's gradient is summed strip by strip.
-Every local window fits in one strip; the global branch's tokens take one
-strip up to 64x64 pixels, four at 128x128 and 16 at 256x256.
+One strip rule, ``_by_strips``: a map is cut along its rows into strips,
+the last one shorter, which run one at a time and are joined along the rows;
+so only one strip's temporaries are alive at a time.  Image maps are cut by
+a pixel budget, ``_image_rows``: ``STRIP_PIXELS`` pixels per strip, in whole
+8-row bands and at least one (64 rows at 64 wide, 16 at 256, 8 from 512 up).
+``mhsa`` cuts its queries into strips of ``STRIP_ROWS`` rows.  A strip may
+carry a halo, rows of context on either side that ``fn`` reads and whose
+output is dropped: the generator's fusion head takes one row per 3x3 conv.
+Every cut is exact, since no kept output row reads an input row beyond its
+strip and halo.  The local branch's 1x1 embedding, LayerNorm and MLP act on
+one pixel at a time and its unshifted windows never cross an aligned 8-row
+band, as with Swin's non-overlapping windows (Liu et al., arXiv 2103.14030);
+a query row's softmax reads only its own row of scores (Rabe & Staats, arXiv
+2112.05682).  Only the BLAS rounding of mhsa's products may differ, and
+under a tape each weight's gradient is summed strip by strip.  Every local
+window fits in one strip; the global branch's tokens take one strip up to
+64x64 pixels, four at 128x128 and 16 at 256x256.
 
 Weights come from one flat name -> Tensor map; each function reads its
 own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
@@ -42,19 +47,34 @@ from .errors import ContractError
 from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
-STRIP_ROWS = 64  # rows per strip; a multiple of the largest window
+STRIP_ROWS = 64  # query rows per mhsa strip
+STRIP_PIXELS = 4096  # pixels per image strip (_image_rows)
 GLOBAL_BLOCKS = 2  # serial transformer blocks of the global branch
 
 
-def _by_strips(x: Tensor, fn: Callable[[Tensor], Tensor]) -> Tensor:
-    """fn on x's rows (axis -2) in strips of STRIP_ROWS, the last one shorter, joined by one concat.
+def _image_rows(width: int) -> int:
+    """Rows per strip of an image map ``width`` pixels wide: STRIP_PIXELS worth, in whole
+    bands of the largest window, and at least one band."""
+    band = LOCAL_WINDOW_SIZES[-1]
+    return max(band, STRIP_PIXELS // width // band * band)
 
-    x of STRIP_ROWS rows or fewer is one strip: fn(x), with no crop or concat.
+
+def _by_strips(x: Tensor, fn: Callable[[Tensor], Tensor], rows: int, halo: int = 0) -> Tensor:
+    """fn on x's rows (axis -2) in strips of ``rows``, the last one shorter, joined by one concat.
+
+    fn sees each strip with up to ``halo`` more rows on either side, clipped at
+    x's edges, and must return as many rows as it is given; the halo rows of its
+    output are cropped off.  x of ``rows`` rows or fewer is one strip: fn(x),
+    with no crop or concat.
     """
-    rows, cols = x.shape[-2:]
-    if rows <= STRIP_ROWS:
+    n, cols = x.shape[-2:]
+    if n <= rows:
         return fn(x)
-    strips = [fn(T.crop(x, top, 0, min(STRIP_ROWS, rows - top), cols)) for top in range(0, rows, STRIP_ROWS)]
+    strips = []
+    for top in range(0, n, rows):
+        lo, height = max(0, top - halo), min(rows, n - top)
+        out = fn(T.crop(x, lo, 0, min(n, top + height + halo) - lo, cols))
+        strips.append(T.crop(out, top - lo, 0, height, out.shape[-1]) if halo else out)
     return T.concat(strips, axis=-2)
 
 
@@ -84,7 +104,7 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
     v = project("w_v", (0, 2, 1, 3))
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
-    ctx = _by_strips(q, lambda rows: T.softmax(rows @ k) @ v)  # (B, heads, L, hd)
+    ctx = _by_strips(q, lambda rows: T.softmax(rows @ k) @ v, STRIP_ROWS)  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
     return T.reshape(ctx @ param("w_o"), z.shape)
 
@@ -111,7 +131,7 @@ def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str,
     """
     wins = W.window_partition(x, s)  # checks x's rank
     # Named, the windows live until the block returns; passed inline, the block freed them
-    # early, and the no-trim heap then peaked 12 MB higher in one 256² forward (117 against 105 MB).
+    # early, and the no-trim heap then peaked 1 MB higher in one 256² forward (81.2 against 80.1 MB).
     wins = transformer_block(wins, p, prefix, heads)
     return W.window_reverse(wins, s, x.shape[1], x.shape[2])
 
@@ -137,7 +157,7 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
             acc = feat if acc is None else T.add(acc, feat)
         return acc
 
-    return _by_strips(x, strip)
+    return _by_strips(x, strip, _image_rows(x.shape[2]))
 
 
 def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:

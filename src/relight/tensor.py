@@ -14,8 +14,9 @@ Conventions, fixed here and relied on everywhere else:
   possible, at twice float32's memory.  Memory is what bounds the image
   size.  The tape's records set the peak of a train step.  Attention scores
   grow with the square of the token count, but ``attention.mhsa`` computes
-  them one strip of query rows at a time, so they no longer set the peak of
-  a large forward: full-size feature maps do, at the fusion head's convs.
+  them one strip of query rows at a time, and the local branch and the
+  fusion head run on image strips; so the peak of a large forward is set
+  by full-size feature maps, in the global branch's patch recovery convs.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.

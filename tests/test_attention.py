@@ -148,6 +148,26 @@ def strip_rows(n):
     return [min(A.STRIP_ROWS, n - top) for top in range(0, n, A.STRIP_ROWS)]
 
 
+def spy_strips(monkeypatch) -> list[tuple[int, list[int]]]:
+    """Patch ``A._by_strips`` to log each call, in call order, as (halo, rows of each strip fn
+    sees, halo rows included); the list fills as the calls run."""
+    calls = []
+    by_strips = A._by_strips
+
+    def spy(x, fn, rows, halo=0):
+        seen = []
+        calls.append((halo, seen))
+
+        def logged(strip):
+            seen.append(strip.shape[-2])
+            return fn(strip)
+
+        return by_strips(x, logged, rows, halo)
+
+    monkeypatch.setattr(A, "_by_strips", spy)
+    return calls
+
+
 class TestMhsaQueryTiles:
     # (windows, tokens, dim) at 2 heads: 16 x 128 tokens cut into two 64-row strips,
     # 8 x 160 into 64, 64 and a shorter 32, and the global branch's 256 tokens at 128² into four.
@@ -269,35 +289,56 @@ class TestLocalBranch:
         return acc
 
     def test_strip_rows_tile_the_largest_window(self):
-        assert A.STRIP_ROWS % A.LOCAL_WINDOW_SIZES[-1] == 0
+        band = A.LOCAL_WINDOW_SIZES[-1]
+        for width in range(8, 1025, 8):
+            rows = A._image_rows(width)
+            assert rows % band == 0 and rows >= band, width
+            assert rows == band or rows * width <= A.STRIP_PIXELS, width
+        assert [A._image_rows(width) for width in (64, 128, 256, 512, 1024)] == [64, 32, 16, 8, 8]
 
-    # 72, 136 and 200 rows cut into one, two and three full strips and an 8-row remainder
-    @pytest.mark.parametrize("height, width", [(72, 8), (136, 40), (200, 16)])
-    def test_strips_equal_the_whole_map_bitwise(self, height, width):
+    # At widths 64, 128 and 256 the strips are 64, 32 and 16 rows: each map cuts
+    # into one, two and three full strips and an 8-row remainder.
+    @pytest.mark.parametrize(
+        "height, width, rows", [(72, 64, [64, 8]), (72, 128, [32, 32, 8]), (56, 256, [16, 16, 16, 8])]
+    )
+    def test_strips_equal_the_whole_map_bitwise(self, monkeypatch, height, width, rows):
         rng = np.random.default_rng(20)
         w = self._weights(rng, 8)
         x = Tensor(rng.uniform(size=(3, height, width)))
-        assert np.array_equal(A.local_branch(x, w, "loc", 2).data, self._whole_map(x, w).data)
+        seen = spy_strips(monkeypatch)
+        out = A.local_branch(x, w, "loc", 2)
+        assert seen[0] == (0, rows)
+        assert np.array_equal(out.data, self._whole_map(x, w).data)
 
-    def test_one_strip_records_the_whole_map_ops(self):
+    def test_one_strip_records_the_whole_map_ops(self, monkeypatch):
+        # A map of exactly one strip's rows; one band more would cut it in two.
         rng = np.random.default_rng(21)
         w = self._weights(rng, 8)
-        x = Tensor(rng.uniform(size=(3, A.STRIP_ROWS, 16)), requires_grad=True)
+        rows = A._image_rows(128)
+        x = Tensor(rng.uniform(size=(3, rows, 128)), requires_grad=True)
+        seen = spy_strips(monkeypatch)
+        A.local_branch(Tensor(rng.uniform(size=(3, rows + 8, 128))), w, "loc", 2)
+        assert seen[0] == (0, [rows, 8])
+        seen.clear()
         with T.Tape() as tape:
             out = A.local_branch(x, w, "loc", 2)
+        assert seen[0] == (0, [rows])
         with T.Tape() as whole:
             expected = self._whole_map(x, w)
         assert len(tape) == len(whole)
         assert np.array_equal(out.data, expected.data)
 
-    def test_gradient_across_two_strips(self):
+    def test_gradient_across_two_strips(self, monkeypatch):
         rng = np.random.default_rng(22)
         w = self._weights(rng, 8)
-        x = Tensor(rng.uniform(size=(3, 72, 8)))
+        x = Tensor(rng.uniform(size=(3, 40, 128)))
+        seen = spy_strips(monkeypatch)
+        A.local_branch(x, w, "loc", 2)
+        assert seen[0] == (0, [32, 8])
         weights = ["loc.embed_w", "loc.blocks.0.mhsa.w_q", "loc.blocks.1.mlp_w1", "loc.blocks.2.norm1_g"]
         wrt = [x] + [w[name] for name in weights]
-        # pixels of both strips, on either side of the edge at row 64, in every channel
-        pixels = [(0, 0, 0), (1, 31, 5), (2, 63, 7), (0, 64, 0), (1, 65, 3), (2, 71, 7)]
+        # pixels of both strips, on either side of the edge at row 32, in every channel
+        pixels = [(0, 0, 0), (1, 17, 5), (2, 31, 127), (0, 32, 64), (1, 33, 3), (2, 39, 100)]
         entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels]
         entries += [(k, 3) for k in range(1, len(wrt))]
         assert finite_diff(lambda: A.local_branch(x, w, "loc", 2), wrt, entries) < 1e-6

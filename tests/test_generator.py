@@ -1,15 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from finite_diff import finite_diff
+from finite_diff import STEP, finite_diff
+from relight import attention as A
 from relight import generator as G
 from relight import tensor as T
 from relight.tensor import Tape, Tensor
+from test_attention import spy_strips
 from test_contracts import reject
 
 SMALL = G.GeneratorConfig(height=16, width=16)
+WIDE = G.GeneratorConfig(height=40, width=256)  # fusion head strips of 16, 16 and 8 rows
 
 
 def test_forward_shape_and_range():
@@ -87,3 +91,73 @@ def test_named_parameters_deterministic_order():
     assert names1 == names2
     assert len(names1) == len(set(names1))
     assert any("local.blocks.0.mhsa.w_q" == n for n in names1)
+
+
+def branch_features(x, w):
+    """The concatenated local and global features that forward's fusion head reads."""
+    p, cfg = w.params, G.GeneratorConfig
+    local = A.local_branch(x, p, "local", cfg.local_heads)
+    return T.concat([local, A.global_branch(x, p, "global_", cfg.global_heads)])
+
+
+def head_preactivations(feat, w):
+    """The two 3x3 fusion convs' outputs before their leaky_relus, composed by hand on the whole map."""
+    p = w.params
+    pre1 = T.conv2d(feat, p["fuse1_w"], p["fuse1_b"], pad=1)
+    return pre1, T.conv2d(T.leaky_relu(pre1, 0.2), p["fuse2_w"], p["fuse2_b"], pad=1)
+
+
+class TestHeadStrips:
+    def test_strips_equal_the_whole_map_head(self, monkeypatch):
+        w = G.init_weights(WIDE, seed=12)
+        x = Tensor(np.random.default_rng(12).uniform(size=(3, 40, 256)))
+        seen = spy_strips(monkeypatch)
+        out = G.forward(x, w)
+        # the head is the last cut: 16, 16 and 8 rows, each read with up to 2 halo rows either side
+        assert seen[-1] == (2, [18, 20, 10])
+        _, pre2 = head_preactivations(branch_features(x, w), w)
+        whole = T.sigmoid(T.conv2d(T.leaky_relu(pre2, 0.2), w.params["out_w"], w.params["out_b"]))
+        assert np.max(np.abs(out.data - whole.data)) <= 1e-12
+
+    def test_gradient_across_a_head_strip_edge(self):
+        w = G.init_weights(WIDE, seed=13)
+        x = Tensor(np.random.default_rng(13).uniform(0.2, 0.8, size=(3, 40, 256)))
+        fuse1_w, probe = w.params["fuse1_w"], 9
+        # Keep the weight probe off the head's kinks: moving it by STEP either way flips the sign
+        # of no pre-activation of the two 3x3 convs (entries 0-5 and 8 each flip one here).
+        feat = branch_features(x, w)
+        signs = [np.sign(pre.data) for pre in head_preactivations(feat, w)]
+        value = fuse1_w.data.flat[probe]
+        for moved in (value + STEP, value - STEP):
+            fuse1_w.data.flat[probe] = moved
+            assert all(np.array_equal(np.sign(pre.data), s) for pre, s in zip(head_preactivations(feat, w), signs))
+        fuse1_w.data.flat[probe] = value
+        # pixels on both sides of the strip edges at rows 16 and 32, inside and beyond the halo
+        pixels = [(0, 13, 3), (1, 15, 100), (2, 16, 255), (0, 18, 0), (1, 31, 64), (2, 32, 128), (0, 34, 200)]
+        entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels] + [(1, probe)]
+        assert finite_diff(lambda: G.forward(x, w), [x, fuse1_w], entries) < 1e-6
+
+    def test_head_holds_less_than_a_whole_map_head(self, monkeypatch):
+        # Once the branches return, the head is all that runs. A whole-map head holds its
+        # zero-padded input and its output next to the 32-channel feature map: 2.6 maps at
+        # 64x256. On strips it holds the map and one strip's temporaries.
+        cfg = G.GeneratorConfig(height=64, width=256)
+        w = G.init_weights(cfg, seed=14)
+        x = Tensor(np.random.default_rng(14).uniform(size=(3, 64, 256)))
+        global_branch, entry = A.global_branch, []
+
+        def then_reset_the_peak(*args):
+            out = global_branch(*args)
+            tracemalloc.reset_peak()
+            entry.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(A, "global_branch", then_reset_the_peak)
+        tracemalloc.start()
+        try:
+            G.forward(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_map = (cfg.local_dim + cfg.global_out_dim) * 64 * 256 * 8
+        assert peak - entry[0] < 2 * feature_map

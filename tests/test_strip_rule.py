@@ -1,9 +1,11 @@
-"""attention.py cuts rows into strips only through its one strip rule, ``_by_strips``."""
+"""attention.py and generator.py cut rows into strips only through the one strip rule, ``_by_strips``."""
 
 import ast
 from pathlib import Path
 
-ATTENTION = Path(__file__).resolve().parents[1] / "src" / "relight" / "attention.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "relight"
+ATTENTION = SRC / "attention.py"
+GENERATOR = SRC / "generator.py"
 CUTS = {"crop", "concat"}
 RULE = {"_by_strips"}
 
@@ -27,8 +29,19 @@ def row_cuts(source: str) -> list[tuple[str, int]]:
     return calls(source, CUTS)
 
 
+def generator_row_cuts(source: str) -> list[tuple[str, int]]:
+    """(top-level function, line) of every crop call in source; its one concat joins channels, not rows."""
+    return calls(source, {"crop"})
+
+
 def test_only_the_rule_crops_or_concats():
     assert {name for name, _ in row_cuts(ATTENTION.read_text())} == RULE
+
+
+def test_the_generator_crops_only_through_the_rule():
+    source = GENERATOR.read_text()
+    assert generator_row_cuts(source) == []
+    assert {name for name, _ in calls(source, RULE)} == {"forward"}
 
 
 def test_the_guard_sees_a_second_cut():
@@ -46,3 +59,14 @@ def strip(x):
     return concat([crop(x, 0, 0, 1, 1)])
 """
     assert row_cuts(source) == [("mhsa", 7), ("mhsa", 7), ("strip", 11), ("strip", 11)]
+
+
+def test_the_generator_guard_sees_a_crop():
+    # A fusion head that cut its own halo strips; the channel concat of the branches is no row cut.
+    source = """
+def forward(x, feat, head, rows):
+    feat = T.concat([feat, feat], axis=0)
+    out = [head(T.crop(feat, max(0, top - 2), 0, rows + 4, 64)) for top in range(0, 64, rows)]
+    return T.concat(out, axis=-2)
+"""
+    assert generator_row_cuts(source) == [("forward", 4)]
