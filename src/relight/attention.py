@@ -15,22 +15,28 @@ activation.  The queries are scaled by 1/sqrt(head_dim) before the
 query-key product.
 
 One strip rule, ``_by_strips``: a map is cut along its rows into strips,
-the last one shorter, which run one at a time and are joined along the rows;
-so only one strip's temporaries are alive at a time.  Image maps are cut by
-a pixel budget, ``_image_rows``: ``STRIP_PIXELS`` pixels per strip, in whole
-8-row bands and at least one (64 rows at 64 wide, 16 at 256, 8 from 512 up).
-``mhsa`` cuts its queries into strips of ``STRIP_ROWS`` rows.  A strip may
-carry a halo, rows of context on either side that ``fn`` reads and whose
-output is dropped: the generator's fusion head takes one row per 3x3 conv.
-Every cut is exact, since no kept output row reads an input row beyond its
-strip and halo.  The local branch's 1x1 embedding, LayerNorm and MLP act on
-one pixel at a time and its unshifted windows never cross an aligned 8-row
-band, as with Swin's non-overlapping windows (Liu et al., arXiv 2103.14030);
-a query row's softmax reads only its own row of scores (Rabe & Staats, arXiv
+the last one shorter, which are joined along the rows in order.  With no
+tape active the strips run two at a time, one on each of the pool's
+``WORKERS`` threads, with OpenBLAS held at one thread meanwhile; under a
+tape, or inside a worker, they run one at a time in the calling thread.  A
+strip holds 1/WORKERS of the budget, so the strips in flight hold the whole
+budget.  Image maps are cut by a pixel budget, ``_image_rows``:
+``STRIP_PIXELS // WORKERS`` pixels per strip, in whole 8-row bands and at
+least one (32 rows at 64 wide, 16 at 128, 8 from 256 up).  ``mhsa`` cuts
+its queries into strips of ``STRIP_ROWS`` rows.  A map that fits in
+``WORKERS`` strips runs whole, so every 64x64 map, every local window and
+the global branch's 64 tokens at 64x64 are one strip.  A strip may carry
+a halo, rows of context on either side that ``fn`` reads and whose output is
+dropped: the generator's fusion head takes one row per 3x3 conv.  Every cut
+is exact, since no kept output row reads an input row beyond its strip and
+halo.  The local branch's 1x1 embedding, LayerNorm and MLP act on one pixel
+at a time and its unshifted windows never cross an aligned 8-row band, as
+with Swin's non-overlapping windows (Liu et al., arXiv 2103.14030); a query
+row's softmax reads only its own row of scores (Rabe & Staats, arXiv
 2112.05682).  Only the BLAS rounding of mhsa's products may differ, and
 under a tape each weight's gradient is summed strip by strip.  Every local
 window fits in one strip; the global branch's tokens take one strip up to
-64x64 pixels, four at 128x128 and 16 at 256x256.
+64x64 pixels, eight at 128x128 and 32 at 256x256.
 
 Weights come from one flat name -> Tensor map; each function reads its
 own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
@@ -38,8 +44,14 @@ own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
 
 from __future__ import annotations
 
+import ctypes
 import math
-from typing import Callable
+import os
+import threading
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
 
 from . import tensor as T
 from . import windows as W
@@ -47,35 +59,101 @@ from .errors import ContractError
 from .tensor import Tensor
 
 LOCAL_WINDOW_SIZES = (2, 4, 8)  # size of layer i is 2**(i+1)
-STRIP_ROWS = 64  # query rows per mhsa strip
-STRIP_PIXELS = 4096  # pixels per image strip (_image_rows)
+WORKERS = 2  # strips in flight at once; fixed, so the cut does not depend on the machine
+STRIP_ROWS = 32  # query rows per mhsa strip
+STRIP_PIXELS = 4096  # pixels in flight per image map, STRIP_PIXELS // WORKERS per strip (_image_rows)
 GLOBAL_BLOCKS = 2  # serial transformer blocks of the global branch
 
 
+def _openblas_threads():
+    """The (get, set) thread count functions of numpy's bundled OpenBLAS, or None where they are not found."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+_BLAS_THREADS = _openblas_threads()
+_pool_lock = threading.Lock()  # one pooled map at a time: it holds OpenBLAS at one thread
+_pool = None  # the executor, made on the first pooled map
+_worker = threading.local()  # .busy is set in the pool's threads
+
+
+def _forget_pool():
+    """In a forked child: the parent's workers do not run there, and its lock may be held."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere a process cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map(fn: Callable[[int], Tensor], items: Sequence[int]) -> list[Tensor]:
+    """[fn(item) for item in items], run on the pool's WORKERS threads where that may be.
+
+    The items go to the pool only when no tape is active (a worker has
+    none), the caller is not itself a worker (a worker waiting on the pool
+    could deadlock it) and OpenBLAS's thread count was found; otherwise they
+    run in order in the calling thread.  While the pool runs, OpenBLAS is
+    held at one thread, so two strips do not each start a second one.  Every
+    item finishes before the count is restored and the first error, in item
+    order, is raised.
+    """
+    global _pool
+    if _BLAS_THREADS is None or T._active_tape() is not None or getattr(_worker, "busy", False):
+        return [fn(item) for item in items]
+    get, put = _BLAS_THREADS
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: concurrent.futures imports logging, 3-7 ms and 0.6 MB that a
+            # process which never cuts a map into strips, such as a 64x64 one, need not pay.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(WORKERS, "relight-strip", initializer=setattr, initargs=(_worker, "busy", True))
+        before = get()
+        put(1)
+        try:
+            futures = [_pool.submit(fn, item) for item in items]
+            for future in futures:
+                future.exception()  # waits for the item without raising its error
+        finally:
+            put(before)
+    return [future.result() for future in futures]
+
+
 def _image_rows(width: int) -> int:
-    """Rows per strip of an image map ``width`` pixels wide: STRIP_PIXELS worth, in whole
-    bands of the largest window, and at least one band."""
+    """Rows per strip of an image map ``width`` pixels wide: STRIP_PIXELS // WORKERS worth, in
+    whole bands of the largest window, and at least one band."""
     band = LOCAL_WINDOW_SIZES[-1]
-    return max(band, STRIP_PIXELS // width // band * band)
+    return max(band, STRIP_PIXELS // WORKERS // width // band * band)
 
 
 def _by_strips(x: Tensor, fn: Callable[[Tensor], Tensor], rows: int, halo: int = 0) -> Tensor:
-    """fn on x's rows (axis -2) in strips of ``rows``, the last one shorter, joined by one concat.
+    """fn on x's rows (axis -2) in strips of ``rows``, the last one shorter, joined in order by one concat.
 
     fn sees each strip with up to ``halo`` more rows on either side, clipped at
     x's edges, and must return as many rows as it is given; the halo rows of its
-    output are cropped off.  x of ``rows`` rows or fewer is one strip: fn(x),
-    with no crop or concat.
+    output are cropped off.  The strips run through ``_map``: two at a time on
+    the pool with no tape, one at a time otherwise.  x of ``WORKERS * rows`` rows
+    or fewer fits in the strips in flight and is one strip: fn(x), with no crop
+    or concat.
     """
     n, cols = x.shape[-2:]
-    if n <= rows:
+    if n <= WORKERS * rows:
         return fn(x)
-    strips = []
-    for top in range(0, n, rows):
+
+    def strip(top: int) -> Tensor:
         lo, height = max(0, top - halo), min(rows, n - top)
         out = fn(T.crop(x, lo, 0, min(n, top + height + halo) - lo, cols))
-        strips.append(T.crop(out, top - lo, 0, height, out.shape[-1]) if halo else out)
-    return T.concat(strips, axis=-2)
+        return T.crop(out, top - lo, 0, height, out.shape[-1]) if halo else out
+
+    return T.concat(_map(strip, range(0, n, rows)), axis=-2)
 
 
 def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:

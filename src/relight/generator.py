@@ -5,8 +5,9 @@ recovered global features along channels, fuses them with two 3x3 convs
 (leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
 so outputs always lie strictly inside (0,1).  This fusion head runs on the
 image strips of ``attention._by_strips`` with a 2-row halo, one row for each
-3x3 conv, so it holds one strip's temporaries at a time, not the whole map's;
-its output equals a whole-map head's.
+3x3 conv, so it holds the temporaries of the strips in flight (two, each half
+the pixel budget, with no tape), not the whole map's; its output equals a
+whole-map head's.
 
 The channel widths and head counts are constants of the network, sized so
 CPU runs stay fast while all three window scales remain meaningful; they

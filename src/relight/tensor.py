@@ -44,12 +44,15 @@ Conventions, fixed here and relied on everywhere else:
   A function reads its parameters by dotted name through ``_params``, which names a missing one.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
-  thread-local).
+  thread-local).  A forward with no tape runs its strips on the two
+  worker threads of ``attention._by_strips``, which have no tape either.
 - Importing this module tells glibc's allocator, for the whole process,
   to keep freed memory instead of returning it to the kernel: blocks up
   to 1 GiB come from the heap, and the heap is never trimmed.  Every op
   returns a fresh array, so otherwise the next op faults the same pages
-  in again; the price is that the process keeps its peak memory.
+  in again; the price is that the process keeps its peak memory.  All
+  threads share one arena: a strip worker would otherwise get an arena of
+  its own, which, never trimmed, would keep a peak of its own.
   Without glibc nothing changes.
 - One reduction rule: a sum over the last axis is ``_sum_last`` and a sum
   over every axis but the last is ``_sum_lead``, each one BLAS product with
@@ -92,6 +95,7 @@ from .errors import ContractError, DimensionError, DomainError
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _KEEP_BYTES = 1 << 30
 _BLOCK_BYTES = 2 << 20  # one column block of conv2d's output
 
@@ -107,6 +111,7 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_memory()
@@ -698,14 +703,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
     acc = np.empty((Cout, n))
     blocks = _blocks(n, 8 * Cout)
-    scratch = np.empty((Cout, blocks[0].stop))
+    scratch = np.empty((Cout, blocks[0].stop)) if len(taps) > 1 else None  # a 1x1 kernel reads none
     for blk in blocks:
-        out, part = acc[:, blk], scratch[:, : blk.stop - blk.start]
+        out = acc[:, blk]
         for k, (i, j, ph, off) in enumerate(taps):
             tap = phases[ph, :, off + blk.start : off + blk.stop]
             if k == 0:
                 np.matmul(wt[i, j], tap, out=out)
             else:
+                part = scratch[:, : blk.stop - blk.start]
                 np.matmul(wt[i, j], tap, out=part)
                 out += part
     y = acc.reshape(Cout, Ho, Wq)[:, :, :Wo]  # a view: the bias goes into acc, no full-size copy

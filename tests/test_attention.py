@@ -143,63 +143,83 @@ def untiled_mhsa(z, w, heads):
     return T.reshape(T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d)) @ w["m.w_o"], z.shape)
 
 
-def strip_rows(n):
-    """The rows of each strip the strip rule cuts n rows into."""
-    return [min(A.STRIP_ROWS, n - top) for top in range(0, n, A.STRIP_ROWS)]
-
-
 def spy_strips(monkeypatch) -> list[tuple[int, list[int]]]:
-    """Patch ``A._by_strips`` to log each call, in call order, as (halo, rows of each strip fn
-    sees, halo rows included); the list fills as the calls run."""
-    calls = []
-    by_strips = A._by_strips
+    """Patch ``A._by_strips`` to log each call, in the order the calls start, as (halo, rows of
+    each strip fn sees, halo rows included, in the strips' order down the map).
+
+    A strip's place is the top row of the crop of x that fn reads, so the log does not
+    depend on which thread runs a strip first; a call that runs x whole logs x's rows.
+    A call's strips are logged when it returns.
+    """
+    calls, cutting = [], []  # cutting: (x, [(top, rows) of each crop of x]) of every call running
+    by_strips, crop = A._by_strips, T.crop
 
     def spy(x, fn, rows, halo=0):
-        seen = []
+        seen, cuts = [], []
         calls.append((halo, seen))
+        cutting.append((x, cuts))
+        try:
+            out = by_strips(x, fn, rows, halo)
+        finally:
+            cutting.remove((x, cuts))
+        seen.extend([height for _, height in sorted(cuts)] or [x.shape[-2]])
+        return out
 
-        def logged(strip):
-            seen.append(strip.shape[-2])
-            return fn(strip)
-
-        return by_strips(x, logged, rows, halo)
+    def spy_crop(t, top, left, height, width):
+        for x, cuts in list(cutting):
+            if t is x:
+                cuts.append((top, height))
+        return crop(t, top, left, height, width)
 
     monkeypatch.setattr(A, "_by_strips", spy)
+    monkeypatch.setattr(T, "crop", spy_crop)
     return calls
 
 
 class TestMhsaQueryTiles:
-    # (windows, tokens, dim) at 2 heads: 16 x 128 tokens cut into two 64-row strips,
-    # 8 x 160 into 64, 64 and a shorter 32, and the global branch's 256 tokens at 128² into four.
+    # (windows, tokens, dim) at 2 heads: 16 x 128 tokens cut into four 32-row strips,
+    # 8 x 144 into four and a shorter 16, and the global branch's 256 tokens at 128² into eight.
     @pytest.mark.parametrize(
-        "shape, rows", [((16, 128, 8), [64, 64]), ((8, 160, 8), [64, 64, 32]), ((1, 256, 8), [64, 64, 64, 64])]
+        "shape, rows", [((16, 128, 8), [32] * 4), ((8, 144, 8), [32] * 4 + [16]), ((1, 256, 8), [32] * 8)]
     )
-    def test_tiles_equal_the_untiled_chain(self, shape, rows):
-        assert strip_rows(shape[1]) == rows
+    def test_tiles_equal_the_untiled_chain(self, monkeypatch, shape, rows):
         rng = np.random.default_rng(30)
         w = make_mhsa(rng, 8)
         z = Tensor(rng.normal(size=shape))
-        assert np.max(np.abs(A.mhsa(z, w, "m", 2).data - untiled_mhsa(z, w, 2).data)) <= 1e-15
+        seen = spy_strips(monkeypatch)
+        out = A.mhsa(z, w, "m", 2)
+        assert seen == [(0, rows)]
+        assert np.max(np.abs(out.data - untiled_mhsa(z, w, 2).data)) <= 1e-15
 
-    def test_one_tile_records_the_untiled_ops(self):
+    def test_one_tile_records_the_untiled_ops(self, monkeypatch):
+        # WORKERS strips' worth of queries runs whole; one band more is cut.
         rng = np.random.default_rng(31)
         w = make_mhsa(rng, 8)
-        z = Tensor(rng.normal(size=(4, 64, 8)), requires_grad=True)
-        assert strip_rows(64) == [64]
+        L = A.WORKERS * A.STRIP_ROWS
+        z = Tensor(rng.normal(size=(4, L, 8)), requires_grad=True)
+        seen = spy_strips(monkeypatch)
+        A.mhsa(Tensor(rng.normal(size=(4, L + 8, 8))), w, "m", 2)
+        assert seen == [(0, [A.STRIP_ROWS] * A.WORKERS + [8])]
+        seen.clear()
         with T.Tape() as tape:
             out = A.mhsa(z, w, "m", 2)
+        assert seen == [(0, [L])]
         with T.Tape() as untiled:
             expected = untiled_mhsa(z, w, 2)
         assert len(tape) == len(untiled)
         assert np.array_equal(out.data, expected.data)
 
-    def test_gradient_across_a_tile_edge(self):
+    def test_gradient_across_a_tile_edge(self, monkeypatch):
         rng = np.random.default_rng(32)
         w = make_mhsa(rng, 8)
         z = Tensor(rng.normal(size=(16, 128, 8)))
+        seen = spy_strips(monkeypatch)
+        A.mhsa(z, w, "m", 2)
+        assert seen == [(0, [32, 32, 32, 32])]
         wrt = [z] + [w[f"m.{name}"] for name in ("w_q", "w_k", "w_v", "w_o")]
-        # query rows on both sides of the tile edge at row 64, in two windows
-        tokens = [(0, 0, 0), (0, 63, 3), (0, 64, 5), (0, 65, 7), (15, 62, 1), (15, 66, 2), (15, 127, 6)]
+        # query rows on both sides of the tile edges at rows 32, 64 and 96, in two windows
+        tokens = [(0, 0, 0), (0, 31, 3), (0, 32, 5), (0, 63, 4), (0, 64, 7), (15, 62, 1), (15, 66, 2), (15, 95, 0)]
+        tokens += [(15, 96, 6), (15, 127, 6)]
         entries = [(0, int(np.ravel_multi_index(at, z.shape))) for at in tokens]
         entries += [(k, 9) for k in range(1, len(wrt))]
         assert finite_diff(lambda: A.mhsa(z, w, "m", 2), wrt, entries) < 1e-6
@@ -293,13 +313,13 @@ class TestLocalBranch:
         for width in range(8, 1025, 8):
             rows = A._image_rows(width)
             assert rows % band == 0 and rows >= band, width
-            assert rows == band or rows * width <= A.STRIP_PIXELS, width
-        assert [A._image_rows(width) for width in (64, 128, 256, 512, 1024)] == [64, 32, 16, 8, 8]
+            assert rows == band or rows * width <= A.STRIP_PIXELS // A.WORKERS, width
+        assert [A._image_rows(width) for width in (64, 128, 256, 512, 1024)] == [32, 16, 8, 8, 8]
 
-    # At widths 64, 128 and 256 the strips are 64, 32 and 16 rows: each map cuts
-    # into one, two and three full strips and an 8-row remainder.
+    # At widths 64, 128 and 256 the strips are 32, 16 and 8 rows: each map cuts
+    # into two, four and six full strips and an 8-row remainder.
     @pytest.mark.parametrize(
-        "height, width, rows", [(72, 64, [64, 8]), (72, 128, [32, 32, 8]), (56, 256, [16, 16, 16, 8])]
+        "height, width, rows", [(72, 64, [32, 32, 8]), (72, 128, [16] * 4 + [8]), (56, 256, [8] * 7)]
     )
     def test_strips_equal_the_whole_map_bitwise(self, monkeypatch, height, width, rows):
         rng = np.random.default_rng(20)
@@ -311,18 +331,18 @@ class TestLocalBranch:
         assert np.array_equal(out.data, self._whole_map(x, w).data)
 
     def test_one_strip_records_the_whole_map_ops(self, monkeypatch):
-        # A map of exactly one strip's rows; one band more would cut it in two.
+        # A map of WORKERS strips' rows runs whole; one band more would cut it.
         rng = np.random.default_rng(21)
         w = self._weights(rng, 8)
         rows = A._image_rows(128)
-        x = Tensor(rng.uniform(size=(3, rows, 128)), requires_grad=True)
+        x = Tensor(rng.uniform(size=(3, A.WORKERS * rows, 128)), requires_grad=True)
         seen = spy_strips(monkeypatch)
-        A.local_branch(Tensor(rng.uniform(size=(3, rows + 8, 128))), w, "loc", 2)
-        assert seen[0] == (0, [rows, 8])
+        A.local_branch(Tensor(rng.uniform(size=(3, A.WORKERS * rows + 8, 128))), w, "loc", 2)
+        assert seen[0] == (0, [rows] * A.WORKERS + [8])
         seen.clear()
         with T.Tape() as tape:
             out = A.local_branch(x, w, "loc", 2)
-        assert seen[0] == (0, [rows])
+        assert seen[0] == (0, [A.WORKERS * rows])
         with T.Tape() as whole:
             expected = self._whole_map(x, w)
         assert len(tape) == len(whole)
@@ -334,11 +354,11 @@ class TestLocalBranch:
         x = Tensor(rng.uniform(size=(3, 40, 128)))
         seen = spy_strips(monkeypatch)
         A.local_branch(x, w, "loc", 2)
-        assert seen[0] == (0, [32, 8])
+        assert seen[0] == (0, [16, 16, 8])
         weights = ["loc.embed_w", "loc.blocks.0.mhsa.w_q", "loc.blocks.1.mlp_w1", "loc.blocks.2.norm1_g"]
         wrt = [x] + [w[name] for name in weights]
-        # pixels of both strips, on either side of the edge at row 32, in every channel
-        pixels = [(0, 0, 0), (1, 17, 5), (2, 31, 127), (0, 32, 64), (1, 33, 3), (2, 39, 100)]
+        # pixels of every strip, on either side of the edges at rows 16 and 32, in every channel
+        pixels = [(0, 0, 0), (1, 15, 5), (2, 16, 127), (0, 17, 64), (1, 31, 3), (2, 32, 100), (0, 39, 50)]
         entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels]
         entries += [(k, 3) for k in range(1, len(wrt))]
         assert finite_diff(lambda: A.local_branch(x, w, "loc", 2), wrt, entries) < 1e-6

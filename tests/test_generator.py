@@ -13,7 +13,7 @@ from test_attention import spy_strips
 from test_contracts import reject
 
 SMALL = G.GeneratorConfig(height=16, width=16)
-WIDE = G.GeneratorConfig(height=40, width=256)  # fusion head strips of 16, 16 and 8 rows
+WIDE = G.GeneratorConfig(height=40, width=256)  # fusion head strips of 8 rows each
 
 
 def test_forward_shape_and_range():
@@ -113,15 +113,18 @@ class TestHeadStrips:
         x = Tensor(np.random.default_rng(12).uniform(size=(3, 40, 256)))
         seen = spy_strips(monkeypatch)
         out = G.forward(x, w)
-        # the head is the last cut: 16, 16 and 8 rows, each read with up to 2 halo rows either side
-        assert seen[-1] == (2, [18, 20, 10])
+        # the head is the last cut: five strips of 8 rows, each read with up to 2 halo rows either side
+        assert seen[-1] == (2, [10, 12, 12, 12, 10])
         _, pre2 = head_preactivations(branch_features(x, w), w)
         whole = T.sigmoid(T.conv2d(T.leaky_relu(pre2, 0.2), w.params["out_w"], w.params["out_b"]))
         assert np.max(np.abs(out.data - whole.data)) <= 1e-12
 
-    def test_gradient_across_a_head_strip_edge(self):
+    def test_gradient_across_a_head_strip_edge(self, monkeypatch):
         w = G.init_weights(WIDE, seed=13)
         x = Tensor(np.random.default_rng(13).uniform(0.2, 0.8, size=(3, 40, 256)))
+        seen = spy_strips(monkeypatch)
+        G.forward(x, w)
+        assert seen[-1] == (2, [10, 12, 12, 12, 10])
         fuse1_w, probe = w.params["fuse1_w"], 9
         # Keep the weight probe off the head's kinks: moving it by STEP either way flips the sign
         # of no pre-activation of the two 3x3 convs (entries 0-5 and 8 each flip one here).
@@ -132,8 +135,9 @@ class TestHeadStrips:
             fuse1_w.data.flat[probe] = moved
             assert all(np.array_equal(np.sign(pre.data), s) for pre, s in zip(head_preactivations(feat, w), signs))
         fuse1_w.data.flat[probe] = value
-        # pixels on both sides of the strip edges at rows 16 and 32, inside and beyond the halo
-        pixels = [(0, 13, 3), (1, 15, 100), (2, 16, 255), (0, 18, 0), (1, 31, 64), (2, 32, 128), (0, 34, 200)]
+        # pixels on both sides of the strip edges at rows 8, 16, 24 and 32, inside and beyond the halo
+        pixels = [(1, 5, 7), (2, 8, 30), (0, 13, 3), (1, 15, 100), (2, 16, 255), (0, 18, 0), (1, 23, 9)]
+        pixels += [(2, 24, 77), (1, 31, 64), (2, 32, 128), (0, 34, 200)]
         entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels] + [(1, probe)]
         assert finite_diff(lambda: G.forward(x, w), [x, fuse1_w], entries) < 1e-6
 

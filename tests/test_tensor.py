@@ -199,6 +199,18 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < x.data.nbytes + phases + acc + 2 * T._BLOCK_BYTES
 
+    def test_a_1x1_kernel_holds_no_tap_block(self):
+        # One tap, so no buffer for the taps after the first: the same conv as above, 1x1.
+        rng = np.random.default_rng(12)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((4, 128, 128), (32, 4, 1, 1), (32,)))
+        tracemalloc.start()
+        try:
+            T.conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes + 32 * 128 * 128 * 8  # the input, its copy and the accumulator
+
     @staticmethod
     def three_column_blocks(k, pad):
         """A 32 -> 32 kxk conv over 4 x 5000 pixels whose output columns make two full column blocks and a partial one.
