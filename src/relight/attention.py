@@ -25,12 +25,11 @@ budget.  Image maps are cut by a pixel budget, ``_image_rows``:
 least one (32 rows at 64 wide, 16 at 128, 8 from 256 up).  ``mhsa`` cuts
 its queries into strips of ``STRIP_ROWS`` rows.  A map that fits in
 ``WORKERS`` strips runs whole, so every 64x64 map, every local window and
-the global branch's 64 tokens at 64x64 are one strip.  A strip may carry
-a halo, rows of context on either side that ``fn`` reads and whose output is
-dropped: the generator's fusion head takes one row per 3x3 conv.  Every cut
-is exact, since no kept output row reads an input row beyond its strip and
-halo.  The local branch's 1x1 embedding, LayerNorm and MLP act on one pixel
-at a time and its unshifted windows never cross an aligned 8-row band, as
+the global branch's 64 tokens at 64x64 are one strip.  Each strip is a
+row range, and ``fn`` reads its own rows of a map through ``_rows``.  Both
+cuts here are exact, since no output row reads an input row of another
+strip.  The local branch's 1x1 embedding, LayerNorm and MLP act on one
+pixel at a time and its unshifted windows never cross an aligned 8-row band, as
 with Swin's non-overlapping windows (Liu et al., arXiv 2103.14030); a query
 row's softmax reads only its own row of scores (Rabe & Staats, arXiv
 2112.05682).  Only the BLAS rounding of mhsa's products may differ, and
@@ -134,26 +133,20 @@ def _image_rows(width: int) -> int:
     return max(band, STRIP_PIXELS // WORKERS // width // band * band)
 
 
-def _by_strips(x: Tensor, fn: Callable[[Tensor], Tensor], rows: int, halo: int = 0) -> Tensor:
-    """fn on x's rows (axis -2) in strips of ``rows``, the last one shorter, joined in order by one concat.
-
-    fn sees each strip with up to ``halo`` more rows on either side, clipped at
-    x's edges, and must return as many rows as it is given; the halo rows of its
-    output are cropped off.  The strips run through ``_map``: two at a time on
-    the pool with no tape, one at a time otherwise.  x of ``WORKERS * rows`` rows
-    or fewer fits in the strips in flight and is one strip: fn(x), with no crop
-    or concat.
-    """
+def _rows(x: Tensor, lo: int, hi: int) -> Tensor:
+    """x's rows (axis -2) [lo, hi): x itself when that is every row, else one crop."""
     n, cols = x.shape[-2:]
+    return x if (lo, hi) == (0, n) else T.crop(x, lo, 0, hi - lo, cols)
+
+
+def _by_strips(n: int, fn: Callable[[int, int], Tensor], rows: int) -> Tensor:
+    """fn(lo, hi) on the strips [lo, hi) of range(n), ``rows`` each and the last one shorter, run
+    through ``_map`` and joined along axis -2 in order by one concat.  n of ``WORKERS * rows`` or
+    fewer fits in the strips in flight and is one strip: fn(0, n), with no concat.
+    """
     if n <= WORKERS * rows:
-        return fn(x)
-
-    def strip(top: int) -> Tensor:
-        lo, height = max(0, top - halo), min(rows, n - top)
-        out = fn(T.crop(x, lo, 0, min(n, top + height + halo) - lo, cols))
-        return T.crop(out, top - lo, 0, height, out.shape[-1]) if halo else out
-
-    return T.concat(_map(strip, range(0, n, rows)), axis=-2)
+        return fn(0, n)
+    return T.concat(_map(lambda lo: fn(lo, min(lo + rows, n)), range(0, n, rows)), axis=-2)
 
 
 def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
@@ -182,7 +175,7 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
     v = project("w_v", (0, 2, 1, 3))
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
-    ctx = _by_strips(q, lambda rows: T.softmax(rows @ k) @ v, STRIP_ROWS)  # (B, heads, L, hd)
+    ctx = _by_strips(L, lambda lo, hi: T.softmax(_rows(q, lo, hi) @ k) @ v, STRIP_ROWS)  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
     return T.reshape(ctx @ param("w_o"), z.shape)
 
@@ -227,15 +220,15 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
     W._window_grid(x.shape[1], x.shape[2], LOCAL_WINDOW_SIZES[-1], "local_branch")
     param = T._params(p, prefix, "local_branch")
 
-    def strip(rows: Tensor) -> Tensor:
-        feat = T.conv2d(rows, param("embed_w"), param("embed_b"))
+    def strip(lo: int, hi: int) -> Tensor:
+        feat = T.conv2d(_rows(x, lo, hi), param("embed_w"), param("embed_b"))
         acc = None
         for i, s in enumerate(LOCAL_WINDOW_SIZES):
             feat = window_attention_block(feat, s, p, f"{prefix}.blocks.{i}", heads)
             acc = feat if acc is None else T.add(acc, feat)
         return acc
 
-    return _by_strips(x, strip, _image_rows(x.shape[2]))
+    return _by_strips(x.shape[1], strip, _image_rows(x.shape[2]))
 
 
 def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:

@@ -4,10 +4,10 @@ The forward pass stacks the local multi-scale window features with the
 recovered global features along channels, fuses them with two 3x3 convs
 (leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
 so outputs always lie strictly inside (0,1).  This fusion head runs on the
-image strips of ``attention._by_strips`` with a 2-row halo, one row for each
-3x3 conv, so it holds the temporaries of the strips in flight (two, each half
-the pixel budget, with no tape), not the whole map's; its output equals a
-whole-map head's.
+image strips of ``attention._by_strips``, each read with two context rows on
+either side (one per 3x3 conv) and cropped to its own rows before the sigmoid,
+so it holds the temporaries of the strips in flight (two, each half the pixel
+budget, with no tape), not the whole map's; its output equals a whole-map head's.
 
 The channel widths and head counts are constants of the network, sized so
 CPU runs stay fast while all three window scales remain meaningful; they
@@ -142,14 +142,17 @@ def forward(x: Tensor, w: Weights) -> Tensor:
 
     param = T._params(p, "", "forward")
 
-    def head(rows: Tensor) -> Tensor:
+    def head(lo: int, hi: int) -> Tensor:
+        # Each zero-padded 3x3 conv spoils one more row at a cut edge, so two context rows keep
+        # [lo, hi) exact; the crop to [lo, hi) waits for the 1x1 conv's 3 channels, not fuse2's 32.
+        top = max(0, lo - 2)
+        rows = A._rows(feat, top, min(feat.shape[1], hi + 2))
         rows = T.leaky_relu(T.conv2d(rows, param("fuse1_w"), param("fuse1_b"), pad=1), 0.2)
         rows = T.leaky_relu(T.conv2d(rows, param("fuse2_w"), param("fuse2_b"), pad=1), 0.2)
-        return T.sigmoid(T.conv2d(rows, param("out_w"), param("out_b")))
+        rgb = T.conv2d(rows, param("out_w"), param("out_b"))
+        return T.sigmoid(A._rows(rgb, lo - top, hi - top))
 
-    # Each 3x3 conv zero-pads the strip's edge rows, so each makes one more row at either end
-    # wrong; a 2-row halo keeps every wrong row out of the output.
-    return A._by_strips(feat, head, A._image_rows(x.shape[2]), halo=2)
+    return A._by_strips(feat.shape[1], head, A._image_rows(x.shape[2]))
 
 
 def named_parameters(w: Weights) -> Iterable[tuple[str, Tensor]]:

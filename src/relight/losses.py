@@ -136,6 +136,7 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
     breakdown: dict[str, float] = {}
     for name in LOSS_TERMS:
         part = parts[name]
+        T._need_type(part, Tensor, f"loss term {name!r}")
         if part.shape != ():
             raise DimensionError(f"loss term {name!r} must be a scalar, got shape {part.shape}")
         value = float(part.data)

@@ -684,6 +684,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     _need_rank(w, "[O,I,kh,kw]", "conv2d: kernels")
     Cin, H, W = x.shape
     Cout, Cw, kh, kw = w.shape
+    if 0 in (Cout, kh, kw):
+        raise DimensionError(f"conv2d: kernel shape {w.shape} has no output channels or no taps")
     if Cw != Cin:
         raise DimensionError(f"conv2d: input channels {Cin} do not match kernel channels {Cw}")
     _need_int(stride, 1, "conv2d: stride")

@@ -143,36 +143,24 @@ def untiled_mhsa(z, w, heads):
     return T.reshape(T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d)) @ w["m.w_o"], z.shape)
 
 
-def spy_strips(monkeypatch) -> list[tuple[int, list[int]]]:
-    """Patch ``A._by_strips`` to log each call, in the order the calls start, as (halo, rows of
-    each strip fn sees, halo rows included, in the strips' order down the map).
+def spy_strips(monkeypatch) -> list[list[int]]:
+    """Patch ``A._by_strips`` to log each call, in the order the calls start, as its strips' heights
+    down the map (sorted by first row when it returns, whichever thread ran a strip first)."""
+    calls, by_strips = [], A._by_strips
 
-    A strip's place is the top row of the crop of x that fn reads, so the log does not
-    depend on which thread runs a strip first; a call that runs x whole logs x's rows.
-    A call's strips are logged when it returns.
-    """
-    calls, cutting = [], []  # cutting: (x, [(top, rows) of each crop of x]) of every call running
-    by_strips, crop = A._by_strips, T.crop
+    def spy(n, fn, rows):
+        seen, ranges = [], []
+        calls.append(seen)
 
-    def spy(x, fn, rows, halo=0):
-        seen, cuts = [], []
-        calls.append((halo, seen))
-        cutting.append((x, cuts))
-        try:
-            out = by_strips(x, fn, rows, halo)
-        finally:
-            cutting.remove((x, cuts))
-        seen.extend([height for _, height in sorted(cuts)] or [x.shape[-2]])
+        def logged(lo, hi):
+            ranges.append((lo, hi))
+            return fn(lo, hi)
+
+        out = by_strips(n, logged, rows)
+        seen.extend(hi - lo for lo, hi in sorted(ranges))
         return out
 
-    def spy_crop(t, top, left, height, width):
-        for x, cuts in list(cutting):
-            if t is x:
-                cuts.append((top, height))
-        return crop(t, top, left, height, width)
-
     monkeypatch.setattr(A, "_by_strips", spy)
-    monkeypatch.setattr(T, "crop", spy_crop)
     return calls
 
 
@@ -188,7 +176,7 @@ class TestMhsaQueryTiles:
         z = Tensor(rng.normal(size=shape))
         seen = spy_strips(monkeypatch)
         out = A.mhsa(z, w, "m", 2)
-        assert seen == [(0, rows)]
+        assert seen == [rows]
         assert np.max(np.abs(out.data - untiled_mhsa(z, w, 2).data)) <= 1e-15
 
     def test_one_tile_records_the_untiled_ops(self, monkeypatch):
@@ -199,11 +187,11 @@ class TestMhsaQueryTiles:
         z = Tensor(rng.normal(size=(4, L, 8)), requires_grad=True)
         seen = spy_strips(monkeypatch)
         A.mhsa(Tensor(rng.normal(size=(4, L + 8, 8))), w, "m", 2)
-        assert seen == [(0, [A.STRIP_ROWS] * A.WORKERS + [8])]
+        assert seen == [[A.STRIP_ROWS] * A.WORKERS + [8]]
         seen.clear()
         with T.Tape() as tape:
             out = A.mhsa(z, w, "m", 2)
-        assert seen == [(0, [L])]
+        assert seen == [[L]]
         with T.Tape() as untiled:
             expected = untiled_mhsa(z, w, 2)
         assert len(tape) == len(untiled)
@@ -215,7 +203,7 @@ class TestMhsaQueryTiles:
         z = Tensor(rng.normal(size=(16, 128, 8)))
         seen = spy_strips(monkeypatch)
         A.mhsa(z, w, "m", 2)
-        assert seen == [(0, [32, 32, 32, 32])]
+        assert seen == [[32, 32, 32, 32]]
         wrt = [z] + [w[f"m.{name}"] for name in ("w_q", "w_k", "w_v", "w_o")]
         # query rows on both sides of the tile edges at rows 32, 64 and 96, in two windows
         tokens = [(0, 0, 0), (0, 31, 3), (0, 32, 5), (0, 63, 4), (0, 64, 7), (15, 62, 1), (15, 66, 2), (15, 95, 0)]
@@ -327,7 +315,7 @@ class TestLocalBranch:
         x = Tensor(rng.uniform(size=(3, height, width)))
         seen = spy_strips(monkeypatch)
         out = A.local_branch(x, w, "loc", 2)
-        assert seen[0] == (0, rows)
+        assert seen[0] == rows
         assert np.array_equal(out.data, self._whole_map(x, w).data)
 
     def test_one_strip_records_the_whole_map_ops(self, monkeypatch):
@@ -338,11 +326,11 @@ class TestLocalBranch:
         x = Tensor(rng.uniform(size=(3, A.WORKERS * rows, 128)), requires_grad=True)
         seen = spy_strips(monkeypatch)
         A.local_branch(Tensor(rng.uniform(size=(3, A.WORKERS * rows + 8, 128))), w, "loc", 2)
-        assert seen[0] == (0, [rows] * A.WORKERS + [8])
+        assert seen[0] == [rows] * A.WORKERS + [8]
         seen.clear()
         with T.Tape() as tape:
             out = A.local_branch(x, w, "loc", 2)
-        assert seen[0] == (0, [A.WORKERS * rows])
+        assert seen[0] == [A.WORKERS * rows]
         with T.Tape() as whole:
             expected = self._whole_map(x, w)
         assert len(tape) == len(whole)
@@ -354,7 +342,7 @@ class TestLocalBranch:
         x = Tensor(rng.uniform(size=(3, 40, 128)))
         seen = spy_strips(monkeypatch)
         A.local_branch(x, w, "loc", 2)
-        assert seen[0] == (0, [16, 16, 8])
+        assert seen[0] == [16, 16, 8]
         weights = ["loc.embed_w", "loc.blocks.0.mhsa.w_q", "loc.blocks.1.mlp_w1", "loc.blocks.2.norm1_g"]
         wrt = [x] + [w[name] for name in weights]
         # pixels of every strip, on either side of the edges at rows 16 and 32, in every channel

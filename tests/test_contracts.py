@@ -167,6 +167,7 @@ CONTRACTS = {
     "conv2d-stride": (lambda v: _conv(stride=v), ContractError, _int("conv2d: stride", 1), [True, 1.5, -1, 0, -2]),
     "conv2d-pad": (lambda v: _conv(pad=v), ContractError, _int("conv2d: pad", 0), [True, 1.0, -1, "1", False]),
     "conv2d-kernel": (lambda s: _conv((1, 2, 2), s), DimensionError, "kernel {value[2]}x{value[3]}", [(1, 1, 5, 5)]),
+    "conv2d-empty": (lambda s: _conv(w=s), DimensionError, "kernel shape {value}", [(0, 1, 3, 3), (1, 1, 0, 1)]),
     # windows
     "window_partition-rank": (lambda s: W.window_partition(_zeros(*s), 2), DimensionError, RANK, [(4, 4)]),
     "window_partition-s": (
@@ -320,6 +321,9 @@ CONTRACTS = {
     ),
     "total_generator_loss-unknown": (
         lambda n: _total({**_PARTS, n: Tensor(1.0)}), ContractError, "unknown [{value!r}]", ["perceptual"],
+    ),
+    "total_generator_loss-tensor": (
+        lambda v: _total({**_PARTS, "sfp": v}), ContractError, "'sfp' must be a Tensor, got {value!r}", [1.0, None],
     ),
     "total_generator_loss-scalar": (
         lambda s: _total({**_PARTS, "identity": _zeros(*s)}),

@@ -113,8 +113,7 @@ class TestHeadStrips:
         x = Tensor(np.random.default_rng(12).uniform(size=(3, 40, 256)))
         seen = spy_strips(monkeypatch)
         out = G.forward(x, w)
-        # the head is the last cut: five strips of 8 rows, each read with up to 2 halo rows either side
-        assert seen[-1] == (2, [10, 12, 12, 12, 10])
+        assert seen[-1] == [8] * 5  # the head is the last cut: five strips of 8 rows
         _, pre2 = head_preactivations(branch_features(x, w), w)
         whole = T.sigmoid(T.conv2d(T.leaky_relu(pre2, 0.2), w.params["out_w"], w.params["out_b"]))
         assert np.max(np.abs(out.data - whole.data)) <= 1e-12
@@ -124,7 +123,7 @@ class TestHeadStrips:
         x = Tensor(np.random.default_rng(13).uniform(0.2, 0.8, size=(3, 40, 256)))
         seen = spy_strips(monkeypatch)
         G.forward(x, w)
-        assert seen[-1] == (2, [10, 12, 12, 12, 10])
+        assert seen[-1] == [8] * 5
         fuse1_w, probe = w.params["fuse1_w"], 9
         # Keep the weight probe off the head's kinks: moving it by STEP either way flips the sign
         # of no pre-activation of the two 3x3 convs (entries 0-5 and 8 each flip one here).
@@ -135,11 +134,26 @@ class TestHeadStrips:
             fuse1_w.data.flat[probe] = moved
             assert all(np.array_equal(np.sign(pre.data), s) for pre, s in zip(head_preactivations(feat, w), signs))
         fuse1_w.data.flat[probe] = value
-        # pixels on both sides of the strip edges at rows 8, 16, 24 and 32, inside and beyond the halo
+        # pixels on both sides of the strip edges at rows 8, 16, 24 and 32, inside and beyond the context rows
         pixels = [(1, 5, 7), (2, 8, 30), (0, 13, 3), (1, 15, 100), (2, 16, 255), (0, 18, 0), (1, 23, 9)]
         pixels += [(2, 24, 77), (1, 31, 64), (2, 32, 128), (0, 34, 200)]
         entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels] + [(1, probe)]
         assert finite_diff(lambda: G.forward(x, w), [x, fuse1_w], entries) < 1e-6
+
+    def test_the_head_reads_two_context_rows_and_its_sigmoid_none(self, monkeypatch):
+        w = G.init_weights(WIDE, seed=15)
+        fuse1_w, read, squashed, conv2d, sigmoid = w.params["fuse1_w"], [], [], T.conv2d, T.sigmoid
+
+        def spy_conv2d(t, k, *args, **kwargs):
+            if k is fuse1_w:
+                read.append(t.shape[1])
+            return conv2d(t, k, *args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy_conv2d)
+        monkeypatch.setattr(T, "sigmoid", lambda t: squashed.append(t.shape[1]) or sigmoid(t))
+        G.forward(Tensor(np.full((3, 40, 256), 0.5)), w)
+        # five strips of 8 rows: fuse1 reads up to 2 context rows on either side, the sigmoid none
+        assert sorted(read) == [10, 10, 12, 12, 12] and squashed == [8] * 5
 
     def test_head_holds_less_than_a_whole_map_head(self, monkeypatch):
         # Once the branches return, the head is all that runs. A whole-map head holds its

@@ -35,7 +35,7 @@ def blas():
 
 
 def numbered_rows(n: int) -> Tensor:
-    """A [2, n, 4] map whose row r holds r everywhere, so a strip tells its top row."""
+    """A [2, n, 4] map whose row r holds r everywhere, so a join out of order shows."""
     return Tensor(np.broadcast_to(np.arange(n, dtype=np.float64)[:, None], (2, n, 4)).copy())
 
 
@@ -59,12 +59,12 @@ def test_forward_restores_the_blas_thread_count(monkeypatch, blas):
     x = Tensor(np.random.default_rng(40).uniform(size=(3, 40, 256)))
     inside, by_strips = [], A._by_strips
 
-    def spy(x, fn, rows, halo=0):
-        def logged(strip):
+    def spy(n, fn, rows):
+        def logged(lo, hi):
             inside.append(get())
-            return fn(strip)
+            return fn(lo, hi)
 
-        return by_strips(x, logged, rows, halo)
+        return by_strips(n, logged, rows)
 
     monkeypatch.setattr(A, "_by_strips", spy)
     G.forward(x, w)
@@ -77,15 +77,15 @@ def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restore
     put(2)
     w = G.init_weights(WIDE, seed=41)
     x = Tensor(np.random.default_rng(41).uniform(size=(3, 40, 256)))
-    error, raised_in, crop = RuntimeError("third strip"), [], T.crop
+    error, raised_in, rows = RuntimeError("third strip"), [], A._rows
 
-    def failing_crop(t, top, left, height, width):
-        if t is x and top == 2 * A._image_rows(256):  # the local branch's third strip of x
+    def failing_rows(t, lo, hi):
+        if t is x and lo == 2 * A._image_rows(256):  # the local branch's third strip of x
             raised_in.append(threading.current_thread())
             raise error
-        return crop(t, top, left, height, width)
+        return rows(t, lo, hi)
 
-    monkeypatch.setattr(T, "crop", failing_crop)
+    monkeypatch.setattr(A, "_rows", failing_rows)
     with pytest.raises(RuntimeError) as info:
         G.forward(x, w)
     assert info.value is error
@@ -104,47 +104,47 @@ def test_strips_run_on_the_workers_without_a_tape_and_in_this_thread_under_one()
     both_running = threading.Barrier(2, timeout=JOIN_S)
     threads, tapes = [], []
 
-    def record(strip):
+    def record(lo, hi):
         threads.append(threading.current_thread())
         tapes.append(T._active_tape())
-        return strip
+        return A._rows(x, lo, hi)
 
-    def first_two_at_once(strip):
-        if strip.data[0, 0, 0] < 16:  # the first two strips wait for each other
+    def first_two_at_once(lo, hi):
+        if lo < 16:  # the first two strips wait for each other
             both_running.wait()
-        return record(strip)
+        return record(lo, hi)
 
-    assert np.array_equal(A._by_strips(x, first_two_at_once, 8).data, x.data)  # joined in order
+    assert np.array_equal(A._by_strips(64, first_two_at_once, 8).data, x.data)  # joined in order
     assert len(threads) == 8 and len(set(threads)) == A.WORKERS
     assert threading.current_thread() not in threads
     assert tapes == [None] * 8
 
     threads.clear()
     with T.Tape() as tape:
-        assert np.array_equal(A._by_strips(x, record, 8).data, x.data)
+        assert np.array_equal(A._by_strips(64, record, 8).data, x.data)
     assert threads == [threading.current_thread()] * 8
     assert tapes[-1] is tape
 
 
 def test_a_strip_that_cuts_strips_finishes_inside_a_worker():
-    outer, in_order = [], []
+    x, outer, in_order = numbered_rows(32), [], []
 
-    def cuts_strips(strip):
+    def cuts_strips(lo, hi):
         worker = threading.current_thread()
         outer.append(worker)
 
-        def nested(rows):
+        def nested(lo, hi):
             in_order.append(threading.current_thread() is worker)
-            return rows
+            return A._rows(x, lo, hi)
 
-        return A._by_strips(numbered_rows(32), nested, 8)  # four strips, more than WORKERS
+        return A._by_strips(32, nested, 8)  # four strips, more than WORKERS
 
     result = []
-    caller = threading.Thread(target=lambda: result.append(A._by_strips(numbered_rows(32), cuts_strips, 8)))
+    caller = threading.Thread(target=lambda: result.append(A._by_strips(32, cuts_strips, 8)))
     caller.start()
     caller.join(JOIN_S)
     assert not caller.is_alive(), "a nested _by_strips deadlocked the pool"
-    assert np.array_equal(result[0].data, np.concatenate([numbered_rows(32).data] * 4, axis=-2))
+    assert np.array_equal(result[0].data, np.concatenate([x.data] * 4, axis=-2))
     assert len(outer) == 4 and caller not in outer
     assert in_order == [True] * 16  # every nested strip ran in the worker that cut it
 
@@ -180,13 +180,13 @@ def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas)
     put(2)
     x, inside, wrong = numbered_rows(64), [], []
 
-    def fn(strip):
+    def fn(lo, hi):
         inside.append(get())
-        return strip
+        return A._rows(x, lo, hi)
 
     def call():
         for _ in range(20):
-            if not np.array_equal(A._by_strips(x, fn, 8).data, x.data):
+            if not np.array_equal(A._by_strips(64, fn, 8).data, x.data):
                 wrong.append(threading.current_thread())
 
     interval = sys.getswitchinterval()
@@ -208,10 +208,10 @@ def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas)
 def test_a_forked_child_runs_its_own_pool():
     # The child inherits the parent's executor but none of its worker threads.
     x = numbered_rows(64)
-    A._by_strips(x, lambda strip: strip, 8)
+    A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8)
     pid = os.fork()
     if pid == 0:
-        ok = np.array_equal(A._by_strips(x, lambda strip: strip, 8).data, x.data)
+        ok = np.array_equal(A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8).data, x.data)
         os._exit(0 if ok else 1)
     deadline = time.monotonic() + JOIN_S
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:

@@ -1,4 +1,4 @@
-"""attention.py and generator.py cut rows into strips only through the one strip rule, ``_by_strips``."""
+"""attention.py and generator.py cut rows only through the strip rule: ``_rows`` crops, ``_by_strips`` joins."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "relight"
 ATTENTION = SRC / "attention.py"
 GENERATOR = SRC / "generator.py"
 CUTS = {"crop", "concat"}
-RULE = {"_by_strips"}
+RULE = {"_rows", "_by_strips"}
 
 
 def calls(source: str, names: set[str]) -> list[tuple[str, int]]:
@@ -24,23 +24,15 @@ def calls(source: str, names: set[str]) -> list[tuple[str, int]]:
     return found
 
 
-def row_cuts(source: str) -> list[tuple[str, int]]:
-    """(top-level function, line) of every crop or concat call in source."""
-    return calls(source, CUTS)
-
-
-def generator_row_cuts(source: str) -> list[tuple[str, int]]:
-    """(top-level function, line) of every crop call in source; its one concat joins channels, not rows."""
-    return calls(source, {"crop"})
-
-
 def test_only_the_rule_crops_or_concats():
-    assert {name for name, _ in row_cuts(ATTENTION.read_text())} == RULE
+    source = ATTENTION.read_text()
+    assert {name for name, _ in calls(source, {"crop"})} == {"_rows"}
+    assert {name for name, _ in calls(source, {"concat"})} == {"_by_strips"}
 
 
 def test_the_generator_crops_only_through_the_rule():
     source = GENERATOR.read_text()
-    assert generator_row_cuts(source) == []
+    assert calls(source, {"crop"}) == []  # its one concat joins channels, not rows
     assert {name for name, _ in calls(source, RULE)} == {"forward"}
 
 
@@ -58,15 +50,15 @@ def mhsa(q, k, v, L, hd):
 def strip(x):
     return concat([crop(x, 0, 0, 1, 1)])
 """
-    assert row_cuts(source) == [("mhsa", 7), ("mhsa", 7), ("strip", 11), ("strip", 11)]
+    assert calls(source, CUTS) == [("mhsa", 7), ("mhsa", 7), ("strip", 11), ("strip", 11)]
 
 
 def test_the_generator_guard_sees_a_crop():
-    # A fusion head that cut its own halo strips; the channel concat of the branches is no row cut.
+    # A fusion head that cut its own strips with context rows; the channel concat of the branches is no row cut.
     source = """
 def forward(x, feat, head, rows):
     feat = T.concat([feat, feat], axis=0)
     out = [head(T.crop(feat, max(0, top - 2), 0, rows + 4, 64)) for top in range(0, 64, rows)]
     return T.concat(out, axis=-2)
 """
-    assert generator_row_cuts(source) == [("forward", 4)]
+    assert calls(source, {"crop"}) == [("forward", 4)]
