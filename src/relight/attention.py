@@ -5,9 +5,11 @@ attention at sizes 2, 4, 8 in sequence, summing each layer's output into
 a running multi-scale feature (no window shifting, no positional encoding
 inside windows).
 
-The global branch tokenizes the image into 8x8 patches, adds a learnable
-positional encoding, applies two serial transformer blocks and recovers
-the full-resolution feature map.
+The global branch ends at its token grid: it flattens the [d, H/8, W/8] grid
+of ``windows.patch_embed`` to [L,d] tokens (here and nowhere else), adds a
+learnable positional encoding, applies two serial transformer blocks and
+returns the tokens as their grid, which ``windows.patch_recover`` turns into
+the full-resolution map in ``generator.forward``.
 
 Blocks are pre-norm: LN -> MHSA -> residual -> LN -> MLP -> residual,
 with the MLP hidden width fixed at 4x the embedding dim and a GELU
@@ -16,9 +18,10 @@ query-key product.
 
 One strip rule, ``_by_strips``: a map is cut along its rows into strips,
 the last one shorter, which are joined along the rows in order.  With no
-tape active the strips run two at a time, one on each of the pool's
-``WORKERS`` threads, with OpenBLAS held at one thread meanwhile; under a
-tape, or inside a worker, they run one at a time in the calling thread.  A
+tape active the strips run two at a time, one on each of the ``WORKERS``
+threads of a pool made for that map and shut down once every strip has
+finished, with OpenBLAS held at one thread meanwhile; under a tape, or
+inside a worker, they run one at a time in the calling thread.  A
 strip holds 1/WORKERS of the budget, so the strips in flight hold the whole
 budget.  Image maps are cut by a pixel budget, ``_image_rows``:
 ``STRIP_PIXELS // WORKERS`` pixels per strip, in whole 8-row bands and at
@@ -48,7 +51,7 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -79,51 +82,17 @@ def _openblas_threads():
 
 _BLAS_THREADS = _openblas_threads()
 _pool_lock = threading.Lock()  # one pooled map at a time: it holds OpenBLAS at one thread
-_pool = None  # the executor, made on the first pooled map
 _worker = threading.local()  # .busy is set in the pool's threads
 
 
-def _forget_pool():
-    """In a forked child: the parent's workers do not run there, and its lock may be held."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _forget_pool_lock():
+    """In a forked child: the parent's thread that held the lock does not run there."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere a process cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _map(fn: Callable[[int], Tensor], items: Sequence[int]) -> list[Tensor]:
-    """[fn(item) for item in items], run on the pool's WORKERS threads where that may be.
-
-    The items go to the pool only when no tape is active (a worker has
-    none), the caller is not itself a worker (a worker waiting on the pool
-    could deadlock it) and OpenBLAS's thread count was found; otherwise they
-    run in order in the calling thread.  While the pool runs, OpenBLAS is
-    held at one thread, so two strips do not each start a second one.  Every
-    item finishes before the count is restored and the first error, in item
-    order, is raised.
-    """
-    global _pool
-    if _BLAS_THREADS is None or T._active_tape() is not None or getattr(_worker, "busy", False):
-        return [fn(item) for item in items]
-    get, put = _BLAS_THREADS
-    with _pool_lock:
-        if _pool is None:
-            # Imported here: concurrent.futures imports logging, 3-7 ms and 0.6 MB that a
-            # process which never cuts a map into strips, such as a 64x64 one, need not pay.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(WORKERS, "relight-strip", initializer=setattr, initargs=(_worker, "busy", True))
-        before = get()
-        put(1)
-        try:
-            futures = [_pool.submit(fn, item) for item in items]
-            for future in futures:
-                future.exception()  # waits for the item without raising its error
-        finally:
-            put(before)
-    return [future.result() for future in futures]
+    os.register_at_fork(after_in_child=_forget_pool_lock)
 
 
 def _image_rows(width: int) -> int:
@@ -140,13 +109,37 @@ def _rows(x: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def _by_strips(n: int, fn: Callable[[int, int], Tensor], rows: int) -> Tensor:
-    """fn(lo, hi) on the strips [lo, hi) of range(n), ``rows`` each and the last one shorter, run
-    through ``_map`` and joined along axis -2 in order by one concat.  n of ``WORKERS * rows`` or
-    fewer fits in the strips in flight and is one strip: fn(0, n), with no concat.
+    """fn(lo, hi) on the strips [lo, hi) of range(n), ``rows`` each and the last one shorter,
+    joined along axis -2 in order by one concat.  n of ``WORKERS * rows`` or fewer fits in the
+    strips in flight and is one strip: fn(0, n), with no concat.
+
+    The strips go to a pool of WORKERS threads, made for this map, only when no tape is active
+    (a worker has none), the caller is not itself a worker (a worker waiting on the pool could
+    deadlock it) and OpenBLAS's thread count was found; otherwise they run in order in the
+    calling thread.  While the pool runs, OpenBLAS is held at one thread, so two strips do not
+    each start a second one.  Every strip finishes before the count is restored, and the first
+    error, in strip order, is raised.
     """
     if n <= WORKERS * rows:
         return fn(0, n)
-    return T.concat(_map(lambda lo: fn(lo, min(lo + rows, n)), range(0, n, rows)), axis=-2)
+    starts = range(0, n, rows)
+    if _BLAS_THREADS is None or T._active_tape() is not None or getattr(_worker, "busy", False):
+        return T.concat([fn(lo, min(lo + rows, n)) for lo in starts], axis=-2)
+    # Imported here: concurrent.futures imports logging, 3-7 ms and 0.6 MB that a
+    # process which never cuts a map into strips, such as a 64x64 one, need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    get, put = _BLAS_THREADS
+    with _pool_lock:
+        before = get()
+        put(1)
+        try:
+            pool = ThreadPoolExecutor(WORKERS, "relight-strip", initializer=setattr, initargs=(_worker, "busy", True))
+            with pool:  # leaving the block waits for every strip
+                futures = [pool.submit(fn, lo, min(lo + rows, n)) for lo in starts]
+        finally:
+            put(before)
+    return T.concat([future.result() for future in futures], axis=-2)
 
 
 def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
@@ -232,13 +225,17 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
 
 
 def global_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
-    """Patch tokens + positional encoding -> two serial blocks -> recovered map.
+    """Patch tokens + positional encoding -> two serial blocks -> the [d, H/8, W/8] token grid.
 
-    Reads patch_w/b, the [L,d] table pos, blocks.{0,1}.* and recover.* under prefix.
-    pos is added to the tokens, so a table of another shape raises DimensionError.
+    The grid is flattened to the [L,d] token sequence here and nowhere else:
+    token k is the patch at row-major grid position k.  Reads patch_w/b, the
+    [L,d] table pos and blocks.{0,1}.* under prefix.  pos is added to the
+    tokens, so a table of another shape raises DimensionError.
     """
     param = T._params(p, prefix, "global_branch")
-    z = T.add(W.patch_embed(x, param("patch_w"), param("patch_b")), param("pos"))
+    grid = W.patch_embed(x, param("patch_w"), param("patch_b"))  # checks x's rank
+    d, h, w = grid.shape
+    z = T.add(T.permute(T.reshape(grid, (d, h * w)), (1, 0)), param("pos"))
     for i in range(GLOBAL_BLOCKS):
         z = transformer_block(z, p, f"{prefix}.blocks.{i}", heads)
-    return W.patch_recover(z, p, f"{prefix}.recover", x.shape[1], x.shape[2])  # patch_embed checks x's rank
+    return T.reshape(T.permute(z, (1, 0)), (d, h, w))

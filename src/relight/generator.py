@@ -1,7 +1,10 @@
 """The complete enhancement network: both branches, fusion, reconstruction.
 
-The forward pass stacks the local multi-scale window features with the
-recovered global features along channels, fuses them with two 3x3 convs
+``forward`` composes four stages: the local branch's multi-scale window
+features; the global branch's tokens, returned as their [d, H/8, W/8] grid;
+the recovery of that grid to full resolution (``windows.patch_recover``);
+and the fusion head.  It stacks the local features with the recovered
+global features along channels, fuses them with two 3x3 convs
 (leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
 so outputs always lie strictly inside (0,1).  This fusion head runs on the
 image strips of ``attention._by_strips``, each read with two context rows on
@@ -135,7 +138,7 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     feat = T.concat(
         [
             A.local_branch(x, p, "local", GeneratorConfig.local_heads),
-            A.global_branch(x, p, "global_", GeneratorConfig.global_heads),
+            W.patch_recover(A.global_branch(x, p, "global_", GeneratorConfig.global_heads), p, "global_.recover"),
         ],
         axis=0,
     )

@@ -126,6 +126,7 @@ def total_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> tuple[Tens
     contribution and sums to the total.  A non-finite part raises
     DivergenceError naming the term.
     """
+    T._need_type(parts, dict, "total_generator_loss: parts")
     T._need_type(w, LossWeights, "total_generator_loss: w")
     weights = w.to_dict()
     missing = [name for name in LOSS_TERMS if name not in parts]

@@ -16,7 +16,7 @@ Conventions, fixed here and relied on everywhere else:
   grow with the square of the token count, but ``attention.mhsa`` computes
   them one strip of query rows at a time, and the local branch and the
   fusion head run on image strips; so the peak of a large forward is set
-  by full-size feature maps, in the global branch's patch recovery convs.
+  by full-size feature maps, in the patch recovery convs.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
@@ -242,6 +242,8 @@ class Tape:
         _need_type(loss, Tensor, "backward: loss")
         if loss.shape != ():
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if loss._node is not None and self._key(loss) is loss:
+            raise ContractError(f"backward: loss {loss!r} was recorded on another tape")
         if not self._records:
             raise ContractError("backward called on an empty tape")
         # Keyed by record or leaf, each of which hashes by identity.

@@ -2,9 +2,11 @@
 
 These are the tensor-layout primitives of both attention branches: the
 local branch slices feature maps into non-overlapping square windows (no
-shifting between layers), the global branch turns the image into a short
-token sequence via an 8x8 stride-8 convolution and later recovers the
-full resolution again.
+shifting between layers); the global branch turns the image into a
+[d, H/8, W/8] grid of patch features with an 8x8 stride-8 convolution, and
+``patch_recover`` turns such a grid back into a full-resolution map.  Both
+patch functions are plain conv stacks on grids; the [L,d] token sequence
+lives only inside ``attention.global_branch``.
 
 Windows are flattened row-major: window k covers the s x s block whose
 top-left corner is (floor(k / num_w) * s, (k mod num_w) * s), and tokens
@@ -53,35 +55,23 @@ def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
 
 
 def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """[3,H,W] -> token sequence [L,d] via an 8x8 stride-8 convolution.
-
-    L = (H/8)*(W/8); token k is the patch at row-major position k.
-    """
+    """[3,H,W] -> [d, H/8, W/8] grid of patch features via an 8x8 stride-8 convolution;
+    entry [:, i, j] is the patch whose top-left corner is (8i, 8j)."""
     T._need_rank(x, "[C,H,W]", "patch_embed")
     _, H, W = x.shape
     if H % PATCH or W % PATCH:
         raise DimensionError(f"patch embedding needs {PATCH} | H and {PATCH} | W, got {H}x{W}")
-    d = w.shape[0]
-    z = T.conv2d(x, w, b, stride=PATCH)  # (d, H/8, W/8)
-    z = T.reshape(z, (d, (H // PATCH) * (W // PATCH)))
-    return T.permute(z, (1, 0))
+    return T.conv2d(x, w, b, stride=PATCH)
 
 
-def patch_recover(z: Tensor, p: dict[str, Tensor], prefix: str, height: int, width: int) -> Tensor:
-    """[L,d] tokens -> [C,H,W] feature map, undoing the 8x downsampling.
+def patch_recover(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
+    """[d,h,w] grid -> [C, 8h, 8w] feature map, undoing the 8x downsampling.
 
     RECOVER_STAGES stages of x2 nearest upsample -> 3x3 conv -> leaky_relu, with
     weights p[f"{prefix}.convs.{i}.0"] and biases p[f"{prefix}.convs.{i}.1"].
-    The token count must equal (H/8)*(W/8) for the configured resolution.
     """
-    T._need_rank(z, "[L,d]", "patch_recover")
-    L, d = z.shape
-    hh, ww = _window_grid(height, width, PATCH, "patch_recover")
-    if L != hh * ww:
-        raise DimensionError(f"{L} tokens cannot recover a {height}x{width} map (expected {hh * ww})")
+    T._need_rank(x, "[d,h,w]", "patch_recover")
     param = T._params(p, prefix, "patch_recover")
-    x = T.permute(z, (1, 0))
-    x = T.reshape(x, (d, hh, ww))
     for i in range(RECOVER_STAGES):
         x = T.upsample_nearest(x)
         x = T.conv2d(x, param(f"convs.{i}.0"), param(f"convs.{i}.1"), stride=1, pad=1)

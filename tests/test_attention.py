@@ -6,6 +6,7 @@ import pytest
 from finite_diff import finite_diff
 from relight import attention as A
 from relight import tensor as T
+from relight import windows as W
 from relight.tensor import Tensor
 from test_contracts import CONTRACTS, case_id, reject
 
@@ -381,21 +382,33 @@ class TestGlobalBranch:
             p.update(make_block(rng, d, prefix=f"glob.blocks.{i}"))
         return p
 
+    def _recovered(self, x, w):
+        """The global branch's token grid, recovered to full resolution as forward does."""
+        return W.patch_recover(A.global_branch(x, w, "glob", 2), w, "glob.recover")
+
     def test_shape_contract_through_64_tokens(self):
         rng = np.random.default_rng(16)
-        w = self._weights(rng, 64, 64, 16, 5)
-        out = A.global_branch(Tensor(rng.uniform(size=(3, 64, 64))), w, "glob", 2)
-        assert out.shape == (5, 64, 64)
+        w = self._weights(rng, 64, 48, 16, 5)
+        x = Tensor(rng.uniform(size=(3, 64, 48)))
+        assert A.global_branch(x, w, "glob", 2).shape == (16, 8, 6)
+        assert self._recovered(x, w).shape == (5, 64, 48)
+
+    def test_reads_no_recovery_weights(self):
+        rng = np.random.default_rng(20)
+        w = self._weights(rng, 16, 16, 8, 4)
+        tokens = {k: t for k, t in w.items() if not k.startswith("glob.recover.")}
+        x = Tensor(rng.uniform(size=(3, 16, 16)))
+        assert np.array_equal(A.global_branch(x, tokens, "glob", 2).data, A.global_branch(x, w, "glob", 2).data)
 
     def test_global_receptive_field(self):
         # a single-pixel change may reach every output pixel
         rng = np.random.default_rng(17)
         w = self._weights(rng, 16, 16, 8, 4)
         x = rng.uniform(size=(3, 16, 16))
-        base = A.global_branch(Tensor(x), w, "glob", 2).data
+        base = self._recovered(Tensor(x), w).data
         bumped = x.copy()
         bumped[0, 0, 0] += 0.5
-        out = A.global_branch(Tensor(bumped), w, "glob", 2).data
+        out = self._recovered(Tensor(bumped), w).data
         changed = np.abs(out - base) > 0
         # every 8x8 patch region of the output sees the perturbation
         assert changed.any(axis=0).all()
@@ -404,12 +417,12 @@ class TestGlobalBranch:
         rng = np.random.default_rng(18)
         w = self._weights(rng, 16, 16, 4, 3)
         x = Tensor(rng.uniform(size=(3, 16, 16)))
-        assert finite_diff(lambda: A.global_branch(x, w, "glob", 2), [x]) < 1e-4
+        assert finite_diff(lambda: self._recovered(x, w), [x]) < 1e-4
 
     def test_finite_on_unit_range_input(self):
         rng = np.random.default_rng(19)
         w = self._weights(rng, 16, 16, 8, 4)
-        out = A.global_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "glob", 2)
+        out = self._recovered(Tensor(rng.uniform(size=(3, 16, 16))), w)
         assert np.isfinite(out.data).all()
 
 

@@ -60,6 +60,24 @@ def _enter(tape):
         pass
 
 
+def _recorded(tape):
+    """mean(w^2) of a fresh leaf w, recorded on tape."""
+    with tape:
+        return T.mean(T.square(Tensor([1.0, 2.0], requires_grad=True)))
+
+
+_TAPE_A = Tape()  # kept alive, so its losses keep their records
+_LOSS_A = _recorded(_TAPE_A)
+_LOSS_GONE = _recorded(Tape())  # its tape and records are gone
+
+
+def _backward_on_a_new_tape(loss):
+    """backward of loss on a fresh tape that holds one record of its own."""
+    with Tape() as tape:
+        T.square(Tensor([1.0], requires_grad=True))
+    tape.backward(loss)
+
+
 _X8 = _zeros(3, 8, 8)
 _RNG = np.random.default_rng(0)  # every row rejects before a crop is drawn
 _G16 = G.init_weights(G.GeneratorConfig(height=16, width=16), 0)
@@ -92,8 +110,8 @@ def _reverse(w=(4, 4, 2), s=2, height=4, width=4):
     return W.window_reverse(_zeros(*w), s, height, width)
 
 
-def _recover(z=(4, 16), height=16, width=16, p=_P16):
-    return W.patch_recover(_zeros(*z), p, "global_.recover", height, width)
+def _recover(x=(16, 2, 2), p=_P16):
+    return W.patch_recover(_zeros(*x), p, "global_.recover")
 
 
 def _block(x=(16, 8, 8), s=2, heads=2):
@@ -132,6 +150,9 @@ CONTRACTS = {
     "Tape-nested": (_enter, ContractError, "a Tape is already active in this thread", [Tape()]),
     "Tape.backward-loss": (lambda v: Tape().backward(v), ContractError, REPR, [3.0, None, np.zeros(())]),
     "Tape.backward-shape": (lambda s: Tape().backward(_zeros(*s)), DimensionError, RANK, [(3,)]),
+    "Tape.backward-tape": (
+        _backward_on_a_new_tape, ContractError, "loss {value!r} was recorded on another tape", [_LOSS_A, _LOSS_GONE],
+    ),
     "add-shapes": (lambda v: T.add(*_each(v)), DimensionError, BOTH, [((1,), (2,))]),
     "sub-shapes": (lambda v: T.sub(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
     "mul-shapes": (lambda v: T.mul(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
@@ -187,10 +208,7 @@ CONTRACTS = {
     "patch_embed-shape": (
         lambda s: W.patch_embed(_zeros(*s), None, None), DimensionError, "got {value[1]}x{value[2]}", [(3, 12, 16)],
     ),
-    "patch_recover-rank": (_recover, DimensionError, RANK, [(1, 4, 3)]),
-    "patch_recover-height": (lambda v: _recover(height=v), ContractError, REPR, [True, 16.0, -16, 12]),
-    "patch_recover-width": (lambda v: _recover(width=v), ContractError, REPR, [True, "16", -16]),
-    "patch_recover-count": (_recover, DimensionError, "{value[0]} tokens cannot recover a 16x16 map", [(5, 4)]),
+    "patch_recover-rank": (_recover, DimensionError, RANK, [(4, 16)]),
     "patch_recover-params": (
         lambda n: _recover(p=_without(_P16, n)),
         ContractError,
@@ -247,7 +265,7 @@ CONTRACTS = {
         lambda n: A.global_branch(_zeros(3, 16, 16), _without(_P16, n), "global_", 4),
         ContractError,
         MISSING,
-        ["global_.patch_b", "global_.pos", "global_.blocks.1.norm1_b", "global_.recover.convs.1.0"],
+        ["global_.patch_b", "global_.pos", "global_.blocks.1.norm1_b"],
     ),
     # generator
     "GeneratorConfig-height": (lambda v: G.GeneratorConfig(height=v), ContractError, REPR, [True, 64.0, -8, 0, 60]),
@@ -262,7 +280,7 @@ CONTRACTS = {
         lambda n: G.forward(_zeros(3, 16, 16), G.Weights((3, 16, 16), _without(_P16, n))),
         ContractError,
         MISSING,
-        ["local.embed_b", "global_.blocks.0.mhsa.w_o", "fuse1_w", "out_b"],
+        ["local.embed_b", "global_.blocks.0.mhsa.w_o", "global_.recover.convs.1.0", "fuse1_w", "out_b"],
     ),
     "forward-x-shape": (lambda s: G.forward(_zeros(*s), _G16), DimensionError, "input shape {value}", [(3, 24, 24)]),
     "forward-x-finite": (
@@ -314,6 +332,9 @@ CONTRACTS = {
         ContractError,
         "got {value!r}",
         [-1.0, np.inf, np.nan, "a", None, True, 2**1024],
+    ),
+    "total_generator_loss-parts": (
+        lambda v: _total(parts=v), ContractError, "parts must be a dict, got {value!r}", [None, "sfp", 0],
     ),
     "total_generator_loss-w": (lambda v: _total(w=v), ContractError, REPR, [None, "w", 0]),
     "total_generator_loss-missing": (

@@ -8,6 +8,7 @@ from finite_diff import STEP, finite_diff
 from relight import attention as A
 from relight import generator as G
 from relight import tensor as T
+from relight import windows as W
 from relight.tensor import Tape, Tensor
 from test_attention import spy_strips
 from test_contracts import reject
@@ -97,7 +98,7 @@ def branch_features(x, w):
     """The concatenated local and global features that forward's fusion head reads."""
     p, cfg = w.params, G.GeneratorConfig
     local = A.local_branch(x, p, "local", cfg.local_heads)
-    return T.concat([local, A.global_branch(x, p, "global_", cfg.global_heads)])
+    return T.concat([local, W.patch_recover(A.global_branch(x, p, "global_", cfg.global_heads), p, "global_.recover")])
 
 
 def head_preactivations(feat, w):
@@ -156,21 +157,21 @@ class TestHeadStrips:
         assert sorted(read) == [10, 10, 12, 12, 12] and squashed == [8] * 5
 
     def test_head_holds_less_than_a_whole_map_head(self, monkeypatch):
-        # Once the branches return, the head is all that runs. A whole-map head holds its
+        # Once the global grid is recovered, the head is all that runs. A whole-map head holds its
         # zero-padded input and its output next to the 32-channel feature map: 2.6 maps at
         # 64x256. On strips it holds the map and one strip's temporaries.
         cfg = G.GeneratorConfig(height=64, width=256)
         w = G.init_weights(cfg, seed=14)
         x = Tensor(np.random.default_rng(14).uniform(size=(3, 64, 256)))
-        global_branch, entry = A.global_branch, []
+        patch_recover, entry = W.patch_recover, []
 
         def then_reset_the_peak(*args):
-            out = global_branch(*args)
+            out = patch_recover(*args)
             tracemalloc.reset_peak()
             entry.append(tracemalloc.get_traced_memory()[0])
             return out
 
-        monkeypatch.setattr(A, "global_branch", then_reset_the_peak)
+        monkeypatch.setattr(W, "patch_recover", then_reset_the_peak)
         tracemalloc.start()
         try:
             G.forward(x, w)

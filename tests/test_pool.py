@@ -1,4 +1,4 @@
-"""The strip pool of ``attention._map``: where strips run, OpenBLAS's thread count, errors, nesting.
+"""The strip pool of ``attention._by_strips``: where strips run, OpenBLAS's thread count, errors, nesting, fork.
 
 With no tape, ``_by_strips`` hands its strips to WORKERS threads and holds
 OpenBLAS at one thread meanwhile; under a tape or inside a worker they run in
@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,18 @@ def test_strips_run_on_the_workers_without_a_tape_and_in_this_thread_under_one()
     assert tapes[-1] is tape
 
 
+def test_a_pooled_map_leaves_no_worker_running():
+    x, workers = numbered_rows(64), []
+
+    def record(lo, hi):
+        workers.append(threading.current_thread())
+        return A._rows(x, lo, hi)
+
+    assert np.array_equal(A._by_strips(64, record, 8).data, x.data)
+    assert workers and threading.current_thread() not in workers
+    assert not any(worker.is_alive() for worker in workers)  # the map's pool was shut down
+
+
 def test_a_strip_that_cuts_strips_finishes_inside_a_worker():
     x, outer, in_order = numbered_rows(32), [], []
 
@@ -204,19 +217,56 @@ def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas)
     assert get() == 2
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
-def test_a_forked_child_runs_its_own_pool():
-    # The child inherits the parent's executor but none of its worker threads.
+def pooled_map_in_a_child() -> int | None:
+    """Fork a child that runs one pooled map of 8 strips and exits 0 if its join is right; return
+    its exit code, or None if it had not exited after JOIN_S seconds and was killed."""
     x = numbered_rows(64)
-    A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8)
     pid = os.fork()
     if pid == 0:
-        ok = np.array_equal(A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8).data, x.data)
-        os._exit(0 if ok else 1)
+        ok = False
+        try:
+            ok = np.array_equal(A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8).data, x.data)
+        finally:
+            os._exit(0 if ok else 1)
     deadline = time.monotonic() + JOIN_S
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.01)
     if done[0] == 0:
         os.kill(pid, 9)
         os.waitpid(pid, 0)
-    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        return None
+    return os.waitstatus_to_exitcode(done[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_a_forked_child_runs_its_own_pool():
+    # Every pooled map makes its own workers, so the child makes its own after the fork.
+    x = numbered_rows(64)
+    A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8)
+    assert pooled_map_in_a_child() == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_a_child_forked_while_another_thread_holds_the_pool_runs_its_own(blas):
+    # The child inherits the lock as held, by a thread it does not have; the fork handler
+    # gives it a fresh one.
+    x, started, release, result = numbered_rows(64), threading.Event(), threading.Event(), []
+
+    def first_strip_waits(lo, hi):
+        if lo == 0:
+            started.set()
+            release.wait(JOIN_S)
+        return A._rows(x, lo, hi)
+
+    holder = threading.Thread(target=lambda: result.append(A._by_strips(64, first_strip_waits, 8)))
+    holder.start()
+    try:
+        assert started.wait(JOIN_S)  # the holder is inside its pooled map, so it holds the lock
+        with warnings.catch_warnings():  # newer Pythons warn of a fork with threads, which is the point here
+            warnings.simplefilter("ignore", DeprecationWarning)
+            code = pooled_map_in_a_child()
+    finally:
+        release.set()
+        holder.join(JOIN_S)
+    assert code == 0
+    assert not holder.is_alive() and np.array_equal(result[0].data, x.data)

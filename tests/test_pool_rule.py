@@ -1,14 +1,12 @@
 """src/relight runs work on threads in one place: the strip pool of attention.py.
 
-Only ``_map`` names an executor or a thread, and only ``_openblas_threads``, which
-finds the count ``_map`` holds at one while its pool runs, names OpenBLAS's
-thread count.  Only ``_by_strips`` calls ``_map``.
+Only ``_by_strips`` names an executor or a thread, and only ``_openblas_threads``,
+which finds the count ``_by_strips`` holds at one while its pool runs, names
+OpenBLAS's thread count.
 """
 
 import ast
 from pathlib import Path
-
-from test_strip_rule import calls
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relight"
 EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Pool", "concurrent", "multiprocessing"}
@@ -44,16 +42,10 @@ def test_only_the_pool_names_an_executor_or_the_blas_thread_count():
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         if path.name == "attention.py":
-            assert seam(source) == {"_map", "_openblas_threads"}
-            assert [where for where, _, name in mentions(source) if name == "concurrent.futures"] == ["_map"]
+            assert seam(source) == {"_by_strips", "_openblas_threads"}
+            assert [where for where, _, name in mentions(source) if name == "concurrent.futures"] == ["_by_strips"]
         else:
             assert mentions(source) == [], path.name
-
-
-def test_only_the_strip_rule_calls_the_pool():
-    for path in sorted(SRC.glob("*.py")):
-        found = {name for name, _ in calls(path.read_text(), {"_map"})}
-        assert found == ({"_by_strips"} if path.name == "attention.py" else set()), path.name
 
 
 def test_the_guard_sees_a_second_pool():

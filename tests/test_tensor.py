@@ -565,6 +565,18 @@ class TestBackward:
         assert type(x.grad) is np.ndarray
         assert np.array_equal(x.grad, np.array(1.0)) and x.grad.shape == ()
 
+    def test_a_loss_from_another_tape_is_rejected_and_changes_no_grad(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape_a:
+            la = T.mean(T.square(w))
+        with Tape() as tape_b:
+            T.square(w)
+        with pytest.raises(ContractError, match="recorded on another tape"):
+            tape_b.backward(la)
+        assert la.grad is None and w.grad is None
+        tape_a.backward(la)
+        assert np.array_equal(w.grad, [1.0, 2.0])
+
     def test_zero_dim_leaf_through_scale_gets_array_grad(self):
         x = Tensor(2.0, requires_grad=True)
         with Tape() as tape:

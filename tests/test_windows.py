@@ -87,17 +87,17 @@ class TestPatchEmbed:
         b = Tensor(np.zeros(d))
         return w, b
 
-    def test_sequence_shape(self):
+    def test_grid_shape(self):
         rng = np.random.default_rng(3)
         w, b = self._weights(rng, 16)
-        z = W.patch_embed(Tensor(rng.uniform(size=(3, 64, 64))), w, b)
-        assert z.shape == (64, 16)
+        grid = W.patch_embed(Tensor(rng.uniform(size=(3, 64, 48))), w, b)
+        assert grid.shape == (16, 8, 6)
 
     def test_zero_image_zero_embeddings(self):
         w = Tensor(np.ones((4, 3, 8, 8)))
         b = Tensor(np.zeros(4))
-        z = W.patch_embed(Tensor(np.zeros((3, 16, 16))), w, b)
-        assert np.array_equal(z.data, np.zeros((4, 4)))
+        grid = W.patch_embed(Tensor(np.zeros((3, 16, 16))), w, b)
+        assert np.array_equal(grid.data, np.zeros((4, 2, 2)))
 
     def test_equals_flatten_then_matmul_reference(self):
         # independent oracle: slice each 8x8 patch, flatten, single matmul
@@ -105,16 +105,14 @@ class TestPatchEmbed:
         d = 5
         x = rng.uniform(size=(3, 16, 24))
         w, b = self._weights(rng, d)
-        got = W.patch_embed(Tensor(x), w, b).data
+        grid = W.patch_embed(Tensor(x), w, b).data
+        assert grid.shape == (d, 2, 3)
 
         wmat = w.data.reshape(d, -1)
-        k = 0
-        for i in range(0, 16, 8):
-            for j in range(0, 24, 8):
-                patch = x[:, i : i + 8, j : j + 8].reshape(-1)
-                assert np.max(np.abs(got[k] - (wmat @ patch + b.data))) < 1e-12
-                k += 1
-        assert k == got.shape[0]
+        for i in range(2):
+            for j in range(3):
+                patch = x[:, 8 * i : 8 * i + 8, 8 * j : 8 * j + 8].reshape(-1)
+                assert np.max(np.abs(grid[:, i, j] - (wmat @ patch + b.data))) < 1e-12
 
 
 class TestPositionalEncoding:
@@ -123,13 +121,15 @@ class TestPositionalEncoding:
     CFG = G.GeneratorConfig(height=16, width=16)  # 4 tokens of dim 16
 
     def _after_tokens(self, z, p):
-        # the global branch from its token sequence on: two blocks, then recovery
+        # the global branch from its token sequence on: two blocks, then the [16, 2, 2] grid again
         for i in range(2):
             z = A.transformer_block(z, p, f"global_.blocks.{i}", self.CFG.global_heads)
-        return W.patch_recover(z, p, "global_.recover", 16, 16)
+        return T.reshape(T.permute(z, (1, 0)), (16, 2, 2))
 
     def _tokens(self, x, p):
-        return W.patch_embed(x, p["global_.patch_w"], p["global_.patch_b"])
+        # the [L,d] sequence, flattened by hand from the [16, 2, 2] grid: token k is grid cell k row-major
+        grid = W.patch_embed(x, p["global_.patch_w"], p["global_.patch_b"])
+        return T.permute(T.reshape(grid, (16, 4)), (1, 0))
 
     def test_zero_is_identity(self):
         p = G.init_weights(self.CFG, 6).params
@@ -169,18 +169,18 @@ class TestPatchRecover:
     def test_shape_contract(self):
         rng = np.random.default_rng(9)
         weights = self._weights(rng, 16, 6)
-        z = Tensor(rng.normal(size=(64, 16)))
-        out = W.patch_recover(z, weights, "rec", 64, 64)
-        assert out.shape == (6, 64, 64)
+        grid = Tensor(rng.normal(size=(16, 8, 6)))
+        out = W.patch_recover(grid, weights, "rec")
+        assert out.shape == (6, 64, 48)
 
-    def test_zero_tokens_zero_output(self):
+    def test_zero_grid_zero_output(self):
         rng = np.random.default_rng(10)
         weights = self._weights(rng, 4, 3)
-        out = W.patch_recover(Tensor(np.zeros((4, 4))), weights, "rec", 16, 16)
+        out = W.patch_recover(Tensor(np.zeros((4, 2, 2))), weights, "rec")
         assert np.array_equal(out.data, np.zeros((3, 16, 16)))
 
     def test_gradient_through_full_stack(self):
         rng = np.random.default_rng(12)
         weights = self._weights(rng, 3, 2)
-        z = Tensor(rng.normal(size=(4, 3)))
-        assert finite_diff(lambda: W.patch_recover(z, weights, "rec", 16, 16), [z]) < 1e-4
+        grid = Tensor(rng.normal(size=(3, 2, 2)))
+        assert finite_diff(lambda: W.patch_recover(grid, weights, "rec"), [grid]) < 1e-4
