@@ -8,8 +8,8 @@ inside windows).
 The global branch ends at its token grid: it flattens the [d, H/8, W/8] grid
 of ``windows.patch_embed`` to [L,d] tokens (here and nowhere else), adds a
 learnable positional encoding, applies two serial transformer blocks and
-returns the tokens as their grid, which ``windows.patch_recover`` turns into
-the full-resolution map in ``generator.forward``.
+returns the tokens as their grid, from which each fusion head strip of
+``generator.forward`` recovers its own rows with ``windows.patch_recover``.
 
 Blocks are pre-norm: LN -> MHSA -> residual -> LN -> MLP -> residual,
 with the MLP hidden width fixed at 4x the embedding dim and a GELU
@@ -29,8 +29,8 @@ least one (32 rows at 64 wide, 16 at 128, 8 from 256 up).  ``mhsa`` cuts
 its queries into strips of ``STRIP_ROWS`` rows.  A map that fits in
 ``WORKERS`` strips runs whole, so every 64x64 map, every local window and
 the global branch's 64 tokens at 64x64 are one strip.  Each strip is a
-row range, and ``fn`` reads its own rows of a map through ``_rows``.  Both
-cuts here are exact, since no output row reads an input row of another
+row range, and ``fn`` reads its own rows of a map through ``windows._rows``.
+Both cuts here are exact, since no output row reads an input row of another
 strip.  The local branch's 1x1 embedding, LayerNorm and MLP act on one
 pixel at a time and its unshifted windows never cross an aligned 8-row band, as
 with Swin's non-overlapping windows (Liu et al., arXiv 2103.14030); a query
@@ -102,12 +102,6 @@ def _image_rows(width: int) -> int:
     return max(band, STRIP_PIXELS // WORKERS // width // band * band)
 
 
-def _rows(x: Tensor, lo: int, hi: int) -> Tensor:
-    """x's rows (axis -2) [lo, hi): x itself when that is every row, else one crop."""
-    n, cols = x.shape[-2:]
-    return x if (lo, hi) == (0, n) else T.crop(x, lo, 0, hi - lo, cols)
-
-
 def _by_strips(n: int, fn: Callable[[int, int], Tensor], rows: int) -> Tensor:
     """fn(lo, hi) on the strips [lo, hi) of range(n), ``rows`` each and the last one shorter,
     joined along axis -2 in order by one concat.  n of ``WORKERS * rows`` or fewer fits in the
@@ -168,7 +162,7 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     k = project("w_k", (0, 2, 3, 1))  # (B, heads, hd, L): transposed for q @ k
     v = project("w_v", (0, 2, 1, 3))
     q = T.scale(q, 1.0 / math.sqrt(hd))  # on L*hd queries rather than the L*L logits
-    ctx = _by_strips(L, lambda lo, hi: T.softmax(_rows(q, lo, hi) @ k) @ v, STRIP_ROWS)  # (B, heads, L, hd)
+    ctx = _by_strips(L, lambda lo, hi: T.softmax(W._rows(q, lo, hi) @ k) @ v, STRIP_ROWS)  # (B, heads, L, hd)
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d))
     return T.reshape(ctx @ param("w_o"), z.shape)
 
@@ -214,7 +208,7 @@ def local_branch(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Te
     param = T._params(p, prefix, "local_branch")
 
     def strip(lo: int, hi: int) -> Tensor:
-        feat = T.conv2d(_rows(x, lo, hi), param("embed_w"), param("embed_b"))
+        feat = T.conv2d(W._rows(x, lo, hi), param("embed_w"), param("embed_b"))
         acc = None
         for i, s in enumerate(LOCAL_WINDOW_SIZES):
             feat = window_attention_block(feat, s, p, f"{prefix}.blocks.{i}", heads)

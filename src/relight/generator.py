@@ -6,11 +6,14 @@ the recovery of that grid to full resolution (``windows.patch_recover``);
 and the fusion head.  It stacks the local features with the recovered
 global features along channels, fuses them with two 3x3 convs
 (leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
-so outputs always lie strictly inside (0,1).  This fusion head runs on the
-image strips of ``attention._by_strips``, each read with two context rows on
-either side (one per 3x3 conv) and cropped to its own rows before the sigmoid,
-so it holds the temporaries of the strips in flight (two, each half the pixel
-budget, with no tape), not the whole map's; its output equals a whole-map head's.
+so outputs always lie strictly inside (0,1).  The recovery and the fusion
+head run on the image strips of ``attention._by_strips``: each strip reads
+two context rows on either side (one per 3x3 conv) of the local map and
+recovers the same rows of the global map from the grid, and is cropped to
+its own rows before the sigmoid.  So no full-size global map or concat is
+made; the head holds the temporaries of the strips in flight (two, each half
+the pixel budget, with no tape), not the whole map's, and its output equals
+a whole-map head's.
 
 The channel widths and head counts are constants of the network, sized so
 CPU runs stay fast while all three window scales remain meaningful; they
@@ -134,28 +137,21 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     T._need_finite(x.data, "forward: x")
 
     p = w.params
-    # The local features go straight into the concat: a name would keep them alive through the fusion head.
-    feat = T.concat(
-        [
-            A.local_branch(x, p, "local", GeneratorConfig.local_heads),
-            W.patch_recover(A.global_branch(x, p, "global_", GeneratorConfig.global_heads), p, "global_.recover"),
-        ],
-        axis=0,
-    )
-
+    local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
+    grid = A.global_branch(x, p, "global_", GeneratorConfig.global_heads)
     param = T._params(p, "", "forward")
 
     def head(lo: int, hi: int) -> Tensor:
         # Each zero-padded 3x3 conv spoils one more row at a cut edge, so two context rows keep
         # [lo, hi) exact; the crop to [lo, hi) waits for the 1x1 conv's 3 channels, not fuse2's 32.
-        top = max(0, lo - 2)
-        rows = A._rows(feat, top, min(feat.shape[1], hi + 2))
+        top, bot = max(0, lo - 2), min(local.shape[1], hi + 2)
+        rows = T.concat([W._rows(local, top, bot), W.patch_recover(grid, p, "global_.recover", top, bot)], axis=0)
         rows = T.leaky_relu(T.conv2d(rows, param("fuse1_w"), param("fuse1_b"), pad=1), 0.2)
         rows = T.leaky_relu(T.conv2d(rows, param("fuse2_w"), param("fuse2_b"), pad=1), 0.2)
         rgb = T.conv2d(rows, param("out_w"), param("out_b"))
-        return T.sigmoid(A._rows(rgb, lo - top, hi - top))
+        return T.sigmoid(W._rows(rgb, lo - top, hi - top))
 
-    return A._by_strips(feat.shape[1], head, A._image_rows(x.shape[2]))
+    return A._by_strips(x.shape[1], head, A._image_rows(x.shape[2]))
 
 
 def named_parameters(w: Weights) -> Iterable[tuple[str, Tensor]]:

@@ -15,8 +15,9 @@ Conventions, fixed here and relied on everywhere else:
   size.  The tape's records set the peak of a train step.  Attention scores
   grow with the square of the token count, but ``attention.mhsa`` computes
   them one strip of query rows at a time, and the local branch and the
-  fusion head run on image strips; so the peak of a large forward is set
-  by full-size feature maps, in the patch recovery convs.
+  fusion head, with the patch recovery inside it, run on image strips; so
+  the peak of a large forward is set by the local branch's full-size
+  feature map and its strip join.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
@@ -66,15 +67,9 @@ Conventions, fixed here and relied on everywhere else:
   its stride*stride phases, each a flat grid ``Wq`` columns wide; tap
   (i, j) is one GEMM of the kernel's (C_out, C_in) slice with a
   contiguous run of phase (i % s, j % s) starting at
-  ``(i // s) * Wq + j // s``.  The taps add up one column block at a
-  time, each tap after the first through one reused buffer: ``_blocks``
-  cuts the columns into blocks of about ``_BLOCK_BYTES`` (2 MiB) of
-  output, each a multiple of 64 columns, so every tap finds its block in
-  cache (Goto & van de Geijn, "Anatomy of High-Performance Matrix
-  Multiplication", TOMS 2008).  Blocks change no bit of a result where the
-  column count is a multiple of 8, as in every conv at 64² and 256²;
-  elsewhere the BLAS may round the last few columns differently.  Output
-  rows are computed ``Wq`` wide into one accumulator, which also takes the
+  ``(i // s) * Wq + j // s``.  The taps add up into one accumulator, each
+  tap after the first through one reused buffer of the same size.  Output
+  rows are computed ``Wq`` wide into the accumulator, which also takes the
   bias in place; the op returns the strided view that drops the columns
   past the true width, with no full-size copy.  Backward feeds zeros there.
 """
@@ -97,7 +92,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 _KEEP_BYTES = 1 << 30
-_BLOCK_BYTES = 2 << 20  # one column block of conv2d's output
 
 
 def _keep_freed_memory():
@@ -290,7 +284,7 @@ def _record(value: np.ndarray, inputs: Sequence[Tensor], backward: Callable | No
 
 
 # ---------------------------------------------------------------------------
-# reductions and blocks
+# reductions
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
@@ -303,17 +297,6 @@ def _sum_lead(x: np.ndarray) -> np.ndarray:
     """x summed over every axis but the last: one BLAS product with ones."""
     rows = math.prod(x.shape[:-1])
     return np.ones(rows) @ x.reshape(rows, x.shape[-1])
-
-
-def _blocks(n: int, item_bytes: int) -> list[slice]:
-    """range(n) cut into slices of _BLOCK_BYTES worth of items, item_bytes each.
-
-    A block is a multiple of 64 items, so each one starts on the GEMM column
-    panel an unblocked pass would; only the last is shorter.  There is always
-    a first block, the widest, even for n = 0.
-    """
-    step = max(64, _BLOCK_BYTES // item_bytes // 64 * 64)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -706,18 +689,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     taps = [(i, j, (i % s) * s + j % s, (i // s) * Wq + j // s) for i in range(kh) for j in range(kw)]
     wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
     acc = np.empty((Cout, n))
-    blocks = _blocks(n, 8 * Cout)
-    scratch = np.empty((Cout, blocks[0].stop)) if len(taps) > 1 else None  # a 1x1 kernel reads none
-    for blk in blocks:
-        out = acc[:, blk]
-        for k, (i, j, ph, off) in enumerate(taps):
-            tap = phases[ph, :, off + blk.start : off + blk.stop]
-            if k == 0:
-                np.matmul(wt[i, j], tap, out=out)
-            else:
-                part = scratch[:, : blk.stop - blk.start]
-                np.matmul(wt[i, j], tap, out=part)
-                out += part
+    part = np.empty((Cout, n)) if len(taps) > 1 else None  # a 1x1 kernel needs no tap buffer
+    for k, (i, j, ph, off) in enumerate(taps):
+        tap = phases[ph, :, off : off + n]
+        if k == 0:
+            np.matmul(wt[i, j], tap, out=acc)
+        else:
+            np.matmul(wt[i, j], tap, out=part)
+            acc += part
     y = acc.reshape(Cout, Ho, Wq)[:, :, :Wo]  # a view: the bias goes into acc, no full-size copy
     y += b.data[:, None, None]
 

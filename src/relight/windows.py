@@ -4,9 +4,13 @@ These are the tensor-layout primitives of both attention branches: the
 local branch slices feature maps into non-overlapping square windows (no
 shifting between layers); the global branch turns the image into a
 [d, H/8, W/8] grid of patch features with an 8x8 stride-8 convolution, and
-``patch_recover`` turns such a grid back into a full-resolution map.  Both
-patch functions are plain conv stacks on grids; the [L,d] token sequence
-lives only inside ``attention.global_branch``.
+``patch_recover`` turns such a grid back into rows [lo, hi) of a
+full-resolution map.  Both patch functions are plain conv stacks on grids;
+the [L,d] token sequence lives only inside ``attention.global_branch``.
+
+``_rows`` is the one row cut of a map, used by the strip rule of
+``attention._by_strips`` and by ``patch_recover``: it is one crop, or the
+map itself when the range is every row.
 
 Windows are flattened row-major: window k covers the s x s block whose
 top-left corner is (floor(k / num_w) * s, (k mod num_w) * s), and tokens
@@ -54,6 +58,12 @@ def window_reverse(w: Tensor, s: int, height: int, width: int) -> Tensor:
     return T.reshape(t, (C, height, width))
 
 
+def _rows(x: Tensor, lo: int, hi: int) -> Tensor:
+    """x's rows (axis -2) [lo, hi): x itself when that is every row, else one crop."""
+    n, cols = x.shape[-2:]
+    return x if (lo, hi) == (0, n) else T.crop(x, lo, 0, hi - lo, cols)
+
+
 def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """[3,H,W] -> [d, H/8, W/8] grid of patch features via an 8x8 stride-8 convolution;
     entry [:, i, j] is the patch whose top-left corner is (8i, 8j)."""
@@ -64,16 +74,29 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return T.conv2d(x, w, b, stride=PATCH)
 
 
-def patch_recover(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    """[d,h,w] grid -> [C, 8h, 8w] feature map, undoing the 8x downsampling.
+def patch_recover(grid: Tensor, p: dict[str, Tensor], prefix: str, lo: int, hi: int) -> Tensor:
+    """Rows [lo, hi) of the [C, 8h, 8w] feature map recovered from a [d,h,w] grid, undoing the 8x downsampling.
 
     RECOVER_STAGES stages of x2 nearest upsample -> 3x3 conv -> leaky_relu, with
     weights p[f"{prefix}.convs.{i}.0"] and biases p[f"{prefix}.convs.{i}.1"].
+    Each stage computes only the rows its output needs: its conv reads one more
+    row on either side, which the upsample takes from half as many rows of the
+    stage before.  Every zero-padded conv row past a cut is cropped off, so the
+    rows equal those of the whole map; for (0, 8h) no row is cut.
     """
-    T._need_rank(x, "[d,h,w]", "patch_recover")
+    T._need_rank(grid, "[d,h,w]", "patch_recover")
+    n = grid.shape[1] << RECOVER_STAGES
+    if not (T._is_int(lo, 0) and T._is_int(hi, 1) and lo < hi <= n):
+        raise DimensionError(f"patch_recover: rows [{lo!r}, {hi!r}) are not ints 0 <= lo < hi <= {n}, the map height")
     param = T._params(p, prefix, "patch_recover")
-    for i in range(RECOVER_STAGES):
-        x = T.upsample_nearest(x)
-        x = T.conv2d(x, param(f"convs.{i}.0"), param(f"convs.{i}.1"), stride=1, pad=1)
-        x = T.leaky_relu(x, 0.2)
-    return x
+
+    def stage(i: int, lo: int, hi: int) -> Tensor:
+        """Rows [lo, hi) of the map after i stages; the grid's at i = 0."""
+        if i == 0:
+            return _rows(grid, lo, hi)
+        top, bot = max(0, lo - 1), min(grid.shape[1] << i, hi + 1)
+        x = _rows(T.upsample_nearest(stage(i - 1, top // 2, (bot + 1) // 2)), top % 2, top % 2 + bot - top)
+        x = T.conv2d(x, param(f"convs.{i - 1}.0"), param(f"convs.{i - 1}.1"), pad=1)
+        return T.leaky_relu(_rows(x, lo - top, hi - top), 0.2)
+
+    return stage(RECOVER_STAGES, lo, hi)

@@ -383,8 +383,8 @@ class TestGlobalBranch:
         return p
 
     def _recovered(self, x, w):
-        """The global branch's token grid, recovered to full resolution as forward does."""
-        return W.patch_recover(A.global_branch(x, w, "glob", 2), w, "glob.recover")
+        """The global branch's token grid, recovered to every row of the full-resolution map."""
+        return W.patch_recover(A.global_branch(x, w, "glob", 2), w, "glob.recover", 0, x.shape[1])
 
     def test_shape_contract_through_64_tokens(self):
         rng = np.random.default_rng(16)

@@ -33,6 +33,7 @@ REPR = "{value!r}"  # the default template: the message shows the value as repr 
 RANK = "got shape {value}"  # a rank row's values are input shapes, one axis off
 MISSING = "missing parameter {value!r}"  # a missing-parameter row's values are the dotted names left out
 BOTH = "{value[0]} and {value[1]}"  # the values of a two-operand shape row are pairs of shapes
+RECOVER_ROWS = "rows [{value[0]!r}, {value[1]!r}) are not ints 0 <= lo < hi <= 16"  # of a 16-row map
 
 
 def _int(what, least):
@@ -110,8 +111,8 @@ def _reverse(w=(4, 4, 2), s=2, height=4, width=4):
     return W.window_reverse(_zeros(*w), s, height, width)
 
 
-def _recover(x=(16, 2, 2), p=_P16):
-    return W.patch_recover(_zeros(*x), p, "global_.recover")
+def _recover(x=(16, 2, 2), p=_P16, rows=(0, 16)):
+    return W.patch_recover(_zeros(*x), p, "global_.recover", *rows)
 
 
 def _block(x=(16, 8, 8), s=2, heads=2):
@@ -215,6 +216,12 @@ CONTRACTS = {
         MISSING,
         ["global_.recover.convs.0.0", "global_.recover.convs.2.1"],
     ),
+    "patch_recover-rows-int": (
+        lambda v: _recover(rows=v), DimensionError, RECOVER_ROWS, [(0.0, 16), (0, "8"), (True, 8)],
+    ),
+    "patch_recover-rows-empty": (lambda v: _recover(rows=v), DimensionError, RECOVER_ROWS, [(4, 4), (9, 3)]),
+    "patch_recover-rows-negative": (lambda v: _recover(rows=v), DimensionError, RECOVER_ROWS, [(-1, 8), (-3, -1)]),
+    "patch_recover-rows-past-end": (lambda v: _recover(rows=v), DimensionError, RECOVER_ROWS, [(8, 17), (16, 24)]),
     # attention
     "mhsa-rank": (lambda s: A.mhsa(_zeros(*s), {}, "m", 2), DimensionError, RANK, [(4,)]),
     "mhsa-dim": (

@@ -95,10 +95,22 @@ def test_named_parameters_deterministic_order():
 
 
 def branch_features(x, w):
-    """The concatenated local and global features that forward's fusion head reads."""
+    """The local features and every row of the recovered global features, stacked as forward's head reads them."""
     p, cfg = w.params, G.GeneratorConfig
     local = A.local_branch(x, p, "local", cfg.local_heads)
-    return T.concat([local, W.patch_recover(A.global_branch(x, p, "global_", cfg.global_heads), p, "global_.recover")])
+    grid = A.global_branch(x, p, "global_", cfg.global_heads)
+    return T.concat([local, W.patch_recover(grid, p, "global_.recover", 0, x.shape[1])])
+
+
+def recovery_preactivations(x, w):
+    """The three recovery convs' outputs before their leaky_relus, composed by hand on the whole map."""
+    p, pre = w.params, []
+    t = A.global_branch(x, p, "global_", G.GeneratorConfig.global_heads)
+    for i in range(W.RECOVER_STAGES):
+        conv = p[f"global_.recover.convs.{i}.0"], p[f"global_.recover.convs.{i}.1"]
+        pre.append(T.conv2d(T.upsample_nearest(t), *conv, pad=1))
+        t = T.leaky_relu(pre[-1], 0.2)
+    return pre
 
 
 def head_preactivations(feat, w):
@@ -156,27 +168,57 @@ class TestHeadStrips:
         # five strips of 8 rows: fuse1 reads up to 2 context rows on either side, the sigmoid none
         assert sorted(read) == [10, 10, 12, 12, 12] and squashed == [8] * 5
 
+    def test_gradient_across_head_strip_edges_reaches_the_recovery_weights(self, monkeypatch):
+        w = G.init_weights(WIDE, seed=16)
+        x = Tensor(np.random.default_rng(16).uniform(0.2, 0.8, size=(3, 40, 256)))
+        seen = spy_strips(monkeypatch)
+        G.forward(x, w)
+        assert seen[-1] == [8] * 5
+        first, last = w.params["global_.recover.convs.0.0"], w.params["global_.recover.convs.2.0"]
+        wrt = [x, first, last]
+        # pixels on both sides of the strip edges at rows 8, 16, 24 and 32, which is also a patch edge
+        pixels = [(0, 7, 40), (1, 8, 41), (2, 15, 130), (0, 16, 131), (1, 23, 250), (2, 24, 251)]
+        pixels += [(0, 31, 0), (1, 32, 1)]
+        entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels]
+        entries += [(1, 0), (1, first.size - 1), (2, 3), (2, last.size - 1)]
+
+        def preactivations():
+            return recovery_preactivations(x, w) + list(head_preactivations(branch_features(x, w), w))
+
+        # Keep every probe off the kinks: moving it by STEP either way flips the sign of no
+        # pre-activation of the three recovery convs or the head's two 3x3 convs.
+        signs = [np.sign(pre.data) for pre in preactivations()]
+        for k, i in entries:
+            value = wrt[k].data.flat[i]
+            for moved in (value + STEP, value - STEP):
+                wrt[k].data.flat[i] = moved
+                assert all(np.array_equal(np.sign(pre.data), s) for pre, s in zip(preactivations(), signs))
+            wrt[k].data.flat[i] = value
+        assert finite_diff(lambda: G.forward(x, w), wrt, entries) < 1e-6
+
     def test_head_holds_less_than_a_whole_map_head(self, monkeypatch):
-        # Once the global grid is recovered, the head is all that runs. A whole-map head holds its
-        # zero-padded input and its output next to the 32-channel feature map: 2.6 maps at
-        # 64x256. On strips it holds the map and one strip's temporaries.
-        cfg = G.GeneratorConfig(height=64, width=256)
+        # Once the global branch returns its token grid, the head strips are all that runs, and each
+        # recovers only its own rows of the global map. The local map, alive since the local branch
+        # returned, is not counted. A whole-map head would recover the global map, concatenate it with
+        # the local one and pad the concat for fuse1: 3.6 16-channel maps at 128x256. On strips the
+        # rest of the forward holds the strips' outputs and their join.
+        cfg = G.GeneratorConfig(height=128, width=256)
         w = G.init_weights(cfg, seed=14)
-        x = Tensor(np.random.default_rng(14).uniform(size=(3, 64, 256)))
-        patch_recover, entry = W.patch_recover, []
+        x = Tensor(np.random.default_rng(14).uniform(size=(3, 128, 256)))
+        global_branch, entry = A.global_branch, []
 
         def then_reset_the_peak(*args):
-            out = patch_recover(*args)
+            out = global_branch(*args)
             tracemalloc.reset_peak()
             entry.append(tracemalloc.get_traced_memory()[0])
             return out
 
-        monkeypatch.setattr(W, "patch_recover", then_reset_the_peak)
+        monkeypatch.setattr(A, "global_branch", then_reset_the_peak)
         tracemalloc.start()
         try:
             G.forward(x, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        feature_map = (cfg.local_dim + cfg.global_out_dim) * 64 * 256 * 8
-        assert peak - entry[0] < 2 * feature_map
+        one_map = cfg.global_out_dim * 128 * 256 * 8
+        assert peak - entry[0] < 2.5 * one_map

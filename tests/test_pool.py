@@ -18,6 +18,7 @@ import pytest
 from relight import attention as A
 from relight import generator as G
 from relight import tensor as T
+from relight import windows as W
 from relight.tensor import Tensor
 
 pytestmark = pytest.mark.skipif(A._BLAS_THREADS is None, reason="numpy's OpenBLAS thread control not found")
@@ -78,7 +79,7 @@ def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restore
     put(2)
     w = G.init_weights(WIDE, seed=41)
     x = Tensor(np.random.default_rng(41).uniform(size=(3, 40, 256)))
-    error, raised_in, rows = RuntimeError("third strip"), [], A._rows
+    error, raised_in, rows = RuntimeError("third strip"), [], W._rows
 
     def failing_rows(t, lo, hi):
         if t is x and lo == 2 * A._image_rows(256):  # the local branch's third strip of x
@@ -86,7 +87,7 @@ def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restore
             raise error
         return rows(t, lo, hi)
 
-    monkeypatch.setattr(A, "_rows", failing_rows)
+    monkeypatch.setattr(W, "_rows", failing_rows)
     with pytest.raises(RuntimeError) as info:
         G.forward(x, w)
     assert info.value is error
@@ -108,7 +109,7 @@ def test_strips_run_on_the_workers_without_a_tape_and_in_this_thread_under_one()
     def record(lo, hi):
         threads.append(threading.current_thread())
         tapes.append(T._active_tape())
-        return A._rows(x, lo, hi)
+        return W._rows(x, lo, hi)
 
     def first_two_at_once(lo, hi):
         if lo < 16:  # the first two strips wait for each other
@@ -132,7 +133,7 @@ def test_a_pooled_map_leaves_no_worker_running():
 
     def record(lo, hi):
         workers.append(threading.current_thread())
-        return A._rows(x, lo, hi)
+        return W._rows(x, lo, hi)
 
     assert np.array_equal(A._by_strips(64, record, 8).data, x.data)
     assert workers and threading.current_thread() not in workers
@@ -148,7 +149,7 @@ def test_a_strip_that_cuts_strips_finishes_inside_a_worker():
 
         def nested(lo, hi):
             in_order.append(threading.current_thread() is worker)
-            return A._rows(x, lo, hi)
+            return W._rows(x, lo, hi)
 
         return A._by_strips(32, nested, 8)  # four strips, more than WORKERS
 
@@ -195,7 +196,7 @@ def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas)
 
     def fn(lo, hi):
         inside.append(get())
-        return A._rows(x, lo, hi)
+        return W._rows(x, lo, hi)
 
     def call():
         for _ in range(20):
@@ -225,7 +226,7 @@ def pooled_map_in_a_child() -> int | None:
     if pid == 0:
         ok = False
         try:
-            ok = np.array_equal(A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8).data, x.data)
+            ok = np.array_equal(A._by_strips(64, lambda lo, hi: W._rows(x, lo, hi), 8).data, x.data)
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + JOIN_S
@@ -242,7 +243,7 @@ def pooled_map_in_a_child() -> int | None:
 def test_a_forked_child_runs_its_own_pool():
     # Every pooled map makes its own workers, so the child makes its own after the fork.
     x = numbered_rows(64)
-    A._by_strips(64, lambda lo, hi: A._rows(x, lo, hi), 8)
+    A._by_strips(64, lambda lo, hi: W._rows(x, lo, hi), 8)
     assert pooled_map_in_a_child() == 0
 
 
@@ -256,7 +257,7 @@ def test_a_child_forked_while_another_thread_holds_the_pool_runs_its_own(blas):
         if lo == 0:
             started.set()
             release.wait(JOIN_S)
-        return A._rows(x, lo, hi)
+        return W._rows(x, lo, hi)
 
     holder = threading.Thread(target=lambda: result.append(A._by_strips(64, first_strip_waits, 8)))
     holder.start()

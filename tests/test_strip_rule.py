@@ -1,10 +1,14 @@
-"""attention.py and generator.py cut rows only through the strip rule: ``_rows`` crops, ``_by_strips`` joins."""
+"""attention.py, windows.py and generator.py cut rows only through the strip rule.
+
+``windows._rows`` crops, ``attention._by_strips`` joins.
+"""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relight"
 ATTENTION = SRC / "attention.py"
+WINDOWS = SRC / "windows.py"
 GENERATOR = SRC / "generator.py"
 CUTS = {"crop", "concat"}
 RULE = {"_rows", "_by_strips"}
@@ -25,14 +29,18 @@ def calls(source: str, names: set[str]) -> list[tuple[str, int]]:
 
 
 def test_only_the_rule_crops_or_concats():
-    source = ATTENTION.read_text()
-    assert {name for name, _ in calls(source, {"crop"})} == {"_rows"}
-    assert {name for name, _ in calls(source, {"concat"})} == {"_by_strips"}
+    attention, windows = ATTENTION.read_text(), WINDOWS.read_text()
+    assert calls(attention, {"crop"}) == []  # its strips read their rows through windows._rows
+    assert {name for name, _ in calls(attention, {"concat"})} == {"_by_strips"}
+    assert {name for name, _ in calls(windows, {"crop"})} == {"_rows"}
+    assert calls(windows, {"concat"}) == []
 
 
 def test_the_generator_crops_only_through_the_rule():
     source = GENERATOR.read_text()
-    assert calls(source, {"crop"}) == []  # its one concat joins channels, not rows
+    assert calls(source, {"crop"}) == []
+    # its one concat joins a head strip's local and recovered global channels, not rows
+    assert [name for name, _ in calls(source, {"concat"})] == ["forward"]
     assert {name for name, _ in calls(source, RULE)} == {"forward"}
 
 

@@ -170,17 +170,26 @@ class TestPatchRecover:
         rng = np.random.default_rng(9)
         weights = self._weights(rng, 16, 6)
         grid = Tensor(rng.normal(size=(16, 8, 6)))
-        out = W.patch_recover(grid, weights, "rec")
+        out = W.patch_recover(grid, weights, "rec", 0, 64)
         assert out.shape == (6, 64, 48)
 
     def test_zero_grid_zero_output(self):
         rng = np.random.default_rng(10)
         weights = self._weights(rng, 4, 3)
-        out = W.patch_recover(Tensor(np.zeros((4, 2, 2))), weights, "rec")
+        out = W.patch_recover(Tensor(np.zeros((4, 2, 2))), weights, "rec", 0, 16)
         assert np.array_equal(out.data, np.zeros((3, 16, 16)))
 
     def test_gradient_through_full_stack(self):
         rng = np.random.default_rng(12)
         weights = self._weights(rng, 3, 2)
         grid = Tensor(rng.normal(size=(3, 2, 2)))
-        assert finite_diff(lambda: W.patch_recover(grid, weights, "rec"), [grid]) < 1e-4
+        assert finite_diff(lambda: W.patch_recover(grid, weights, "rec", 0, 16), [grid]) < 1e-4
+
+    # odd and even ends, both map edges, a one-row range at each edge and inside
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 6), (3, 10), (6, 15), (17, 18), (9, 32), (20, 32), (31, 32)])
+    def test_rows_equal_the_whole_map_rows_bitwise(self, lo, hi):
+        rng = np.random.default_rng(13)
+        weights = self._weights(rng, 4, 3)
+        grid = Tensor(rng.normal(size=(4, 4, 5)))
+        whole = W.patch_recover(grid, weights, "rec", 0, 32).data
+        assert np.array_equal(W.patch_recover(grid, weights, "rec", lo, hi).data, whole[:, lo:hi])
