@@ -25,10 +25,10 @@ Conventions, fixed here and relied on everywhere else:
   never into an input's ``.data``, an array a backward closure keeps, or
   the incoming gradient ``g`` (``add`` hands the same ``g`` to both of
   its inputs, and a second ``backward`` reuses every kept array).
-- Every op ends in ``return _record(array, inputs, backward)``; nothing
-  else builds op outputs.  ``_record`` wraps the array and, under a tape
-  with an input that requires grad, appends exactly one record, whose
-  ``.out`` is the returned tensor.
+- Every op is declared by ``@_op`` and ends in ``return array, backward``; ``_op`` hands both to
+  ``_record`` with the op's operands in signature order, and nothing else but ``detach`` builds op
+  outputs.  ``_record`` wraps the array and, under a tape with an operand that requires grad,
+  appends exactly one record, whose ``.out`` is the returned tensor.
 - A record keeps its closure and its inputs' keys, never array data; a
   closure keeps only the arrays its backward reads.  An input's key is its
   own record on this tape, the input itself if it is a leaf here (a tensor
@@ -39,9 +39,10 @@ Conventions, fixed here and relied on everywhere else:
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
-- Every module rejects a bad int, type or rank with ``_need_int``/``_need_type``/``_need_rank``,
-  two operands of different shapes with ``_need_same_shape``, and a side that does
-  not cut into windows or patches with the one tiling rule, ``windows._window_grid``.
+- Every module rejects a bad int, type or rank with ``_need_int``/``_need_type``/``_need_rank``, two operands
+  of different shapes with ``_need_same_shape``, and a side that does not cut into windows or patches with the
+  one tiling rule, ``windows._window_grid``.  ``_op`` type-checks an op's operands before the op runs:
+  its parameters annotated ``Tensor`` and the items of a list or tuple annotated ``Sequence[Tensor]``.
   A function reads its parameters by dotted name through ``_params``, which names a missing one.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
@@ -77,6 +78,8 @@ Conventions, fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import ctypes
+import functools
+import inspect
 import itertools
 import math
 import numbers
@@ -128,9 +131,9 @@ class Tensor:
     of bools, ints or floats (strings, dates, complex and object arrays
     included) or non-finite, and a ``requires_grad`` that is not a ``bool``;
     op outputs and ``detach`` are built by ``_record``, which skips those
-    checks.  ``_node`` is a weak reference to the record that made
-    the tensor, or None for a leaf; ``__weakref__`` lets a record refer to
-    its output without keeping it alive.
+    checks, from operands that ``_op`` has checked are Tensors.  ``_node`` is
+    a weak reference to the record that made the tensor, or None for a leaf;
+    ``__weakref__`` lets a record refer to its output without keeping it alive.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
@@ -283,6 +286,31 @@ def _record(value: np.ndarray, inputs: Sequence[Tensor], backward: Callable | No
     return out
 
 
+def _op(fn: Callable) -> Callable:
+    """Declare fn an op: check its operands (see the module docstring) before it runs, and hand the
+    ``(array, backward)`` it returns to ``_record`` with the operands in signature order."""
+    signature = inspect.signature(fn)
+    kinds = [(i, f"{fn.__name__}: {name}", p.annotation) for i, (name, p) in enumerate(signature.parameters.items())]
+    slots = [(i, what, kind != "Tensor") for i, what, kind in kinds if kind in ("Tensor", "Sequence[Tensor]")]
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        given = args if len(args) > slots[-1][0] else signature.bind(*args, **kwargs).args  # an operand given by name
+        operands = []
+        for i, what, many in slots:
+            items = given[i] if many else (given[i],)
+            if many and not isinstance(items, (list, tuple)):  # a generator would be used up by the first pass
+                raise ContractError(f"{what} must be a list or a tuple, got {items!r}")
+            for k, t in enumerate(items):
+                if not isinstance(t, Tensor):  # an item's name is formatted only for the message
+                    _need_type(t, Tensor, f"{what}[{k}]" if many else what)
+            operands += items
+        value, backward = fn(*args, **kwargs)
+        return _record(value, operands, backward)
+
+    return op
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -366,28 +394,33 @@ def _need_rows(x: Tensor, what: str):
         raise DimensionError(f"{what}: expected a non-empty last axis, got shape {x.shape}")
 
 
+@_op
 def add(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "add")
-    return _record(a.data + b.data, (a, b), lambda g: (g, g))
+    return a.data + b.data, lambda g: (g, g)
 
 
+@_op
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "sub")
-    return _record(a.data - b.data, (a, b), lambda g: (g, -g))
+    return a.data - b.data, lambda g: (g, -g)
 
 
+@_op
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _record(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return ad * bd, lambda g: (g * bd, g * ad)
 
 
+@_op
 def scale(x: Tensor, s: float) -> Tensor:
     if not _is_real(s):
         raise ContractError(f"scale: factor must be a finite real, got {s!r}")
-    return _record(x.data * s, (x,), lambda g: (g * s,))
+    return x.data * s, lambda g: (g * s,)
 
 
+@_op
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     """max(slope*x, x), which is x where x > 0 and slope*x elsewhere for a finite real slope <= 1.
 
@@ -399,7 +432,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     # out= keeps the result an array for a 0-d x, and the max adds no second full-size array.
     y = np.multiply(x.data, slope, out=np.empty_like(x.data))
     np.maximum(y, x.data, out=y)
-    return _record(y, (x,), lambda g: (g * np.where(positive, 1.0, slope),))
+    return y, lambda g: (g * np.where(positive, 1.0, slope),)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -412,33 +445,38 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@_op
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    return _record(s, (x,), lambda g: (g * s * (1.0 - s),))
+    return s, lambda g: (g * s * (1.0 - s),)
 
 
+@_op
 def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0.0):
         i = int(np.argmax(x.data < 0.0))
         raise DomainError(f"sqrt: input has negative entry {x.data.flat[i]} at flat index {i}")
     r = np.sqrt(x.data)
-    return _record(r, (x,), lambda g: (g * (0.5 / np.maximum(r, 1e-300)),))
+    return r, lambda g: (g * (0.5 / np.maximum(r, 1e-300)),)
 
 
+@_op
 def square(x: Tensor) -> Tensor:
     xd = x.data
-    return _record(xd * xd, (x,), lambda g: (g * (2.0 * xd),))
+    return xd * xd, lambda g: (g * (2.0 * xd),)
 
 
+@_op
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow; backward is sigmoid(x)."""
     xd = x.data
-    return _record(np.logaddexp(0.0, xd), (x,), lambda g: (g * _sigmoid(xd),))
+    return np.logaddexp(0.0, xd), lambda g: (g * _sigmoid(xd),)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+@_op
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh form); smooth, so FD-checkable."""
     # t becomes tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since
@@ -471,13 +509,14 @@ def gelu(x: Tensor) -> Tensor:
         r *= g
         return (r,)
 
-    return _record(y, (x,), back)
+    return y, back
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
+@_op
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; both operands 2-D, or stacked with equal batch dims."""
     if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
@@ -487,9 +526,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
 
-    return _record(ad @ bd, (a, b), back)
+    return ad @ bd, back
 
 
+@_op
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x[..., d] + b[d], broadcasting b over all leading axes."""
     _need_rank(x, "[...,d]", "add_bias")
@@ -499,9 +539,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return (g, _sum_lead(g))
 
-    return _record(x.data + b.data, (x, b), back)
+    return x.data + b.data, back
 
 
+@_op
 def softmax(x: Tensor) -> Tensor:
     _need_rows(x, "softmax")
     # fmax skips a NaN, but x - max then carries it, so a row with a NaN still comes out all NaN.
@@ -516,9 +557,10 @@ def softmax(x: Tensor) -> Tensor:
         r *= y
         return (r,)
 
-    return _record(y, (x,), back)
+    return y, back
 
 
+@_op
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize to zero mean / unit variance (eps 1e-5) along the last axis, then affine."""
     _need_rows(x, "layer_norm")
@@ -539,13 +581,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx = inv * (gx - _sum_last(gx) / d - xhat * (_sum_last(gx * xhat) / d))
         return (dx, dgamma, dbeta)
 
-    return _record(xhat * gd + beta.data, (x, gamma, beta), back)
+    return xhat * gd + beta.data, back
 
 
 # ---------------------------------------------------------------------------
 # shape ops
 
 
+@_op
 def reshape(x: Tensor, shape) -> Tensor:
     """x in the given shape: an int or a tuple of ints >= -1, where one -1 is inferred."""
     if not all(_is_int(n, -1) for n in (shape if isinstance(shape, tuple) else (shape,))):
@@ -555,9 +598,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"reshape: cannot view shape {x.shape} as {shape!r}") from e
     in_shape = x.shape
-    return _record(out_arr, (x,), lambda g: (np.ascontiguousarray(g).reshape(in_shape),))
+    return out_arr, lambda g: (np.ascontiguousarray(g).reshape(in_shape),)
 
 
+@_op
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     if not (
         isinstance(axes, tuple)
@@ -566,9 +610,10 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     ):
         raise DimensionError(f"permute: axes {axes!r} are not a tuple permuting 0..{x.ndim - 1}")
     inv = tuple(np.argsort(axes))
-    return _record(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
+    return x.data.transpose(axes), lambda g: (g.transpose(inv),)
 
 
+@_op
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat: empty tensor list")
@@ -585,9 +630,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def back(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+    return np.concatenate([t.data for t in tensors], axis=axis), back
 
 
+@_op
 def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
     """Slice the last two axes; backward scatters the gradient back."""
     _need_rank(x, "[...,H,W]", "crop")
@@ -603,23 +649,26 @@ def crop(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
         gx[..., top : top + height, left : left + width] = g
         return (gx,)
 
-    return _record(np.ascontiguousarray(x.data[..., top : top + height, left : left + width]), (x,), back)
+    return np.ascontiguousarray(x.data[..., top : top + height, left : left + width]), back
 
 
+@_op
 def mean(x: Tensor) -> Tensor:
     """Mean over every element, as a scalar; an empty x raises DimensionError naming its shape."""
     n, shape = x.size, x.shape
     if n == 0:
         raise DimensionError(f"mean: expected a non-empty tensor, got shape {shape}")
-    return _record(x.data.mean(), (x,), lambda g: (np.full(shape, float(g) / n),))
+    return x.data.mean(), lambda g: (np.full(shape, float(g) / n),)
 
 
+@_op
 def tsum(x: Tensor) -> Tensor:
     """Sum over every element, as a scalar."""
     shape = x.shape
-    return _record(x.data.sum(), (x,), lambda g: (np.full(shape, float(g)),))
+    return x.data.sum(), lambda g: (np.full(shape, float(g)),)
 
 
+@_op
 def upsample_nearest(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x spatial upsampling of a [C,H,W] tensor."""
     _need_rank(x, "[C,H,W]", "upsample_nearest")
@@ -630,7 +679,7 @@ def upsample_nearest(x: Tensor) -> Tensor:
         q = g.reshape(C, H, 2, W, 2)
         return ((q[:, :, 0, :, 0] + q[:, :, 0, :, 1]) + (q[:, :, 1, :, 0] + q[:, :, 1, :, 1]),)
 
-    return _record(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), (x,), back)
+    return np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), back
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +712,7 @@ def _from_stride_phases(ph: np.ndarray, H: int, W: int, s: int, pad: int) -> np.
     return np.ascontiguousarray(xq[:, pad : pad + H, pad : pad + W])
 
 
+@_op
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw] kernels, plus a [C_out] bias."""
     _need_rank(x, "[C,H,W]", "conv2d")
@@ -714,4 +764,4 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
         return (dx, dw, _sum_last(g.reshape(Cout, Ho * Wo)).reshape(Cout))
 
-    return _record(y, (x, w, b), back)
+    return y, back

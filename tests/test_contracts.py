@@ -95,6 +95,25 @@ def _without(params, name):
     return {k: t for k, t in params.items() if k != name}
 
 
+BAD_OPERANDS = (1.0, None, np.ones(2))  # a float, None and a raw ndarray: no Tensor
+
+
+def _operands(op, *args):
+    """op's operand row: each Tensor of args, in turn, swapped for each of BAD_OPERANDS.
+
+    A value is a (parameter, bad operand) pair; args are valid arguments of op.
+    """
+    names = list(inspect.signature(op).parameters)
+
+    def call(value):
+        at = names.index(value[0])
+        return op(*args[:at], value[1], *args[at + 1 :])
+
+    operands = [name for name, arg in zip(names, args) if isinstance(arg, Tensor)]
+    template = f"{op.__name__}: {{value[0]}} must be a Tensor, got {{value[1]!r}}"
+    return call, ContractError, template, [(name, bad) for name in operands for bad in BAD_OPERANDS]
+
+
 def _crop(*rect):
     return T.crop(_zeros(1, 4, 4), *rect)
 
@@ -164,11 +183,11 @@ CONTRACTS = {
     ),
     "sqrt-x": (lambda v: T.sqrt(Tensor(v)), DomainError, "negative entry {value[1]} at flat index 1", [[1.0, -1e-12]]),
     "matmul-shapes": (lambda v: T.matmul(*_each(v)), DimensionError, BOTH, [((2, 3), (2, 3))]),
-    "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), None), DimensionError, RANK, [()]),
+    "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), _zeros(1)), DimensionError, RANK, [()]),
     "softmax-rank": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [()]),
     "mean-empty": (lambda s: T.mean(_zeros(*s)), DimensionError, RANK, [(0,), (2, 0, 3)]),
     "softmax-empty": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)]),
-    "layer_norm-rank": (lambda s: T.layer_norm(_zeros(*s), None, None), DimensionError, RANK, [()]),
+    "layer_norm-rank": (lambda s: T.layer_norm(_zeros(*s), _zeros(1), _zeros(1)), DimensionError, RANK, [()]),
     "layer_norm-empty": (
         lambda s: T.layer_norm(_zeros(*s), _zeros(0), _zeros(0)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)],
     ),
@@ -190,6 +209,36 @@ CONTRACTS = {
     "conv2d-pad": (lambda v: _conv(pad=v), ContractError, _int("conv2d: pad", 0), [True, 1.0, -1, "1", False]),
     "conv2d-kernel": (lambda s: _conv((1, 2, 2), s), DimensionError, "kernel {value[2]}x{value[3]}", [(1, 1, 5, 5)]),
     "conv2d-empty": (lambda s: _conv(w=s), DimensionError, "kernel shape {value}", [(0, 1, 3, 3), (1, 1, 0, 1)]),
+    # the operand rule: every Tensor parameter of every op
+    "add-operand": _operands(T.add, _zeros(2), _zeros(2)),
+    "sub-operand": _operands(T.sub, _zeros(2), _zeros(2)),
+    "mul-operand": _operands(T.mul, _zeros(2), _zeros(2)),
+    "scale-operand": _operands(T.scale, _zeros(2), 2.0),
+    "leaky_relu-operand": _operands(T.leaky_relu, _zeros(2)),
+    "sigmoid-operand": _operands(T.sigmoid, _zeros(2)),
+    "sqrt-operand": _operands(T.sqrt, _zeros(2)),
+    "square-operand": _operands(T.square, _zeros(2)),
+    "softplus-operand": _operands(T.softplus, _zeros(2)),
+    "gelu-operand": _operands(T.gelu, _zeros(2)),
+    "matmul-operand": _operands(T.matmul, _zeros(2, 2), _zeros(2, 2)),
+    "add_bias-operand": _operands(T.add_bias, _zeros(2, 2), _zeros(2)),
+    "softmax-operand": _operands(T.softmax, _zeros(2)),
+    "layer_norm-operand": _operands(T.layer_norm, _zeros(2, 2), _zeros(2), _zeros(2)),
+    "reshape-operand": _operands(T.reshape, _zeros(2), (2,)),
+    "permute-operand": _operands(T.permute, _zeros(2), (0,)),
+    "concat-operand": (
+        T.concat, ContractError, "concat: tensors must be a list or a tuple, got {value!r}",
+        [*BAD_OPERANDS, (t for t in [_zeros(2)])],
+    ),
+    "concat-operand-item": (
+        lambda v: T.concat([_zeros(2), v]), ContractError, "concat: tensors[1] must be a Tensor, got {value!r}",
+        list(BAD_OPERANDS),
+    ),
+    "crop-operand": _operands(T.crop, _zeros(1, 2, 2), 0, 0, 1, 1),
+    "mean-operand": _operands(T.mean, _zeros(2)),
+    "tsum-operand": _operands(T.tsum, _zeros(2)),
+    "upsample_nearest-operand": _operands(T.upsample_nearest, _zeros(1, 2, 2)),
+    "conv2d-operand": _operands(T.conv2d, _zeros(1, 2, 2), _zeros(1, 1, 1, 1), _zeros(1)),
     # windows
     "window_partition-rank": (lambda s: W.window_partition(_zeros(*s), 2), DimensionError, RANK, [(4, 4)]),
     "window_partition-s": (
@@ -392,16 +441,9 @@ CONTRACTS = {
     ),
 }
 
-TAKES_ONLY_TENSORS = "takes only Tensors; the operand rule is ROADMAP item 5"
-
 # Public entry points with no row, each with the reason.
 NO_CONTRACT = {
     "zero_grad": "sets .grad to None on whatever it is given",
-    "sigmoid": TAKES_ONLY_TENSORS,
-    "square": TAKES_ONLY_TENSORS,
-    "softplus": TAKES_ONLY_TENSORS,
-    "gelu": TAKES_ONLY_TENSORS,
-    "tsum": TAKES_ONLY_TENSORS,
     "Weights": "a plain record; forward and discriminate check the one they are given",
     "named_parameters": "a one-line accessor of w.params",
     "parameters": "a one-line accessor of w.params",

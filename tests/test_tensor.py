@@ -17,6 +17,7 @@ from relight import tensor as T
 from relight.errors import ContractError
 from relight.tensor import Tape, Tensor
 from test_contracts import reject
+from test_op_outputs import ops
 
 
 def matmul_reference(a, b):
@@ -573,6 +574,38 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 2.0])
 
 
+class TestOperandRule:
+    """``_op`` checks every Tensor operand before the op runs; the CONTRACTS rows cover each op without a tape."""
+
+    def test_an_ndarray_operand_is_rejected_under_a_tape_and_records_nothing(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(ContractError, match=re.escape("matmul: b must be a Tensor, got array")):
+                T.reshape(x, (1, 2)) @ np.ones((2, 2))
+            with pytest.raises(ContractError, match=re.escape("concat: tensors[1] must be a Tensor, got array([1.])")):
+                T.concat([x, np.ones(1)])
+        assert len(tape) == 1  # the reshape only
+
+    def test_an_operand_given_by_name_is_checked_and_a_missing_one_is_named(self):
+        x = Tensor(np.ones(2))
+        assert np.array_equal(T.add(x, b=x).data, [2.0, 2.0])
+        with pytest.raises(ContractError, match="add: b must be a Tensor, got 1.0"):
+            T.add(x, b=1.0)
+        with pytest.raises(TypeError, match="'b'"):
+            T.add(x)
+
+    def test_a_generator_is_rejected_without_being_advanced(self):
+        x = Tensor(np.ones(2))
+        tensors = (t for t in (x, x))
+        with pytest.raises(ContractError, match="concat: tensors must be a list or a tuple, got <generator"):
+            T.concat(tensors)
+        assert next(tensors) is x
+
+    def test_an_op_shows_its_own_name_docstring_and_signature(self):
+        assert T.mean.__name__ == "mean" and T.mean.__doc__.startswith("Mean over every element")
+        assert list(inspect.signature(T.conv2d).parameters) == ["x", "w", "b", "stride", "pad"]
+
+
 class TestFiniteDiffCheck:
     def test_entries_variant(self):
         rng = np.random.default_rng(21)
@@ -686,9 +719,11 @@ def test_every_recorded_op_returns_one_tensor_and_appends_one_record(key):
     with Tape() as tape:
         out = op(*[Tensor(arr) for arr in arrays])
         assert len(tape) == 0 and out.requires_grad is False
-        out = op(*[Tensor(arr, requires_grad=True) for arr in arrays])
+        leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+        out = op(*leaves)
     # The bench tracer finds an op's backward as the one record whose .out it returned.
     assert len(tape) == 1 and tape._records[0].out is out and out.requires_grad is True
+    assert tape._records[0].keys == tuple(leaves)  # every operand, in signature order
 
 
 # What each op's record may keep alive of its inputs' arrays (by position) and its output's ("out"):
@@ -737,11 +772,7 @@ class TestBufferSafety:
     """Ops may write in place only into arrays they allocated themselves."""
 
     def test_cases_cover_every_recorded_op(self):
-        recorded = {
-            name
-            for name, f in vars(T).items()
-            if inspect.isfunction(f) and not name.startswith("_") and "_record(" in inspect.getsource(f)
-        }
+        recorded = ops(inspect.getsource(T))
         assert {key.split("-")[0] for key in _buffer_cases(np.random.default_rng(0))} == recorded
 
     @pytest.mark.parametrize("key", sorted(_buffer_cases(np.random.default_rng(0))))
