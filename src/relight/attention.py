@@ -22,6 +22,9 @@ tape active the strips run two at a time, one on each of the ``WORKERS``
 threads of a pool made for that map and shut down once every strip has
 finished, with OpenBLAS held at one thread meanwhile; under a tape, or
 inside a worker, they run one at a time in the calling thread.  A
+generator forward whose image maps pool holds OpenBLAS at one thread
+once, from its first map to its last (``_blas_held``), so OpenBLAS's own
+thread does not wake between the maps to spin against the workers.  A
 strip holds 1/WORKERS of the budget, so the strips in flight hold the whole
 budget.  Image maps are cut by a pixel budget, ``_image_rows``:
 ``STRIP_PIXELS // WORKERS`` pixels per strip, in whole 8-row bands and at
@@ -46,6 +49,7 @@ own under a dotted prefix, e.g. ``local.blocks.0.mhsa.w_q``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -81,7 +85,8 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
-_pool_lock = threading.Lock()  # one pooled map at a time: it holds OpenBLAS at one thread
+_pool_lock = threading.Lock()  # one holder of OpenBLAS at one thread at a time (_blas_held)
+_holder = threading.local()  # .held is set in the thread inside _blas_held
 _worker = threading.local()  # .busy is set in the pool's threads
 
 
@@ -102,37 +107,65 @@ def _image_rows(width: int) -> int:
     return max(band, STRIP_PIXELS // WORKERS // width // band * band)
 
 
+def _pools(n: int, rows: int) -> bool:
+    """Whether ``_by_strips`` hands a map of n rows, ``rows`` a strip, to its pool: the map is
+    more than one strip per worker, OpenBLAS's thread count was found, no tape is active (a worker
+    has none) and the caller is not itself a worker (a worker waiting on the pool could deadlock it)."""
+    return (
+        n > WORKERS * rows
+        and _BLAS_THREADS is not None
+        and T._active_tape() is None
+        and not getattr(_worker, "busy", False)
+    )
+
+
+@contextlib.contextmanager
+def _blas_held():
+    """Hold OpenBLAS at one thread, under ``_pool_lock``, and restore its count on leaving.
+
+    A thread that holds it already enters again without retaking the lock, so a generator
+    forward holds it once around all its pooled maps and OpenBLAS's own thread never wakes
+    between them.  Only ``_by_strips`` and ``generator.forward`` enter it, and only for a
+    map that ``_pools``.
+    """
+    if getattr(_holder, "held", False):
+        yield
+        return
+    get, put = _BLAS_THREADS
+    with _pool_lock:
+        before = get()
+        put(1)
+        _holder.held = True
+        try:
+            yield
+        finally:
+            _holder.held = False
+            put(before)
+
+
 def _by_strips(n: int, fn: Callable[[int, int], Tensor], rows: int) -> Tensor:
     """fn(lo, hi) on the strips [lo, hi) of range(n), ``rows`` each and the last one shorter,
     joined along axis -2 in order by one concat.  n of ``WORKERS * rows`` or fewer fits in the
     strips in flight and is one strip: fn(0, n), with no concat.
 
-    The strips go to a pool of WORKERS threads, made for this map, only when no tape is active
-    (a worker has none), the caller is not itself a worker (a worker waiting on the pool could
-    deadlock it) and OpenBLAS's thread count was found; otherwise they run in order in the
-    calling thread.  While the pool runs, OpenBLAS is held at one thread, so two strips do not
-    each start a second one.  Every strip finishes before the count is restored, and the first
-    error, in strip order, is raised.
+    The strips go to a pool of WORKERS threads, made for this map, only where the map ``_pools``;
+    otherwise they run in order in the calling thread.  While the pool runs, OpenBLAS is held at
+    one thread (``_blas_held``), so two strips do not each start a second one.  Every strip
+    finishes before the count is restored, and the first error, in strip order, is raised.
     """
     if n <= WORKERS * rows:
         return fn(0, n)
     starts = range(0, n, rows)
-    if _BLAS_THREADS is None or T._active_tape() is not None or getattr(_worker, "busy", False):
+    if not _pools(n, rows):
         return T.concat([fn(lo, min(lo + rows, n)) for lo in starts], axis=-2)
     # Imported here: concurrent.futures imports logging, 3-7 ms and 0.6 MB that a
     # process which never cuts a map into strips, such as a 64x64 one, need not pay.
     from concurrent.futures import ThreadPoolExecutor
 
-    get, put = _BLAS_THREADS
-    with _pool_lock:
-        before = get()
-        put(1)
-        try:
-            pool = ThreadPoolExecutor(WORKERS, "relight-strip", initializer=setattr, initargs=(_worker, "busy", True))
-            with pool:  # leaving the block waits for every strip
-                futures = [pool.submit(fn, lo, min(lo + rows, n)) for lo in starts]
-        finally:
-            put(before)
+    with _blas_held():
+        pool = ThreadPoolExecutor(WORKERS, "relight-strip", initializer=setattr, initargs=(_worker, "busy", True))
+        with pool:  # leaving the block waits for every strip
+            futures = [pool.submit(fn, lo, min(lo + rows, n)) for lo in starts]
     return T.concat([future.result() for future in futures], axis=-2)
 
 

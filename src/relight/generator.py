@@ -8,12 +8,14 @@ global features along channels, fuses them with two 3x3 convs
 (leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
 so outputs always lie strictly inside (0,1).  The recovery and the fusion
 head run on the image strips of ``attention._by_strips``: each strip reads
-two context rows on either side (one per 3x3 conv) of the local map and
-recovers the same rows of the global map from the grid, and is cropped to
-its own rows before the sigmoid.  So no full-size global map or concat is
-made; the head holds the temporaries of the strips in flight (two, each half
-the pixel budget, with no tape), not the whole map's, and its output equals
-a whole-map head's.
+two context rows past each cut (one per 3x3 conv) of the local map and
+recovers the same rows of the global map from the grid.  Its 3x3 convs
+zero-pad rows only at the map's own top and bottom: at a cut each uses up a
+context row, so fuse2, the 1x1 conv and the sigmoid compute exactly the
+strip's rows, with no crop.  So no full-size global map or concat is made;
+the head holds the temporaries of the strips in flight (two, each half the
+pixel budget, with no tape), not the whole map's, and its output equals a
+whole-map head's up to the rounding of shorter BLAS products.
 
 The channel widths and head counts are constants of the network, sized so
 CPU runs stay fast while all three window scales remain meaningful; they
@@ -22,6 +24,7 @@ are not the paper's values.  Only the training resolution is configured.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -135,23 +138,27 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in (0,1)."""
     _need_input(x, w, "local.embed_w", "forward")
     T._need_finite(x.data, "forward: x")
+    n, rows = x.shape[1], A._image_rows(x.shape[2])
+    # Where the image maps pool, OpenBLAS stays at one thread from the first map to the last:
+    # restored between them, its own thread would wake and spin against the two strip workers.
+    with A._blas_held() if A._pools(n, rows) else contextlib.nullcontext():
+        p = w.params
+        local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
+        grid = A.global_branch(x, p, "global_", GeneratorConfig.global_heads)
+        param = T._params(p, "", "forward")
 
-    p = w.params
-    local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
-    grid = A.global_branch(x, p, "global_", GeneratorConfig.global_heads)
-    param = T._params(p, "", "forward")
+        def head(lo: int, hi: int) -> Tensor:
+            # Each 3x3 conv zero-pads rows only at the map's own top and bottom; at a cut (whole
+            # 8-row bands from either edge) it uses up one of two context rows instead, so fuse1
+            # computes [lo - 1, hi + 1), fuse2 [lo, hi) and no output row is cropped.
+            pad = (int(lo == 0), int(hi == n), 1, 1)
+            top, bot = lo - 2 + 2 * pad[0], hi + 2 - 2 * pad[1]
+            feat = T.concat([W._rows(local, top, bot), W.patch_recover(grid, p, "global_.recover", top, bot)], axis=0)
+            feat = T.leaky_relu(T.conv2d(feat, param("fuse1_w"), param("fuse1_b"), pad=pad), 0.2)
+            feat = T.leaky_relu(T.conv2d(feat, param("fuse2_w"), param("fuse2_b"), pad=pad), 0.2)
+            return T.sigmoid(T.conv2d(feat, param("out_w"), param("out_b")))
 
-    def head(lo: int, hi: int) -> Tensor:
-        # Each zero-padded 3x3 conv spoils one more row at a cut edge, so two context rows keep
-        # [lo, hi) exact; the crop to [lo, hi) waits for the 1x1 conv's 3 channels, not fuse2's 32.
-        top, bot = max(0, lo - 2), min(local.shape[1], hi + 2)
-        rows = T.concat([W._rows(local, top, bot), W.patch_recover(grid, p, "global_.recover", top, bot)], axis=0)
-        rows = T.leaky_relu(T.conv2d(rows, param("fuse1_w"), param("fuse1_b"), pad=1), 0.2)
-        rows = T.leaky_relu(T.conv2d(rows, param("fuse2_w"), param("fuse2_b"), pad=1), 0.2)
-        rgb = T.conv2d(rows, param("out_w"), param("out_b"))
-        return T.sigmoid(W._rows(rgb, lo - top, hi - top))
-
-    return A._by_strips(x.shape[1], head, A._image_rows(x.shape[2]))
+        return A._by_strips(n, head, rows)
 
 
 def named_parameters(w: Weights) -> Iterable[tuple[str, Tensor]]:

@@ -64,7 +64,9 @@ Conventions, fixed here and relied on everywhere else:
   out of this module; ``upsample_nearest`` adds its 2x2 blocks up by hand.
   softmax's row max is ``np.fmax.reduce``, twice as fast as ``.max`` on
   64-logit rows.
-- ``conv2d`` has no column matrix.  The zero-padded input is split into
+- ``conv2d`` has no column matrix.  Its ``pad`` is one int for every side
+  or a ``(top, bottom, left, right)`` tuple, so a row strip can pad only
+  the sides that are the map's own edges.  The zero-padded input is split into
   its stride*stride phases, each a flat grid ``Wq`` columns wide; tap
   (i, j) is one GEMM of the kernel's (C_out, C_in) slice with a
   contiguous run of phase (i % s, j % s) starting at
@@ -171,8 +173,14 @@ class Tensor:
         """A new leaf sharing this tensor's data, outside the tape."""
         return _record(self.data, (), None)
 
+    # numpy defers ``ndarray @ Tensor`` to __rmatmul__, whose operand rule names the ndarray.
+    __array_ufunc__ = None
+
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -568,10 +576,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match last axis {d}")
     mu = _sum_last(x.data) / d
-    xc = x.data - mu
-    var = _sum_last(xc * xc) / d
+    xhat = x.data - mu
+    var = _sum_last(xhat * xhat) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
+    xhat *= inv
     gd = gamma.data
 
     def back(g):
@@ -581,7 +589,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx = inv * (gx - _sum_last(gx) / d - xhat * (_sum_last(gx * xhat) / d))
         return (dx, dgamma, dbeta)
 
-    return xhat * gd + beta.data, back
+    y = xhat * gd
+    y += beta.data
+    return y, back
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +696,8 @@ def upsample_nearest(x: Tensor) -> Tensor:
 # convolutions
 
 
-def _stride_phases(x: np.ndarray, s: int, pad: int, tail: int):
-    """Zero-pad (C,H,W) by ``pad`` and split it into its s*s stride phases.
+def _stride_phases(x: np.ndarray, s: int, pad: tuple[int, int, int, int], tail: int):
+    """Zero-pad (C,H,W) by ``pad`` = (top, bottom, left, right) and split it into its s*s stride phases.
 
     Returns ``(phases, Wq)``: ``phases[pi*s + pj, c]`` is the flattened
     ``padded[c, pi::s, pj::s]`` grid, ``Wq`` columns wide, followed by at
@@ -695,26 +705,32 @@ def _stride_phases(x: np.ndarray, s: int, pad: int, tail: int):
     s = 1 the split is a view of the padded copy.
     """
     C, H, W = x.shape
-    rows = -(-(H + 2 * pad) // s) + (tail > 0)
-    Wq = -(-(W + 2 * pad) // s)
+    top, bottom, left, right = pad
+    rows = -(-(H + top + bottom) // s) + (tail > 0)
+    Wq = -(-(W + left + right) // s)
     xq = np.zeros((C, rows * s, Wq * s))
-    xq[:, pad : pad + H, pad : pad + W] = x
+    xq[:, top : top + H, left : left + W] = x
     phases = xq.reshape(C, rows, s, Wq, s).transpose(2, 4, 0, 1, 3)
     return phases.reshape(s * s, C, rows * Wq), Wq
 
 
-def _from_stride_phases(ph: np.ndarray, H: int, W: int, s: int, pad: int) -> np.ndarray:
+def _from_stride_phases(ph: np.ndarray, H: int, W: int, s: int, pad: tuple[int, int, int, int]) -> np.ndarray:
     """Adjoint of :func:`_stride_phases`: reassemble the padded grid, crop to (C,H,W)."""
     C = ph.shape[1]
-    Wq = -(-(W + 2 * pad) // s)
+    top, _, left, right = pad
+    Wq = -(-(W + left + right) // s)
     rows = ph.shape[2] // Wq
     xq = ph.reshape(s, s, C, rows, Wq).transpose(2, 3, 0, 4, 1).reshape(C, rows * s, Wq * s)
-    return np.ascontiguousarray(xq[:, pad : pad + H, pad : pad + W])
+    return np.ascontiguousarray(xq[:, top : top + H, left : left + W])
 
 
 @_op
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw] kernels, plus a [C_out] bias."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int | tuple[int, int, int, int] = 0) -> Tensor:
+    """Cross-correlation of [C_in,H,W] with [C_out,C_in,kh,kw] kernels, plus a [C_out] bias.
+
+    ``pad`` zero-pads every side by one int, or each side by its entry of a
+    ``(top, bottom, left, right)`` tuple of ints >= 0.
+    """
     _need_rank(x, "[C,H,W]", "conv2d")
     _need_rank(w, "[O,I,kh,kw]", "conv2d: kernels")
     Cin, H, W = x.shape
@@ -724,17 +740,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     if Cw != Cin:
         raise DimensionError(f"conv2d: input channels {Cin} do not match kernel channels {Cw}")
     _need_int(stride, 1, "conv2d: stride")
-    _need_int(pad, 0, "conv2d: pad")
-    if kh > H + 2 * pad or kw > W + 2 * pad:
-        raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
+    sides = (pad,) * 4 if _is_int(pad, 0) else pad
+    if not (isinstance(sides, tuple) and len(sides) == 4 and all(_is_int(p, 0) for p in sides)):
+        raise ContractError(f"conv2d: pad must be an int >= 0 or a tuple of 4 of them, got {pad!r}")
+    Hp, Wp = H + sides[0] + sides[1], W + sides[2] + sides[3]
+    if kh > Hp or kw > Wp:
+        raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input {Hp}x{Wp}")
     if b.shape != (Cout,):
         raise DimensionError(f"conv2d: bias shape {b.shape} does not match {Cout} output channels")
 
     s = stride
-    Ho = (H + 2 * pad - kh) // s + 1
-    Wo = (W + 2 * pad - kw) // s + 1
+    Ho = (Hp - kh) // s + 1
+    Wo = (Wp - kw) // s + 1
     xd = x.data
-    phases, Wq = _stride_phases(xd, s, pad, (kw - 1) // s)
+    phases, Wq = _stride_phases(xd, s, sides, (kw - 1) // s)
     n = Ho * Wq  # output rows are Wq wide; columns c >= Wo are computed, then dropped
     taps = [(i, j, (i % s) * s + j % s, (i // s) * Wq + j // s) for i in range(kh) for j in range(kw)]
     wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # wt[i, j]: tap (i, j) as (Cout, Cin)
@@ -754,13 +773,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         gq = np.zeros((Cout, Ho, Wq))
         gq[:, :, :Wo] = g
         gq = gq.reshape(Cout, n)
-        xs, _ = _stride_phases(xd, s, pad, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
+        xs, _ = _stride_phases(xd, s, sides, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
         dxs = np.zeros_like(xs)
         dwt = np.empty_like(wt)
         for i, j, ph, off in taps:
             dwt[i, j] = gq @ xs[ph, :, off : off + n].T
             dxs[ph, :, off : off + n] += wt[i, j].T @ gq
-        dx = _from_stride_phases(dxs, H, W, s, pad)
+        dx = _from_stride_phases(dxs, H, W, s, sides)
         dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
         return (dx, dw, _sum_last(g.reshape(Cout, Ho * Wo)).reshape(Cout))
 

@@ -80,9 +80,10 @@ def patch_recover(grid: Tensor, p: dict[str, Tensor], prefix: str, lo: int, hi: 
     RECOVER_STAGES stages of x2 nearest upsample -> 3x3 conv -> leaky_relu, with
     weights p[f"{prefix}.convs.{i}.0"] and biases p[f"{prefix}.convs.{i}.1"].
     Each stage computes only the rows its output needs: its conv reads one more
-    row on either side, which the upsample takes from half as many rows of the
-    stage before.  Every zero-padded conv row past a cut is cropped off, so the
-    rows equal those of the whole map; for (0, 8h) no row is cut.
+    row past each cut, which the upsample takes from half as many rows of the
+    stage before, and zero-pads rows only at the map's own top and bottom, so
+    it computes exactly [lo, hi) and no conv output is cropped.  The rows equal
+    those of the whole map; for (0, 8h) no row is cut.
     """
     T._need_rank(grid, "[d,h,w]", "patch_recover")
     n = grid.shape[1] << RECOVER_STAGES
@@ -94,9 +95,9 @@ def patch_recover(grid: Tensor, p: dict[str, Tensor], prefix: str, lo: int, hi: 
         """Rows [lo, hi) of the map after i stages; the grid's at i = 0."""
         if i == 0:
             return _rows(grid, lo, hi)
-        top, bot = max(0, lo - 1), min(grid.shape[1] << i, hi + 1)
+        pad = (int(lo == 0), int(hi == grid.shape[1] << i), 1, 1)  # rows only at the map's own edges
+        top, bot = lo - 1 + pad[0], hi + 1 - pad[1]
         x = _rows(T.upsample_nearest(stage(i - 1, top // 2, (bot + 1) // 2)), top % 2, top % 2 + bot - top)
-        x = T.conv2d(x, param(f"convs.{i - 1}.0"), param(f"convs.{i - 1}.1"), pad=1)
-        return T.leaky_relu(_rows(x, lo - top, hi - top), 0.2)
+        return T.leaky_relu(T.conv2d(x, param(f"convs.{i - 1}.0"), param(f"convs.{i - 1}.1"), pad=pad), 0.2)
 
     return stage(RECOVER_STAGES, lo, hi)

@@ -33,6 +33,7 @@ REPR = "{value!r}"  # the default template: the message shows the value as repr 
 RANK = "got shape {value}"  # a rank row's values are input shapes, one axis off
 MISSING = "missing parameter {value!r}"  # a missing-parameter row's values are the dotted names left out
 BOTH = "{value[0]} and {value[1]}"  # the values of a two-operand shape row are pairs of shapes
+CONV_PAD = "conv2d: pad must be an int >= 0 or a tuple of 4 of them, got {value!r}"  # (top, bottom, left, right)
 RECOVER_ROWS = "rows [{value[0]!r}, {value[1]!r}) are not ints 0 <= lo < hi <= 16"  # of a 16-row map
 
 
@@ -206,8 +207,16 @@ CONTRACTS = {
     "crop-rect": (lambda v: _crop(*v), DimensionError, "rect (3,3,4,4) outside 4x4", [(3, 3, 4, 4)]),
     "upsample_nearest-rank": (lambda s: T.upsample_nearest(_zeros(*s)), DimensionError, RANK, [(4, 4)]),
     "conv2d-stride": (lambda v: _conv(stride=v), ContractError, _int("conv2d: stride", 1), [True, 1.5, -1, 0, -2]),
-    "conv2d-pad": (lambda v: _conv(pad=v), ContractError, _int("conv2d: pad", 0), [True, 1.0, -1, "1", False]),
+    "conv2d-pad": (lambda v: _conv(pad=v), ContractError, CONV_PAD, [True, 1.0, -1, "1", False]),
+    "conv2d-pad-sides": (
+        lambda v: _conv(pad=v), ContractError, CONV_PAD,
+        [(1, 1, 1), (1, 1, 1, 1, 1), (0, -1, 0, 0), (0, 0, True, 0), (1.0, 0, 0, 0), [1, 1, 1, 1]],
+    ),
     "conv2d-kernel": (lambda s: _conv((1, 2, 2), s), DimensionError, "kernel {value[2]}x{value[3]}", [(1, 1, 5, 5)]),
+    "conv2d-kernel-sides": (  # (pad, the padded input's size) of a 3x3 kernel on a 2x2 input
+        lambda v: _conv((1, 2, 2), pad=v[0]), DimensionError, "kernel 3x3 larger than padded input {value[1]}",
+        [((0, 0, 1, 1), "2x4"), ((1, 0, 0, 0), "3x2")],
+    ),
     "conv2d-empty": (lambda s: _conv(w=s), DimensionError, "kernel shape {value}", [(0, 1, 3, 3), (1, 1, 0, 1)]),
     # the operand rule: every Tensor parameter of every op
     "add-operand": _operands(T.add, _zeros(2), _zeros(2)),

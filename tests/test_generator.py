@@ -154,19 +154,34 @@ class TestHeadStrips:
         assert finite_diff(lambda: G.forward(x, w), [x, fuse1_w], entries) < 1e-6
 
     def test_the_head_reads_two_context_rows_and_its_sigmoid_none(self, monkeypatch):
+        # ... and no head or recovery conv computes a row that is cropped off afterwards
         w = G.init_weights(WIDE, seed=15)
-        fuse1_w, read, squashed, conv2d, sigmoid = w.params["fuse1_w"], [], [], T.conv2d, T.sigmoid
+        p = w.params
+        names = {"fuse1_w", "fuse2_w", "out_w"} | {f"global_.recover.convs.{i}.0" for i in range(W.RECOVER_STAGES)}
+        name_of = {id(p[name]): name for name in names}
+        outputs, cropped, squashed, conv2d, crop, sigmoid = [], [], [], T.conv2d, T.crop, T.sigmoid
 
         def spy_conv2d(t, k, *args, **kwargs):
-            if k is fuse1_w:
-                read.append(t.shape[1])
-            return conv2d(t, k, *args, **kwargs)
+            out = conv2d(t, k, *args, **kwargs)
+            if id(k) in name_of:
+                outputs.append((name_of[id(k)], t.shape[1], out))  # out is kept alive, so its id stays its own
+            return out
 
         monkeypatch.setattr(T, "conv2d", spy_conv2d)
+        monkeypatch.setattr(T, "crop", lambda t, *rect: cropped.append(t) or crop(t, *rect))  # kept alive too
         monkeypatch.setattr(T, "sigmoid", lambda t: squashed.append(t.shape[1]) or sigmoid(t))
-        G.forward(Tensor(np.full((3, 40, 256), 0.5)), w)
-        # five strips of 8 rows: fuse1 reads up to 2 context rows on either side, the sigmoid none
-        assert sorted(read) == [10, 10, 12, 12, 12] and squashed == [8] * 5
+        G.forward(Tensor(np.random.default_rng(15).uniform(size=(3, 40, 256))), w)
+
+        def heights(name, read=False):
+            return sorted(rows_in if read else out.shape[1] for conv, rows_in, out in outputs if conv == name)
+
+        # five strips of 8 rows: fuse1 reads up to 2 context rows on either side and computes one
+        # past each cut, fuse2, out and the sigmoid none; the last recovery conv computes exactly
+        # the rows fuse1 reads
+        assert heights("fuse1_w", read=True) == heights("global_.recover.convs.2.0") == [10, 10, 12, 12, 12]
+        assert heights("fuse1_w") == [9, 9, 10, 10, 10]
+        assert heights("fuse2_w") == heights("out_w") == squashed == [8] * 5
+        assert len(outputs) == 5 * len(names) and not {id(out) for *_, out in outputs} & {id(t) for t in cropped}
 
     def test_gradient_across_head_strip_edges_reaches_the_recovery_weights(self, monkeypatch):
         w = G.init_weights(WIDE, seed=16)

@@ -2,7 +2,8 @@
 
 With no tape, ``_by_strips`` hands its strips to WORKERS threads and holds
 OpenBLAS at one thread meanwhile; under a tape or inside a worker they run in
-order in the calling thread.  Every test here reads the count through the same
+order in the calling thread.  A generator forward whose image maps pool holds
+it once around all of them.  Every test here reads the count through the same
 OpenBLAS control the pool uses, so they need it to be found.
 """
 
@@ -28,12 +29,33 @@ JOIN_S = 60.0  # longest wait for a thread that should finish in well under a se
 
 
 @pytest.fixture
-def blas():
-    """OpenBLAS's (get, set) thread count functions; the count is put back after the test."""
+def blas(monkeypatch):
+    """OpenBLAS's (get, set) thread count functions and the list of every count relight sets,
+    in order; the test's own sets are not listed, and the count is put back after the test."""
     get, put = A._BLAS_THREADS
-    before = get()
-    yield get, put
+    before, sets = get(), []
+
+    def recording_put(count):
+        sets.append(count)
+        put(count)
+
+    monkeypatch.setattr(A, "_BLAS_THREADS", (get, recording_put))
+    yield get, put, sets
     put(before)
+
+
+class CountingLock:
+    """A lock that counts the times it is taken."""
+
+    def __init__(self):
+        self.lock, self.taken = threading.Lock(), 0
+
+    def __enter__(self):
+        self.lock.acquire()
+        self.taken += 1
+
+    def __exit__(self, *exc):
+        self.lock.release()
 
 
 def numbered_rows(n: int) -> Tensor:
@@ -43,7 +65,7 @@ def numbered_rows(n: int) -> Tensor:
 
 def serial_forward(monkeypatch, blas, x: Tensor, w) -> np.ndarray:
     """G.forward with the strips in order in this thread and OpenBLAS at one thread."""
-    get, put = blas
+    get, put, _ = blas
     before = get()
     with monkeypatch.context() as m:
         m.setattr(A, "_BLAS_THREADS", None)
@@ -55,11 +77,11 @@ def serial_forward(monkeypatch, blas, x: Tensor, w) -> np.ndarray:
 
 
 def test_forward_restores_the_blas_thread_count(monkeypatch, blas):
-    get, put = blas
+    get, put, sets = blas
     put(2)
     w = G.init_weights(WIDE, seed=40)
     x = Tensor(np.random.default_rng(40).uniform(size=(3, 40, 256)))
-    inside, by_strips = [], A._by_strips
+    inside, by_strips, pools, pooled = [], A._by_strips, A._pools, []
 
     def spy(n, fn, rows):
         def logged(lo, hi):
@@ -69,13 +91,17 @@ def test_forward_restores_the_blas_thread_count(monkeypatch, blas):
         return by_strips(n, logged, rows)
 
     monkeypatch.setattr(A, "_by_strips", spy)
+    monkeypatch.setattr(A, "_pools", lambda n, rows: pooled.append(pools(n, rows)) or pooled[-1])
     G.forward(x, w)
     assert get() == 2
     assert len(inside) > 1 and set(inside) == {1}  # the strips ran with OpenBLAS at one thread
+    # The forward's own check, then the local branch, the global branch's two mhsa maps and the
+    # head all pool, yet the count is set once and restored once: none is restored between maps.
+    assert pooled == [True] * 5 and sets == [1, 2]
 
 
 def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restored(monkeypatch, blas):
-    get, put = blas
+    get, put, _ = blas
     put(2)
     w = G.init_weights(WIDE, seed=41)
     x = Tensor(np.random.default_rng(41).uniform(size=(3, 40, 256)))
@@ -164,11 +190,13 @@ def test_a_strip_that_cuts_strips_finishes_inside_a_worker():
 
 
 def test_two_threads_enhancing_at_once_get_the_serial_outputs(monkeypatch, blas):
-    _, put = blas
+    # Each forward holds OpenBLAS at one thread from its first pooled map to its last, so it
+    # rounds as a forward at one thread does, and the two forwards take the hold in turn.
+    get, put, sets = blas
     w = G.init_weights(WIDE, seed=43)
     xs = [Tensor(np.random.default_rng(seed).uniform(size=(3, 40, 256))) for seed in (43, 44)]
     expected = [serial_forward(monkeypatch, blas, x, w) for x in xs]
-    put(1)  # every op at one OpenBLAS thread, in the pool or not, so both sides round alike
+    put(2)
     start = threading.Barrier(2, timeout=JOIN_S)
     got = [[], []]
 
@@ -185,12 +213,37 @@ def test_two_threads_enhancing_at_once_get_the_serial_outputs(monkeypatch, blas)
     assert not any(user.is_alive() for user in users)
     for outs, want in zip(got, expected):
         assert len(outs) == 3 and all(np.array_equal(out, want) for out in outs)
+    assert sets == [1, 2] * 6 and get() == 2  # one hold per forward, each restoring the count it found
+
+
+def test_a_64_forward_and_a_taped_forward_never_set_the_count(blas):
+    _, _, sets = blas
+    rng = np.random.default_rng(46)
+    w64 = G.init_weights(G.GeneratorConfig(), seed=46)
+    G.forward(Tensor(rng.uniform(size=(3, 64, 64))), w64)  # every map is one strip
+    with T.Tape():
+        G.forward(Tensor(rng.uniform(size=(3, 40, 256))), G.init_weights(WIDE, seed=46))
+    assert sets == []
+
+
+def test_a_pooled_map_inside_a_held_forward_takes_the_lock_once(monkeypatch, blas):
+    # The lock is not reentrant, so a map that took it again inside the forward's hold would deadlock.
+    w = G.init_weights(WIDE, seed=47)
+    x = Tensor(np.random.default_rng(47).uniform(size=(3, 40, 256)))
+    expected = serial_forward(monkeypatch, blas, x, w)
+    lock, result = CountingLock(), []
+    monkeypatch.setattr(A, "_pool_lock", lock)
+    caller = threading.Thread(target=lambda: result.append(G.forward(x, w).data))
+    caller.start()
+    caller.join(JOIN_S)
+    assert not caller.is_alive(), "a pooled map deadlocked the forward that holds the lock"
+    assert lock.taken == 1 and np.array_equal(result[0], expected)
 
 
 def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas):
     # More callers than cores, switching threads as often as the interpreter allows: a caller
     # that saved another's count of 1 as its own would leave OpenBLAS at one thread.
-    get, put = blas
+    get, put, _ = blas
     put(2)
     x, inside, wrong = numbered_rows(64), [], []
 

@@ -34,12 +34,16 @@ def matmul_reference(a, b):
 
 
 def conv2d_reference(x, w, stride, pad):
-    """Quadruple-loop cross-correlation, the independent oracle for T.conv2d."""
+    """Quadruple-loop cross-correlation, the independent oracle for T.conv2d.
+
+    pad is an int for every side or a (top, bottom, left, right) tuple.
+    """
     cin, h, ww = x.shape
     cout, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (ww + 2 * pad - kw) // stride + 1
+    top, bottom, left, right = (pad,) * 4 if isinstance(pad, int) else pad
+    xp = np.pad(x, ((0, 0), (top, bottom), (left, right)))
+    ho = (h + top + bottom - kh) // stride + 1
+    wo = (ww + left + right - kw) // stride + 1
     out = np.zeros((cout, ho, wo))
     for co in range(cout):
         for i in range(ho):
@@ -62,6 +66,8 @@ CONV_GEOMETRIES = {
     "3x3-s2-p1-odd": ((2, 9, 7), (3, 2, 3, 3), 2, 1),
     "8x8-s8-p0": ((3, 16, 24), (16, 3, 8, 8), 8, 0),  # the patch embed's channels
     "2x3-s3-p2": ((2, 10, 11), (3, 2, 2, 3), 3, 2),
+    "3x3-s1-p(0,1,2,1)": ((2, 9, 8), (3, 2, 3, 3), 1, (0, 1, 2, 1)),  # per side, as a head strip pads
+    "3x3-s2-p(1,0,0,2)-odd": ((2, 9, 7), (3, 2, 3, 3), 2, (1, 0, 0, 2)),
 }
 
 
@@ -232,7 +238,9 @@ class TestConv2d:
     )
     def test_bad_stride_or_pad_rejected(self, arg, value, least):
         x, w = Tensor(np.zeros((1, 8, 8))), Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ContractError, match=re.escape(f"conv2d: {arg} must be an int >= {least}, got {value!r}")):
+        also = " or a tuple of 4 of them" if arg == "pad" else ""
+        message = f"conv2d: {arg} must be an int >= {least}{also}, got {value!r}"
+        with pytest.raises(ContractError, match=re.escape(message)):
             T.conv2d(x, w, zero_bias(w), **{arg: value})
 
 
@@ -586,6 +594,12 @@ class TestOperandRule:
                 T.concat([x, np.ones(1)])
         assert len(tape) == 1  # the reshape only
 
+    def test_an_ndarray_left_of_at_is_named_by_the_operand_rule(self):
+        # numpy hands ``ndarray @ Tensor`` to Tensor.__rmatmul__ rather than failing on its own.
+        x = Tensor(np.ones((2, 2)))
+        with pytest.raises(ContractError, match=re.escape("matmul: a must be a Tensor, got array([[1., 1.]")):
+            np.ones((2, 2)) @ x
+
     def test_an_operand_given_by_name_is_checked_and_a_missing_one_is_named(self):
         x = Tensor(np.ones(2))
         assert np.array_equal(T.add(x, b=x).data, [2.0, 2.0])
@@ -699,6 +713,7 @@ def _buffer_cases(rng):
         "upsample_nearest": (T.upsample_nearest, [a(2, 2, 3)]),
         "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1), [a(2, 5, 5), a(3, 2, 3, 3), a(3)]),
         "conv2d-stride8": (lambda x, w, b: T.conv2d(x, w, b, stride=8), [a(2, 16, 16), a(3, 2, 8, 8), a(3)]),
+        "conv2d-sides": (lambda x, w, b: T.conv2d(x, w, b, pad=(0, 1, 2, 0)), [a(2, 5, 4), a(3, 2, 3, 3), a(3)]),
     }
 
 
@@ -732,7 +747,7 @@ KEEPS = {
     "add": (), "sub": (), "mul": (0, 1), "scale": (), "leaky_relu": (), "sigmoid": ("out",), "sqrt": ("out",),
     "square": (0,), "softplus": (0,), "gelu": (0,), "gelu-0d": (0,), "matmul": (0, 1), "add_bias": (),
     "softmax": ("out",), "layer_norm": (1,), "reshape": (), "permute": (), "concat": (), "crop": (), "mean": (),
-    "tsum": (), "upsample_nearest": (), "conv2d": (0,), "conv2d-stride8": (0,),
+    "tsum": (), "upsample_nearest": (), "conv2d": (0,), "conv2d-stride8": (0,), "conv2d-sides": (0,),
 }
 
 
