@@ -62,8 +62,13 @@ Conventions, fixed here and relied on everywhere else:
   layer_norm one at a time, at more than ``exp`` costs per element.  A
   tier-1 guard keeps every other ``.sum``/``.mean``/``.max`` over an axis
   out of this module; ``upsample_nearest`` adds its 2x2 blocks up by hand.
-  softmax's row max is ``np.fmax.reduce``, twice as fast as ``.max`` on
-  64-logit rows.
+- softmax shifts no row when every entry lies within ±600 (float64 only):
+  softmax does not change when a row is shifted, and there ``exp`` neither
+  overflows a row sum nor goes subnormal (e^-600 is about 2.6e-261), so
+  the only difference from the shifted form is rounding.  Otherwise, NaN
+  and ±inf included, each row is shifted by its ``np.fmax.reduce`` max,
+  twice as fast as ``.max`` on 64-logit rows.  The range test is on the
+  whole array, so one row outside it shifts every row.
 - ``conv2d`` has no column matrix.  Its ``pad`` is one int for every side
   or a ``(top, bottom, left, right)`` tuple, so a row strip can pad only
   the sides that are the map's own edges.  The zero-padded input is split into
@@ -482,38 +487,41 @@ def softplus(x: Tensor) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 @_op
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh form); smooth, so FD-checkable."""
-    # t becomes tanh(C*d*(1 + 0.044715*d^2)); multiplications only, since
-    # numpy runs d**3 through pow, about 40x slower than d*d*d.  out= keeps
-    # each result an array for a 0-d input.
+    """Gaussian error linear unit, tanh form; smooth, so FD-checkable.
+
+    0.5*(1 + tanh u) = sigmoid(2u), so y = x*s with s = 1/(1 + exp(-2u)) and
+    u = C*(x + A*x^3): one ``exp`` where the tanh form needs a ``tanh`` and
+    two more passes.  The gradient, s*(1 + 2C*(1 + 3A*x^2)*x*(1 - s)), reads
+    x*(1 - s) as x - y.  Below x of about -21.6, exp(-2u) overflows to inf,
+    so s = 0, y = -0.0 and the gradient is 0, as in the tanh form; the op
+    silences that overflow, and only there.
+    """
+    # t becomes 1 + exp(-2u) = 1/s; multiplications only, since numpy runs
+    # d**3 through pow, about 40x slower than d*d*d.  out= keeps each result
+    # an array for a 0-d input.
     d = x.data
     t = np.multiply(d, d, out=np.empty(d.shape))
-    t *= 0.044715
-    t += 1.0
+    t *= -2.0 * _GELU_C * _GELU_A
+    t -= 2.0 * _GELU_C
     t *= d
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = np.add(t, 1.0, out=np.empty(d.shape))
-    y *= d
-    y *= 0.5
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    y = np.divide(d, t, out=np.empty(d.shape))
 
     def back(g):
-        # g * (0.5*(1 + t) + 0.5*d*(1 - t^2)*C*(1 + 3*0.044715*d^2))
+        # g * (1 + 2C*(1 + 3A*d^2)*(d - y)) / t
         r = np.multiply(d, d, out=np.empty(d.shape))
-        r *= 3 * 0.044715
+        r *= 6.0 * _GELU_C * _GELU_A
+        r += 2.0 * _GELU_C
+        r *= np.subtract(d, y, out=np.empty(d.shape))
         r += 1.0
-        r *= d
-        r *= 0.5 * _GELU_C
-        s = np.multiply(t, t, out=np.empty(d.shape))
-        np.subtract(1.0, s, out=s)
-        r *= s
-        np.add(t, 1.0, out=s)
-        s *= 0.5
-        r += s
+        r /= t
         r *= g
         return (r,)
 
@@ -550,12 +558,22 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return x.data + b.data, back
 
 
+_EXP_SAFE = 600.0  # exp of any float64 within ±this is normal, and a row of them sums to a finite value
+
+
 @_op
 def softmax(x: Tensor) -> Tensor:
     _need_rows(x, "softmax")
-    # fmax skips a NaN, but x - max then carries it, so a row with a NaN still comes out all NaN.
-    y = x.data - np.fmax.reduce(x.data, axis=-1, keepdims=True)
-    np.exp(y, out=y)
+    xd = x.data
+    # Inside ±_EXP_SAFE no shift is needed; an inf is outside.  fmax and fmin skip a NaN, but exp and
+    # x - max carry it, so a row with a NaN comes out all NaN on either branch.  initial= lets an
+    # array with no rows take the first branch.
+    top, bottom = np.fmax.reduce(xd, axis=None, initial=-np.inf), np.fmin.reduce(xd, axis=None, initial=np.inf)
+    if top <= _EXP_SAFE and bottom >= -_EXP_SAFE:
+        y = np.exp(xd)
+    else:
+        y = xd - np.fmax.reduce(xd, axis=-1, keepdims=True)
+        np.exp(y, out=y)
     y /= _sum_last(y)
 
     def back(g):

@@ -311,13 +311,14 @@ class TestElementwise:
         assert np.allclose(T.gelu(Tensor(x[1500])).data, expected[1500], rtol=1e-14, atol=1e-15)
 
     def test_gelu_matches_the_closed_form_bitwise(self):
-        # The closed form in the op's own order, on a large input and a 0-d one.
+        # x*sigmoid(2u) and its gradient in the op's own order, on a large input and a 0-d one.
         n = 611_669  # over 4 MiB of float64
         rng = np.random.default_rng(13)
         raw, g = rng.uniform(-6.0, 6.0, size=n), rng.normal(size=n)
-        t = np.tanh((raw * raw * 0.044715 + 1.0) * raw * T._GELU_C)
-        expected = (t + 1.0) * raw * 0.5
-        slope = (raw * raw * (3 * 0.044715) + 1.0) * raw * (0.5 * T._GELU_C) * (1.0 - t * t) + (t + 1.0) * 0.5
+        C, A = T._GELU_C, T._GELU_A
+        t = np.exp((raw * raw * (-2.0 * C * A) - 2.0 * C) * raw) + 1.0  # 1 + exp(-2u) = 1/sigmoid(2u)
+        expected = raw / t
+        slope = ((raw * raw * (6.0 * C * A) + 2.0 * C) * (raw - expected) + 1.0) / t  # raw - y = raw*(1 - s)
         for at in (slice(None), 7):  # every entry, then a 0-d input
             x = Tensor(raw[at], requires_grad=True)
             with Tape() as tape:
@@ -325,6 +326,17 @@ class TestElementwise:
                 tape.backward(T.tsum(T.mul(y, Tensor(g[at]))))
             assert np.array_equal(y.data, expected[at]) and y.shape == x.shape
             assert np.array_equal(x.grad, slope[at] * g[at])
+
+    def test_gelu_reaches_its_limits_without_a_warning(self):
+        # exp(-2u) overflows to inf below x of about -21.6; the op silences that, and only inside itself
+        x = Tensor(np.array([-1e3, -40.0, -21.6, 40.0, 1e3]), requires_grad=True)
+        before = np.geterr()
+        with Tape() as tape:
+            y = T.gelu(x)
+            tape.backward(T.tsum(y))
+        assert np.geterr() == before
+        assert np.array_equal(y.data, [0.0, 0.0, 0.0, 40.0, 1e3]) and np.signbit(y.data[:3]).all()
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
 
     def test_gelu_gradient_on_both_signs(self):
         raw = np.random.default_rng(11).uniform(-4.0, 4.0, size=7)
@@ -348,6 +360,43 @@ class TestSoftmax:
         rng = np.random.default_rng(12)
         out = T.softmax(Tensor(rng.normal(size=(4, 6)))).data
         assert np.allclose(out.sum(axis=-1), 1.0)
+
+    def test_in_range_rows_are_not_shifted(self):
+        # Every entry within ±600: each row is exp(row) / its sum, with no shift, whichever rows it is passed with.
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(4, 6, 8)) + rng.uniform(-595.0, 595.0, size=(4, 6, 1))
+        x[0, 0, 0], x[3, 5, 7] = 599.0, -599.0
+        e = np.exp(x).reshape(-1, 8)
+        expected = e / (e @ np.ones(8))[:, None]  # the sum as the op takes it: one GEMV over all 24 rows
+        assert np.array_equal(T.softmax(Tensor(x)).data, expected.reshape(x.shape))
+        # A GEMV may add a row's terms in an order that depends on the row count; two terms have one order.
+        pairs = x[..., :2]
+        out = T.softmax(Tensor(pairs)).data
+        for row, got in zip(pairs.reshape(-1, 2), out.reshape(-1, 2)):
+            e = np.exp(row)
+            assert np.array_equal(got, e / (e @ np.ones(2)))
+            assert np.array_equal(got, T.softmax(Tensor(row)).data)
+
+    def test_out_of_range_rows_are_shifted_by_their_max(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(3, 8)) + np.array([[1000.0], [-1000.0], [0.0]])
+        e = np.exp(x - np.fmax.reduce(x, axis=-1, keepdims=True))
+        out = T.softmax(Tensor(x)).data
+        assert np.array_equal(out, e / (e @ np.ones(8))[:, None])
+        assert np.allclose(out @ np.ones(8), 1.0)
+
+    def test_the_shift_starts_just_above_600(self):
+        x = np.array([600.0, 599.3])  # two terms, so every sum below adds them in the one order
+        e, shifted = np.exp(x), np.exp(x - 600.0)
+        assert not np.array_equal(e / (e @ np.ones(2)), shifted / (shifted @ np.ones(2)))  # the branches differ here
+        assert np.array_equal(T.softmax(Tensor(x)).data, e / (e @ np.ones(2)))
+        x[0] = np.nextafter(600.0, np.inf)
+        shifted = np.exp(x - x[0])
+        assert np.array_equal(T.softmax(Tensor(x)).data, shifted / (shifted @ np.ones(2)))
+
+    def test_an_array_with_no_rows_comes_out_empty(self):
+        # the whole-array range test reduces over no entries here
+        assert T.softmax(Tensor(np.zeros((0, 4)))).shape == (0, 4)
 
     def test_a_row_with_a_nan_or_inf_logit_comes_out_all_nan(self):
         x = Tensor(np.zeros((3, 4)))  # poisoned past the constructor's check, as a diverged op output would be
@@ -745,7 +794,7 @@ def test_every_recorded_op_returns_one_tensor_and_appends_one_record(key):
 # exactly the arrays its backward reads.
 KEEPS = {
     "add": (), "sub": (), "mul": (0, 1), "scale": (), "leaky_relu": (), "sigmoid": ("out",), "sqrt": ("out",),
-    "square": (0,), "softplus": (0,), "gelu": (0,), "gelu-0d": (0,), "matmul": (0, 1), "add_bias": (),
+    "square": (0,), "softplus": (0,), "gelu": (0, "out"), "gelu-0d": (0, "out"), "matmul": (0, 1), "add_bias": (),
     "softmax": ("out",), "layer_norm": (1,), "reshape": (), "permute": (), "concat": (), "crop": (), "mean": (),
     "tsum": (), "upsample_nearest": (), "conv2d": (0,), "conv2d-stride8": (0,), "conv2d-sides": (0,),
 }
