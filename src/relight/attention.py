@@ -17,18 +17,19 @@ activation.  The queries are scaled by 1/sqrt(head_dim) before the
 query-key product.
 
 One strip rule, ``_by_strips``: a map is cut along its rows into strips,
-the last one shorter, which are joined along the rows in order.  With no
-tape active the strips run two at a time, one on each of the ``WORKERS``
-threads of a pool made for that map and shut down once every strip has
-finished, with OpenBLAS held at one thread meanwhile; under a tape, or
-inside a worker, they run one at a time in the calling thread.  A
-generator forward whose image maps pool holds OpenBLAS at one thread
-once, from its first map to its last (``_blas_held``), so OpenBLAS's own
-thread does not wake between the maps to spin against the workers.  A
-strip holds 1/WORKERS of the budget, so the strips in flight hold the whole
-budget.  Image maps are cut by a pixel budget, ``_image_rows``:
-``STRIP_PIXELS // WORKERS`` pixels per strip, in whole 8-row bands and at
-least one (32 rows at 64 wide, 16 at 128, 8 from 256 up).  ``mhsa`` cuts
+the last one shorter, which are joined along the rows in order.  A
+generator forward with no tape whose image map is more than ``WORKERS``
+strips opens one pool of ``WORKERS`` threads for all its maps
+(``_pooled``), and their strips run two at a time, one on each thread.
+OpenBLAS stays at one thread from the first map to the last, so its own
+thread does not wake between the maps to spin against the workers.
+Anywhere else (under a tape, outside a forward, inside a worker, or in a
+forward whose image map fits in ``WORKERS`` strips) strips run one at a
+time in the calling thread.  A strip holds 1/WORKERS of the budget, so the
+strips in flight hold the whole budget.  Image maps are cut by a pixel
+budget, ``_image_rows``: ``STRIP_PIXELS // WORKERS`` pixels per strip, in
+whole 8-row bands and at least one (32 rows at 64 wide, 16 at 128, 8 from
+256 up).  ``mhsa`` cuts
 its queries into strips of ``STRIP_ROWS`` rows.  A map that fits in
 ``WORKERS`` strips runs whole, so every 64x64 map, every local window and
 the global branch's 64 tokens at 64x64 are one strip.  Each strip is a
@@ -85,9 +86,8 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
-_pool_lock = threading.Lock()  # one holder of OpenBLAS at one thread at a time (_blas_held)
-_holder = threading.local()  # .held is set in the thread inside _blas_held
-_worker = threading.local()  # .busy is set in the pool's threads
+_pool_lock = threading.Lock()  # one forward at a time holds OpenBLAS at one thread (_pooled)
+_pool = threading.local()  # .executor is the strip pool of the forward running in this thread
 
 
 def _forget_pool_lock():
@@ -107,39 +107,33 @@ def _image_rows(width: int) -> int:
     return max(band, STRIP_PIXELS // WORKERS // width // band * band)
 
 
-def _pools(n: int, rows: int) -> bool:
-    """Whether ``_by_strips`` hands a map of n rows, ``rows`` a strip, to its pool: the map is
-    more than one strip per worker, OpenBLAS's thread count was found, no tape is active (a worker
-    has none) and the caller is not itself a worker (a worker waiting on the pool could deadlock it)."""
-    return (
-        n > WORKERS * rows
-        and _BLAS_THREADS is not None
-        and T._active_tape() is None
-        and not getattr(_worker, "busy", False)
-    )
-
-
 @contextlib.contextmanager
-def _blas_held():
-    """Hold OpenBLAS at one thread, under ``_pool_lock``, and restore its count on leaving.
+def _pooled(n: int, rows: int):
+    """One strip pool for a generator forward whose image map has n rows, ``rows`` a strip.
 
-    A thread that holds it already enters again without retaking the lock, so a generator
-    forward holds it once around all its pooled maps and OpenBLAS's own thread never wakes
-    between them.  Only ``_by_strips`` and ``generator.forward`` enter it, and only for a
-    map that ``_pools``.
+    It pools only where the map is more than one strip per worker, OpenBLAS's thread count was
+    found and no tape is active; otherwise it does nothing.  Where it pools, it takes
+    ``_pool_lock``, holds OpenBLAS at one thread, so two strips do not each start a second one
+    and OpenBLAS's own thread does not wake between maps to spin against the workers, and opens
+    one executor of WORKERS threads for ``_by_strips`` in this thread.  Leaving waits for every
+    strip, then restores the count.  Only ``generator.forward`` enters it.
     """
-    if getattr(_holder, "held", False):
+    if n <= WORKERS * rows or _BLAS_THREADS is None or T._active_tape() is not None:
         yield
         return
+    # Imported here: concurrent.futures imports logging, 3-7 ms and 0.6 MB that a
+    # process which never cuts a map into strips, such as a 64x64 one, need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     get, put = _BLAS_THREADS
     with _pool_lock:
         before = get()
         put(1)
-        _holder.held = True
-        try:
-            yield
+        try:  # leaving the executor's block waits for every strip
+            with ThreadPoolExecutor(WORKERS, "relight-strip") as _pool.executor:
+                yield
         finally:
-            _holder.held = False
+            _pool.executor = None
             put(before)
 
 
@@ -148,24 +142,18 @@ def _by_strips(n: int, fn: Callable[[int, int], Tensor], rows: int) -> Tensor:
     joined along axis -2 in order by one concat.  n of ``WORKERS * rows`` or fewer fits in the
     strips in flight and is one strip: fn(0, n), with no concat.
 
-    The strips go to a pool of WORKERS threads, made for this map, only where the map ``_pools``;
-    otherwise they run in order in the calling thread.  While the pool runs, OpenBLAS is held at
-    one thread (``_blas_held``), so two strips do not each start a second one.  Every strip
-    finishes before the count is restored, and the first error, in strip order, is raised.
+    The strips go to the executor of the forward running in the calling thread (``_pooled``)
+    where it has one, and the first error, in strip order, is raised.  Otherwise, as under a
+    tape, outside a forward or inside a worker, which has no executor of its own, they run in
+    order in the calling thread.
     """
     if n <= WORKERS * rows:
         return fn(0, n)
-    starts = range(0, n, rows)
-    if not _pools(n, rows):
-        return T.concat([fn(lo, min(lo + rows, n)) for lo in starts], axis=-2)
-    # Imported here: concurrent.futures imports logging, 3-7 ms and 0.6 MB that a
-    # process which never cuts a map into strips, such as a 64x64 one, need not pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _blas_held():
-        pool = ThreadPoolExecutor(WORKERS, "relight-strip", initializer=setattr, initargs=(_worker, "busy", True))
-        with pool:  # leaving the block waits for every strip
-            futures = [pool.submit(fn, lo, min(lo + rows, n)) for lo in starts]
+    strips = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    pool = getattr(_pool, "executor", None)
+    if pool is None:
+        return T.concat([fn(lo, hi) for lo, hi in strips], axis=-2)
+    futures = [pool.submit(fn, lo, hi) for lo, hi in strips]
     return T.concat([future.result() for future in futures], axis=-2)
 
 
@@ -220,10 +208,7 @@ def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str,
 
     No information crosses window boundaries.
     """
-    wins = W.window_partition(x, s)  # checks x's rank
-    # Named, the windows live until the block returns; passed inline, the block freed them
-    # early, and the no-trim heap then peaked 1 MB higher in one 256² forward (81.2 against 80.1 MB).
-    wins = transformer_block(wins, p, prefix, heads)
+    wins = transformer_block(W.window_partition(x, s), p, prefix, heads)  # checks x's rank
     return W.window_reverse(wins, s, x.shape[1], x.shape[2])
 
 

@@ -24,7 +24,6 @@ are not the paper's values.  Only the training resolution is configured.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -139,9 +138,9 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     _need_input(x, w, "local.embed_w", "forward")
     T._need_finite(x.data, "forward: x")
     n, rows = x.shape[1], A._image_rows(x.shape[2])
-    # Where the image maps pool, OpenBLAS stays at one thread from the first map to the last:
-    # restored between them, its own thread would wake and spin against the two strip workers.
-    with A._blas_held() if A._pools(n, rows) else contextlib.nullcontext():
+    # One strip pool serves every map of the forward, with OpenBLAS at one thread throughout:
+    # restored between maps, its own thread would wake and spin against the two strip workers.
+    with A._pooled(n, rows):
         p = w.params
         local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
         grid = A.global_branch(x, p, "global_", GeneratorConfig.global_heads)

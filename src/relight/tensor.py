@@ -47,7 +47,8 @@ Conventions, fixed here and relied on everywhere else:
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).  A forward with no tape runs its strips on the two
-  worker threads of ``attention._by_strips``, which have no tape either.
+  worker threads of its one pool, ``attention._pooled``, which have no
+  tape either.
 - Importing this module tells glibc's allocator, for the whole process,
   to keep freed memory instead of returning it to the kernel: blocks up
   to 1 GiB come from the heap, and the heap is never trimmed.  Every op

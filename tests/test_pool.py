@@ -1,10 +1,12 @@
-"""The strip pool of ``attention._by_strips``: where strips run, OpenBLAS's thread count, errors, nesting, fork.
+"""The strip pool of ``attention._pooled``: where strips run, OpenBLAS's thread count, errors, nesting, fork.
 
-With no tape, ``_by_strips`` hands its strips to WORKERS threads and holds
-OpenBLAS at one thread meanwhile; under a tape or inside a worker they run in
-order in the calling thread.  A generator forward whose image maps pool holds
-it once around all of them.  Every test here reads the count through the same
-OpenBLAS control the pool uses, so they need it to be found.
+A generator forward with no tape whose image map is more than WORKERS strips
+opens one pool of WORKERS threads for all its maps and holds OpenBLAS at one
+thread until every strip has finished; ``_by_strips`` hands its strips to the
+pool of the calling thread.  Under a tape, outside a forward or inside a worker
+they run in order in the calling thread.  Tests that cut a map themselves enter
+``_pooled`` first, as the forward does.  Every test here reads the count
+through the same OpenBLAS control the pool uses, so they need it to be found.
 """
 
 import os
@@ -63,6 +65,19 @@ def numbered_rows(n: int) -> Tensor:
     return Tensor(np.broadcast_to(np.arange(n, dtype=np.float64)[:, None], (2, n, 4)).copy())
 
 
+def pooled_map(n: int, fn) -> tuple[Tensor, set[threading.Thread]]:
+    """fn(lo, hi) on the 8-row strips of range(n) inside a pool of this thread, as a forward cuts
+    its maps; the join and the threads that ran the strips."""
+    threads = set()
+
+    def strip(lo, hi):
+        threads.add(threading.current_thread())
+        return fn(lo, hi)
+
+    with A._pooled(n, 8):
+        return A._by_strips(n, strip, 8), threads
+
+
 def serial_forward(monkeypatch, blas, x: Tensor, w) -> np.ndarray:
     """G.forward with the strips in order in this thread and OpenBLAS at one thread."""
     get, put, _ = blas
@@ -81,7 +96,7 @@ def test_forward_restores_the_blas_thread_count(monkeypatch, blas):
     put(2)
     w = G.init_weights(WIDE, seed=40)
     x = Tensor(np.random.default_rng(40).uniform(size=(3, 40, 256)))
-    inside, by_strips, pools, pooled = [], A._by_strips, A._pools, []
+    inside, by_strips = [], A._by_strips
 
     def spy(n, fn, rows):
         def logged(lo, hi):
@@ -91,13 +106,61 @@ def test_forward_restores_the_blas_thread_count(monkeypatch, blas):
         return by_strips(n, logged, rows)
 
     monkeypatch.setattr(A, "_by_strips", spy)
-    monkeypatch.setattr(A, "_pools", lambda n, rows: pooled.append(pools(n, rows)) or pooled[-1])
     G.forward(x, w)
     assert get() == 2
     assert len(inside) > 1 and set(inside) == {1}  # the strips ran with OpenBLAS at one thread
-    # The forward's own check, then the local branch, the global branch's two mhsa maps and the
-    # head all pool, yet the count is set once and restored once: none is restored between maps.
-    assert pooled == [True] * 5 and sets == [1, 2]
+    # The local branch, the global branch's two mhsa maps and the head all pool, yet the count
+    # is set once and restored once: none is restored between maps.
+    assert sets == [1, 2]
+
+
+def test_one_forward_runs_all_its_pooled_maps_on_one_pool(monkeypatch, blas):
+    w = G.init_weights(WIDE, seed=48)
+    x = Tensor(np.random.default_rng(48).uniform(size=(3, 40, 256)))
+    threads, pooled_maps, by_strips, rows = [], [], A._by_strips, W._rows
+    both_running = threading.Barrier(2, timeout=JOIN_S)
+
+    def spy(n, fn, size):
+        if n <= A.WORKERS * size:  # one strip, run whole in the thread that cut it
+            return by_strips(n, fn, size)
+        pooled_maps.append(n)
+
+        def logged(lo, hi):
+            threads.append(threading.current_thread())
+            return fn(lo, hi)
+
+        return by_strips(n, logged, size)
+
+    def first_two_at_once(t, lo, hi):
+        if t is x and lo < 2 * A._image_rows(256):  # the local branch's first two strips wait for each other
+            both_running.wait()
+        return rows(t, lo, hi)
+
+    monkeypatch.setattr(A, "_by_strips", spy)
+    monkeypatch.setattr(W, "_rows", first_two_at_once)
+    G.forward(x, w)
+    # The local branch, the global branch's two mhsa maps and the head: four pooled maps, whose
+    # strips all ran on the same WORKERS threads, none of them the caller.
+    assert pooled_maps == [40, 160, 160, 40]
+    assert len(set(threads)) == A.WORKERS and threading.current_thread() not in threads
+
+
+def test_a_branch_outside_a_forward_runs_its_strips_in_order_here(monkeypatch, blas):
+    _, _, sets = blas
+    p = G.init_weights(WIDE, seed=49).params
+    x = Tensor(np.random.default_rng(49).uniform(size=(3, 40, 256)))
+    starts, rows = [], W._rows
+
+    def logged_rows(t, lo, hi):
+        if t is x:
+            starts.append((lo, threading.current_thread()))
+        return rows(t, lo, hi)
+
+    monkeypatch.setattr(W, "_rows", logged_rows)
+    A.local_branch(x, p, "local", G.GeneratorConfig.local_heads)
+    band = A._image_rows(256)
+    assert starts == [(lo, threading.current_thread()) for lo in range(0, 40, band)]
+    assert sets == []
 
 
 def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restored(monkeypatch, blas):
@@ -142,28 +205,25 @@ def test_strips_run_on_the_workers_without_a_tape_and_in_this_thread_under_one()
             both_running.wait()
         return record(lo, hi)
 
-    assert np.array_equal(A._by_strips(64, first_two_at_once, 8).data, x.data)  # joined in order
+    with A._pooled(64, 8):
+        assert np.array_equal(A._by_strips(64, first_two_at_once, 8).data, x.data)  # joined in order
     assert len(threads) == 8 and len(set(threads)) == A.WORKERS
     assert threading.current_thread() not in threads
     assert tapes == [None] * 8
 
     threads.clear()
-    with T.Tape() as tape:
+    with T.Tape() as tape, A._pooled(64, 8):
         assert np.array_equal(A._by_strips(64, record, 8).data, x.data)
     assert threads == [threading.current_thread()] * 8
     assert tapes[-1] is tape
 
 
 def test_a_pooled_map_leaves_no_worker_running():
-    x, workers = numbered_rows(64), []
-
-    def record(lo, hi):
-        workers.append(threading.current_thread())
-        return W._rows(x, lo, hi)
-
-    assert np.array_equal(A._by_strips(64, record, 8).data, x.data)
+    x = numbered_rows(64)
+    joined, workers = pooled_map(64, lambda lo, hi: W._rows(x, lo, hi))
+    assert np.array_equal(joined.data, x.data)
     assert workers and threading.current_thread() not in workers
-    assert not any(worker.is_alive() for worker in workers)  # the map's pool was shut down
+    assert not any(worker.is_alive() for worker in workers)  # the pool was shut down
 
 
 def test_a_strip_that_cuts_strips_finishes_inside_a_worker():
@@ -180,7 +240,7 @@ def test_a_strip_that_cuts_strips_finishes_inside_a_worker():
         return A._by_strips(32, nested, 8)  # four strips, more than WORKERS
 
     result = []
-    caller = threading.Thread(target=lambda: result.append(A._by_strips(32, cuts_strips, 8)))
+    caller = threading.Thread(target=lambda: result.append(pooled_map(32, cuts_strips)[0]))
     caller.start()
     caller.join(JOIN_S)
     assert not caller.is_alive(), "a nested _by_strips deadlocked the pool"
@@ -227,7 +287,7 @@ def test_a_64_forward_and_a_taped_forward_never_set_the_count(blas):
 
 
 def test_a_pooled_map_inside_a_held_forward_takes_the_lock_once(monkeypatch, blas):
-    # The lock is not reentrant, so a map that took it again inside the forward's hold would deadlock.
+    # The lock is not reentrant, so a map that took it again inside the forward's pool would deadlock.
     w = G.init_weights(WIDE, seed=47)
     x = Tensor(np.random.default_rng(47).uniform(size=(3, 40, 256)))
     expected = serial_forward(monkeypatch, blas, x, w)
@@ -248,12 +308,12 @@ def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas)
     x, inside, wrong = numbered_rows(64), [], []
 
     def fn(lo, hi):
-        inside.append(get())
+        inside.append((get(), threading.current_thread()))
         return W._rows(x, lo, hi)
 
     def call():
         for _ in range(20):
-            if not np.array_equal(A._by_strips(64, fn, 8).data, x.data):
+            if not np.array_equal(pooled_map(64, fn)[0].data, x.data):
                 wrong.append(threading.current_thread())
 
     interval = sys.getswitchinterval()
@@ -267,19 +327,22 @@ def test_many_callers_at_once_leave_the_blas_thread_count_as_they_found_it(blas)
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    assert wrong == [] and len(inside) == 4 * 20 * 8 and set(inside) == {1}
+    assert wrong == [] and len(inside) == 4 * 20 * 8 and {count for count, _ in inside} == {1}
+    assert not {thread for _, thread in inside} & set(callers)  # every strip ran on a worker
     assert get() == 2
 
 
 def pooled_map_in_a_child() -> int | None:
-    """Fork a child that runs one pooled map of 8 strips and exits 0 if its join is right; return
-    its exit code, or None if it had not exited after JOIN_S seconds and was killed."""
+    """Fork a child that runs one pooled map of 8 strips and exits 0 if its join is right and its
+    strips ran on workers; return its exit code, or None if it had not exited after JOIN_S seconds
+    and was killed."""
     x = numbered_rows(64)
     pid = os.fork()
     if pid == 0:
         ok = False
         try:
-            ok = np.array_equal(A._by_strips(64, lambda lo, hi: W._rows(x, lo, hi), 8).data, x.data)
+            joined, threads = pooled_map(64, lambda lo, hi: W._rows(x, lo, hi))
+            ok = np.array_equal(joined.data, x.data) and bool(threads) and threading.current_thread() not in threads
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + JOIN_S
@@ -294,9 +357,10 @@ def pooled_map_in_a_child() -> int | None:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 def test_a_forked_child_runs_its_own_pool():
-    # Every pooled map makes its own workers, so the child makes its own after the fork.
+    # Every forward makes its own pool, so the child makes its own after the fork.
     x = numbered_rows(64)
-    A._by_strips(64, lambda lo, hi: W._rows(x, lo, hi), 8)
+    _, threads = pooled_map(64, lambda lo, hi: W._rows(x, lo, hi))
+    assert threads and threading.current_thread() not in threads
     assert pooled_map_in_a_child() == 0
 
 
@@ -312,10 +376,10 @@ def test_a_child_forked_while_another_thread_holds_the_pool_runs_its_own(blas):
             release.wait(JOIN_S)
         return W._rows(x, lo, hi)
 
-    holder = threading.Thread(target=lambda: result.append(A._by_strips(64, first_strip_waits, 8)))
+    holder = threading.Thread(target=lambda: result.append(pooled_map(64, first_strip_waits)[0]))
     holder.start()
     try:
-        assert started.wait(JOIN_S)  # the holder is inside its pooled map, so it holds the lock
+        assert started.wait(JOIN_S)  # the holder is inside its pool, so it holds the lock
         with warnings.catch_warnings():  # newer Pythons warn of a fork with threads, which is the point here
             warnings.simplefilter("ignore", DeprecationWarning)
             code = pooled_map_in_a_child()

@@ -1,8 +1,9 @@
 """src/relight runs work on threads in one place: the strip pool of attention.py.
 
-Only ``_by_strips`` names an executor or a thread, and only ``_openblas_threads``,
-which finds the count ``_by_strips`` holds at one while its pool runs, names
-OpenBLAS's thread count.
+Only ``_pooled``, which opens a forward's one pool, names an executor or a thread
+(``_by_strips`` submits to that pool without naming one), and only
+``_openblas_threads``, which finds the count ``_pooled`` holds at one while its
+pool runs, names OpenBLAS's thread count.
 """
 
 import ast
@@ -42,8 +43,8 @@ def test_only_the_pool_names_an_executor_or_the_blas_thread_count():
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         if path.name == "attention.py":
-            assert seam(source) == {"_by_strips", "_openblas_threads"}
-            assert [where for where, _, name in mentions(source) if name == "concurrent.futures"] == ["_by_strips"]
+            assert seam(source) == {"_pooled", "_openblas_threads"}
+            assert [where for where, _, name in mentions(source) if name == "concurrent.futures"] == ["_pooled"]
         else:
             assert mentions(source) == [], path.name
 
