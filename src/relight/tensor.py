@@ -28,11 +28,16 @@ Conventions, fixed here and relied on everywhere else:
 - Every op is declared by ``@_op`` and ends in ``return array, backward``; ``_op`` hands both to
   ``_record`` with the op's operands in signature order, and nothing else but ``detach`` builds op
   outputs.  ``_record`` wraps the array and, under a tape with an operand that requires grad,
-  appends exactly one record, whose ``.out`` is the returned tensor.
+  appends exactly one record, whose ``.out`` is the returned tensor.  ``_recorded`` is that one test,
+  shared with ``gelu``, which makes its derivative only for a record.
 - A record keeps its closure and its inputs' keys, never array data; a
-  closure keeps only the arrays its backward reads.  An input's key is its
-  own record on this tape, the input itself if it is a leaf here (a tensor
-  made on another tape included), or None if it needs no grad.  So an
+  closure keeps only the arrays its backward reads, or fewer arrays made
+  from them in the forward (``gelu`` keeps its derivative, not its input
+  and 1 + exp(-2u)).  An input's key is its own record on this tape, the
+  input itself if it is a leaf here (a tensor made on another tape
+  included), or None if it needs no grad.  ``matmul`` and ``conv2d``
+  compute no gradient for an input whose key is None (their backward
+  returns None there) and keep only what the other gradients read.  So an
   activation no backward reads is freed as soon as the caller drops it,
   and only the tape keeps records alive: a record holds its output, and a
   tensor its record, by weak reference.
@@ -290,14 +295,22 @@ def _record(value: np.ndarray, inputs: Sequence[Tensor], backward: Callable | No
     out.data = np.asarray(value)  # a numpy scalar (a reduction, an op on 0-d input) becomes a 0-d array
     out.grad = None
     out._node = None
-    tape = _active_tape()
-    keys = tuple(tape._key(t) for t in inputs) if tape is not None else ()
-    out.requires_grad = any(key is not None for key in keys)
+    out.requires_grad = _recorded(inputs)
     if out.requires_grad:
-        node = _Node(out, keys, backward, tape._serial)
+        tape = _active_tape()
+        node = _Node(out, tuple(tape._key(t) for t in inputs), backward, tape._serial)
         tape._records.append(node)
         out._node = weakref.ref(node)
     return out
+
+
+def _recorded(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on inputs will be recorded: a tape is active and an input requires grad.
+
+    An input's key is None exactly when it does not require grad, so this is
+    also whether any key will be set.
+    """
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
 def _op(fn: Callable) -> Callable:
@@ -497,36 +510,37 @@ def gelu(x: Tensor) -> Tensor:
 
     0.5*(1 + tanh u) = sigmoid(2u), so y = x*s with s = 1/(1 + exp(-2u)) and
     u = C*(x + A*x^3): one ``exp`` where the tanh form needs a ``tanh`` and
-    two more passes.  The gradient, s*(1 + 2C*(1 + 3A*x^2)*x*(1 - s)), reads
-    x*(1 - s) as x - y.  Below x of about -21.6, exp(-2u) overflows to inf,
-    so s = 0, y = -0.0 and the gradient is 0, as in the tanh form; the op
-    silences that overflow, and only there.
+    two more passes.  The derivative, s*(1 + 2C*(1 + 3A*x^2)*x*(1 - s)), reads
+    x*(1 - s) as x - y.  A recorded gelu computes it in the forward, reusing
+    x^2, and its record keeps that one array, not x and 1/s; the backward
+    multiplies it by g.  Without a record no derivative is made.  Below x of
+    about -21.6, exp(-2u) overflows to inf, so s = 0, y = -0.0 and the
+    derivative is 0, as in the tanh form; the op silences that overflow,
+    and only there.
     """
     # t becomes 1 + exp(-2u) = 1/s; multiplications only, since numpy runs
     # d**3 through pow, about 40x slower than d*d*d.  out= keeps each result
-    # an array for a 0-d input.
+    # an array for a 0-d input.  Without a record t overwrites d^2.
     d = x.data
-    t = np.multiply(d, d, out=np.empty(d.shape))
-    t *= -2.0 * _GELU_C * _GELU_A
+    recorded = _recorded((x,))
+    sq = np.multiply(d, d, out=np.empty(d.shape))
+    t = np.multiply(sq, -2.0 * _GELU_C * _GELU_A, out=np.empty(d.shape) if recorded else sq)
     t -= 2.0 * _GELU_C
     t *= d
     with np.errstate(over="ignore"):
         np.exp(t, out=t)
     t += 1.0
     y = np.divide(d, t, out=np.empty(d.shape))
-
-    def back(g):
-        # g * (1 + 2C*(1 + 3A*d^2)*(d - y)) / t
-        r = np.multiply(d, d, out=np.empty(d.shape))
-        r *= 6.0 * _GELU_C * _GELU_A
-        r += 2.0 * _GELU_C
-        r *= np.subtract(d, y, out=np.empty(d.shape))
-        r += 1.0
-        r /= t
-        r *= g
-        return (r,)
-
-    return y, back
+    if not recorded:
+        return y, None
+    # (1 + 2C*(1 + 3A*d^2)*(d - y)) / t, d - y first while y's last rows are in cache
+    dydx = np.subtract(d, y, out=np.empty(d.shape))
+    sq *= 6.0 * _GELU_C * _GELU_A
+    sq += 2.0 * _GELU_C
+    dydx *= sq
+    dydx += 1.0
+    dydx /= t
+    return y, lambda g: (g * dydx,)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +553,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible operand shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
+    # Each operand's gradient reads the other operand, so each is kept only if the other requires grad.
+    kept_a, kept_b = (ad if b.requires_grad else None), (bd if a.requires_grad else None)
 
     def back(g):
-        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+        return (
+            None if kept_b is None else g @ kept_b.swapaxes(-1, -2),
+            None if kept_a is None else kept_a.swapaxes(-1, -2) @ g,
+        )
 
     return ad @ bd, back
 
@@ -788,18 +807,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int | tuple[in
     y = acc.reshape(Cout, Ho, Wq)[:, :, :Wo]  # a view: the bias goes into acc, no full-size copy
     y += b.data[:, None, None]
 
+    # dx reads the kernels and dw the input, so each is kept only if the other operand requires grad.
+    kept_x, kept_wt = (xd if w.requires_grad else None), (wt if x.requires_grad else None)
+    need_b, phase_shape = b.requires_grad, phases.shape
+
     def back(g):
         gq = np.zeros((Cout, Ho, Wq))
         gq[:, :, :Wo] = g
         gq = gq.reshape(Cout, n)
-        xs, _ = _stride_phases(xd, s, sides, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
-        dxs = np.zeros_like(xs)
-        dwt = np.empty_like(wt)
-        for i, j, ph, off in taps:
-            dwt[i, j] = gq @ xs[ph, :, off : off + n].T
-            dxs[ph, :, off : off + n] += wt[i, j].T @ gq
-        dx = _from_stride_phases(dxs, H, W, s, sides)
-        dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
-        return (dx, dw, _sum_last(g.reshape(Cout, Ho * Wo)).reshape(Cout))
+        dx = dw = db = None
+        if kept_x is not None:
+            xs, _ = _stride_phases(kept_x, s, sides, (kw - 1) // s)  # recomputed: cheaper than keeping it alive
+            dwt = np.empty((kh, kw, Cout, Cin))
+            for i, j, ph, off in taps:
+                dwt[i, j] = gq @ xs[ph, :, off : off + n].T
+            dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
+        if kept_wt is not None:
+            dxs = np.zeros(phase_shape)
+            for i, j, ph, off in taps:
+                dxs[ph, :, off : off + n] += kept_wt[i, j].T @ gq
+            dx = _from_stride_phases(dxs, H, W, s, sides)
+        if need_b:
+            db = _sum_last(g.reshape(Cout, Ho * Wo)).reshape(Cout)
+        return (dx, dw, db)
 
     return y, back

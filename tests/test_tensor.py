@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import platform
 import re
@@ -343,6 +344,35 @@ class TestElementwise:
         assert (raw < -2.0).any() and (raw > 2.0).any()
         x = Tensor(raw)
         assert finite_diff(lambda: T.gelu(x), [x]) < 1e-6
+
+    def test_a_recorded_gelu_holds_its_derivative_besides_its_output(self):
+        # One array of the input's size, where keeping the input and 1 + exp(-2u) would be two. The
+        # input is an intermediate that only the tape could keep alive.
+        leaf = Tensor(np.random.default_rng(16).normal(size=(4096, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                x = T.scale(leaf, 1.0)
+                y = T.gelu(x)
+            del x
+            held = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 2 and leaf.data.nbytes < held < 1.5 * leaf.data.nbytes
+        assert np.array_equal(y.data, T.gelu(Tensor(leaf.data)).data)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "input-needs-no-grad"])
+    def test_an_unrecorded_gelu_allocates_no_derivative(self, taped):
+        # Only 1 + exp(-2u) and the output.
+        x = Tensor(np.random.default_rng(16).normal(size=(4096, 64)))
+        tracemalloc.start()
+        try:
+            with Tape() if taped else contextlib.nullcontext():
+                T.gelu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.data.nbytes
 
 
 class TestSoftmax:
@@ -791,12 +821,20 @@ def test_every_recorded_op_returns_one_tensor_and_appends_one_record(key):
 
 
 # What each op's record may keep alive of its inputs' arrays (by position) and its output's ("out"):
-# exactly the arrays its backward reads.
+# exactly the arrays its backward reads.  gelu's backward reads its derivative, made in the forward.
 KEEPS = {
     "add": (), "sub": (), "mul": (0, 1), "scale": (), "leaky_relu": (), "sigmoid": ("out",), "sqrt": ("out",),
-    "square": (0,), "softplus": (0,), "gelu": (0, "out"), "gelu-0d": (0, "out"), "matmul": (0, 1), "add_bias": (),
+    "square": (0,), "softplus": (0,), "gelu": (), "gelu-0d": (), "matmul": (0, 1), "add_bias": (),
     "softmax": ("out",), "layer_norm": (1,), "reshape": (), "permute": (), "concat": (), "crop": (), "mean": (),
     "tsum": (), "upsample_nearest": (), "conv2d": (0,), "conv2d-stride8": (0,), "conv2d-sides": (0,),
+}
+
+# With the operands at these positions frozen (requires_grad False), no gradient is computed for them,
+# and a record keeps only what the other operands' gradients read: a matmul operand's gradient reads
+# the other operand, conv2d's dx reads a copy of the kernels and its dw the input.
+FROZEN_KEEPS = {
+    ("matmul", (0,)): (0,), ("matmul", (1,)): (1,),
+    ("conv2d", (0,)): (0,), ("conv2d", (1, 2)): (), ("conv2d-stride8", (0,)): (0,), ("conv2d-sides", (1,)): (),
 }
 
 
@@ -816,6 +854,28 @@ class TestTapeMemory:
         assert {k for k, ref in refs.items() if ref() is not None} == set(KEEPS[key])
         tape.backward(loss)
         assert all(leaf.grad.shape == leaf.shape for leaf in leaves)
+
+    @pytest.mark.parametrize(
+        "key, frozen", sorted(FROZEN_KEEPS), ids=[f"{k}-frozen-{'-'.join(map(str, f))}" for k, f in sorted(FROZEN_KEEPS)]
+    )
+    def test_a_frozen_operand_gets_no_gradient_and_keeps_nothing_for_one(self, key, frozen):
+        op, arrays = _buffer_cases(np.random.default_rng(0))[key]
+        every = [Tensor(arr, requires_grad=True) for arr in arrays]
+        with Tape() as tape:
+            tape.backward(T.tsum(op(*every)))
+        leaves = [Tensor(arr, requires_grad=k not in frozen) for k, arr in enumerate(arrays)]
+        with Tape() as tape:
+            inputs = [T.scale(leaf, 1.0) for leaf in leaves]  # intermediates: only the tape could keep them
+            out = op(*inputs)
+            loss = T.tsum(out)
+        node, g = out._node(), np.ones(out.shape)
+        refs = {k: weakref.ref(t.data) for k, t in enumerate(inputs)} | {"out": weakref.ref(out.data)}
+        del inputs, out
+        assert {k for k, ref in refs.items() if ref() is not None} == set(FROZEN_KEEPS[key, frozen])
+        assert [k for k, gin in enumerate(node.backward(g)) if gin is None] == list(frozen)
+        tape.backward(loss)
+        for k, (leaf, full) in enumerate(zip(leaves, every)):
+            assert leaf.grad is None if k in frozen else np.array_equal(leaf.grad, full.grad)
 
     def test_a_tensor_made_on_another_tape_is_a_leaf_there(self):
         x = Tensor(np.arange(3.0), requires_grad=True)
