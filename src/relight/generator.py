@@ -1,21 +1,26 @@
 """The complete enhancement network: both branches, fusion, reconstruction.
 
-``forward`` composes four stages: the local branch's multi-scale window
-features; the global branch's tokens, returned as their [d, H/8, W/8] grid;
-the recovery of that grid to full resolution (``windows.patch_recover``);
-and the fusion head.  It stacks the local features with the recovered
-global features along channels, fuses them with two 3x3 convs
-(leaky_relu 0.2), projects to RGB with a 1x1 conv and applies a sigmoid,
-so outputs always lie strictly inside (0,1).  The recovery and the fusion
-head run on the image strips of ``attention._by_strips``: each strip reads
-two context rows past each cut (one per 3x3 conv) of the local map and
-recovers the same rows of the global map from the grid.  Its 3x3 convs
-zero-pad rows only at the map's own top and bottom: at a cut each uses up a
-context row, so fuse2, the 1x1 conv and the sigmoid compute exactly the
-strip's rows, with no crop.  So no full-size global map or concat is made;
-the head holds the temporaries of the strips in flight (two, each half the
-pixel budget, with no tape), not the whole map's, and its output equals a
-whole-map head's up to the rounding of shorter BLAS products.
+``forward`` composes four stages: the global branch's tokens, returned as
+their [d, H/8, W/8] grid; the local branch's multi-scale window features;
+the recovery of the grid to full resolution (``windows.patch_recover``);
+and the fusion head.  The head stacks the local features with the recovered
+global features along channels, fuses them with two 3x3 convs (leaky_relu
+0.2), projects to RGB with a 1x1 conv and applies a sigmoid, so outputs
+always lie strictly inside (0,1).
+
+Once the global branch has made its grid, the rest is one two-stage
+pipeline on the image strips of ``attention._by_strips``.  Stage one
+computes a strip's rows of both full-resolution maps, once each, and stacks
+them into the strip's 32-channel map.  Stage two, the head, reads that
+strip and two context rows past each cut (one per 3x3 conv) from its
+neighbours.  Its 3x3 convs zero-pad rows only at the map's own top and
+bottom: at a cut each uses up a context row, so fuse2, the 1x1 conv and the
+sigmoid compute exactly the strip's rows, with no crop.  So no full-size
+local map, recovered global map or concat is made, and no head strip
+recovers its neighbours' rows again; a forward holds the strips in flight
+and the output, not a whole map's features.  The local strips equal the whole map's bitwise; the
+recovered rows and the head's output equal a whole-map composition's up to
+the rounding of shorter GEMMs.
 
 The channel widths and head counts are constants of the network, sized so
 CPU runs stay fast while all three window scales remain meaningful; they
@@ -142,22 +147,23 @@ def forward(x: Tensor, w: Weights) -> Tensor:
     # restored between maps, its own thread would wake and spin against the two strip workers.
     with A._pooled(n, rows):
         p = w.params
-        local = A.local_branch(x, p, "local", GeneratorConfig.local_heads)
         grid = A.global_branch(x, p, "global_", GeneratorConfig.global_heads)
         param = T._params(p, "", "forward")
 
-        def head(lo: int, hi: int) -> Tensor:
+        def branches(lo: int, hi: int) -> Tensor:
+            local = A.local_branch(x, p, "local", GeneratorConfig.local_heads, lo, hi)
+            return T.concat([local, W.patch_recover(grid, p, "global_.recover", lo, hi)], axis=0)
+
+        def head(feat: Tensor, lo: int, hi: int) -> Tensor:
             # Each 3x3 conv zero-pads rows only at the map's own top and bottom; at a cut (whole
-            # 8-row bands from either edge) it uses up one of two context rows instead, so fuse1
-            # computes [lo - 1, hi + 1), fuse2 [lo, hi) and no output row is cropped.
+            # 8-row bands from either edge) it uses up one of feat's two context rows instead, so
+            # fuse1 computes [lo - 1, hi + 1), fuse2 [lo, hi) and no output row is cropped.
             pad = (int(lo == 0), int(hi == n), 1, 1)
-            top, bot = lo - 2 + 2 * pad[0], hi + 2 - 2 * pad[1]
-            feat = T.concat([W._rows(local, top, bot), W.patch_recover(grid, p, "global_.recover", top, bot)], axis=0)
             feat = T.leaky_relu(T.conv2d(feat, param("fuse1_w"), param("fuse1_b"), pad=pad), 0.2)
             feat = T.leaky_relu(T.conv2d(feat, param("fuse2_w"), param("fuse2_b"), pad=pad), 0.2)
             return T.sigmoid(T.conv2d(feat, param("out_w"), param("out_b")))
 
-        return A._by_strips(n, head, rows)
+        return A._by_strips(n, branches, rows, head, 2)  # two context rows: one per 3x3 conv
 
 
 def named_parameters(w: Weights) -> Iterable[tuple[str, Tensor]]:

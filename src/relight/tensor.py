@@ -14,10 +14,10 @@ Conventions, fixed here and relied on everywhere else:
   possible, at twice float32's memory.  Memory is what bounds the image
   size.  The tape's records set the peak of a train step.  Attention scores
   grow with the square of the token count, but ``attention.mhsa`` computes
-  them one strip of query rows at a time, and the local branch and the
-  fusion head, with the patch recovery inside it, run on image strips; so
-  the peak of a large forward is set by the local branch's full-size
-  feature map and its strip join.
+  them one strip of query rows at a time.  After the global branch's token
+  grid, a forward is one pipeline of image strips (``generator.forward``)
+  that makes no full-size feature map: it holds the strips in flight and
+  its 3-channel output, twice while the output strips are joined.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
@@ -35,12 +35,12 @@ Conventions, fixed here and relied on everywhere else:
   from them in the forward (``gelu`` keeps its derivative, not its input
   and 1 + exp(-2u)).  An input's key is its own record on this tape, the
   input itself if it is a leaf here (a tensor made on another tape
-  included), or None if it needs no grad.  ``matmul`` and ``conv2d``
-  compute no gradient for an input whose key is None (their backward
-  returns None there) and keep only what the other gradients read.  So an
-  activation no backward reads is freed as soon as the caller drops it,
-  and only the tape keeps records alive: a record holds its output, and a
-  tensor its record, by weak reference.
+  included), or None if it needs no grad.  ``sub``, ``mul``, ``matmul``
+  and ``conv2d`` compute no gradient for an input whose key is None (their
+  backward returns None there) and keep only what the other gradients
+  read.  So an activation no backward reads is freed as soon as the caller
+  drops it, and only the tape keeps records alive: a record holds its
+  output, and a tensor its record, by weak reference.
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
@@ -430,14 +430,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 @_op
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "sub")
-    return a.data - b.data, lambda g: (g, -g)
+    grad_a, grad_b = a.requires_grad, b.requires_grad
+    return a.data - b.data, lambda g: (g if grad_a else None, -g if grad_b else None)
 
 
 @_op
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return ad * bd, lambda g: (g * bd, g * ad)
+    # Each operand's gradient reads the other operand, so each is kept only if the other requires grad.
+    kept_a, kept_b = (ad if b.requires_grad else None), (bd if a.requires_grad else None)
+    return ad * bd, lambda g: (None if kept_b is None else g * kept_b, None if kept_a is None else g * kept_a)
 
 
 @_op

@@ -1,8 +1,9 @@
 """Central-difference gradient checks against the tape, shared by the test modules.
 
-``central_difference`` is the numeric derivative in one entry;
-``finite_diff`` compares it with the tape, and ``trunk_preactivations``
-finds how near a conv trunk's inputs come to its kinks.
+``central_difference`` is the numeric derivative in one entry and
+``tape_gradients`` the tape's; ``finite_diff`` compares them, and
+``trunk_preactivations`` finds how near a conv trunk's inputs come to its
+kinks.
 
 In ``finite_diff``, ``f`` may return a tensor of any shape.  Both sides
 differentiate the same scalar, the projection ``sum(c * f())`` with
@@ -43,6 +44,20 @@ def finite_diff(
     max(|analytic|, |numeric|, 1e-8).  Each tensor's data, grad and
     requires_grad are as before on return.
     """
+    grads, c = tape_gradients(f, wrt)
+    if entries is None:
+        entries = [(k, i) for k, t in enumerate(wrt) for i in range(t.size)]
+    worst = 0.0
+    for k, i in entries:
+        numeric = float(np.sum(c * central_difference(f, wrt[k], i)))
+        analytic = float(grads[k].flat[i])
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
+    return worst
+
+
+def tape_gradients(f: Callable[[], Tensor], wrt: Sequence[Tensor]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The tape's gradients of sum(c * f()) with respect to each tensor of ``wrt`` (zeros where f does
+    not reach one), and the projection c.  Each tensor's grad and requires_grad are as before on return."""
     saved = [(t.requires_grad, t.grad) for t in wrt]
     for t in wrt:
         t.requires_grad, t.grad = True, None
@@ -53,15 +68,7 @@ def finite_diff(
     grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in wrt]
     for t, (requires_grad, grad) in zip(wrt, saved):
         t.requires_grad, t.grad = requires_grad, grad
-
-    if entries is None:
-        entries = [(k, i) for k, t in enumerate(wrt) for i in range(t.size)]
-    worst = 0.0
-    for k, i in entries:
-        numeric = float(np.sum(c * central_difference(f, wrt[k], i)))
-        analytic = float(grads[k].flat[i])
-        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
-    return worst
+    return grads, c
 
 
 def central_difference(f: Callable[[], Tensor], t: Tensor, i: int) -> np.ndarray:

@@ -144,12 +144,15 @@ def untiled_mhsa(z, w, heads):
     return T.reshape(T.reshape(T.permute(ctx, (0, 2, 1, 3)), (B * L, d)) @ w["m.w_o"], z.shape)
 
 
-def spy_strips(monkeypatch) -> list[list[int]]:
+def spy_strips(monkeypatch, pipeline: bool = False) -> list[list[int]]:
     """Patch ``A._by_strips`` to log each call, in the order the calls start, as its strips' heights
-    down the map (sorted by first row when it returns, whichever thread ran a strip first)."""
+    down the map (sorted by first row when it returns, whichever thread ran a strip first).  With
+    ``pipeline``, only the two-stage calls, each by its first stage."""
     calls, by_strips = [], A._by_strips
 
-    def spy(n, fn, rows):
+    def spy(n, fn, rows, *second_stage):
+        if pipeline and not second_stage:
+            return by_strips(n, fn, rows)
         seen, ranges = [], []
         calls.append(seen)
 
@@ -157,7 +160,7 @@ def spy_strips(monkeypatch) -> list[list[int]]:
             ranges.append((lo, hi))
             return fn(lo, hi)
 
-        out = by_strips(n, logged, rows)
+        out = by_strips(n, logged, rows, *second_stage)
         seen.extend(hi - lo for lo, hi in sorted(ranges))
         return out
 
@@ -267,8 +270,9 @@ class TestLocalBranch:
     def test_shape_contract(self):
         rng = np.random.default_rng(12)
         w = self._weights(rng, 8)
-        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2)
-        assert out.shape == (8, 16, 16)
+        x = Tensor(rng.uniform(size=(3, 16, 16)))
+        assert A.local_branch(x, w, "loc", 2, 0, 16).shape == (8, 16, 16)
+        assert A.local_branch(x, w, "loc", 2, 8, 16).shape == (8, 8, 16)
 
     def test_window_sizes_are_exponential(self):
         assert A.LOCAL_WINDOW_SIZES == (2, 4, 8)
@@ -278,24 +282,29 @@ class TestLocalBranch:
         rng = np.random.default_rng(14)
         w = self._weights(rng, 4, zero_out=True)
         x = Tensor(rng.uniform(size=(3, 8, 8)))
-        got = A.local_branch(x, w, "loc", 2)
+        got = A.local_branch(x, w, "loc", 2, 0, 8)
         embedded = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
         assert np.allclose(got.data, 3.0 * embedded.data, atol=1e-12)
 
     def test_finite_on_unit_range_input(self):
         rng = np.random.default_rng(15)
         w = self._weights(rng, 8)
-        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2)
+        out = A.local_branch(Tensor(rng.uniform(size=(3, 16, 16))), w, "loc", 2, 0, 16)
         assert np.isfinite(out.data).all()
 
     def _whole_map(self, x, w):
-        """The branch composed by hand on the whole map, with no strips."""
+        """The branch composed by hand on the whole map, with no rows cut."""
         feat = T.conv2d(x, w["loc.embed_w"], w["loc.embed_b"])
         acc = None
         for i, s in enumerate(A.LOCAL_WINDOW_SIZES):
             feat = A.window_attention_block(feat, s, w, f"loc.blocks.{i}", 2)
             acc = feat if acc is None else T.add(acc, feat)
         return acc
+
+    def _by_image_strips(self, x, w):
+        """The branch on the image strips of x, joined, as the strip rule cuts an image map."""
+        rows = A._image_rows(x.shape[2])
+        return A._by_strips(x.shape[1], lambda lo, hi: A.local_branch(x, w, "loc", 2, lo, hi), rows)
 
     def test_strip_rows_tile_the_largest_window(self):
         band = A.LOCAL_WINDOW_SIZES[-1]
@@ -315,7 +324,7 @@ class TestLocalBranch:
         w = self._weights(rng, 8)
         x = Tensor(rng.uniform(size=(3, height, width)))
         seen = spy_strips(monkeypatch)
-        out = A.local_branch(x, w, "loc", 2)
+        out = self._by_image_strips(x, w)
         assert seen[0] == rows
         assert np.array_equal(out.data, self._whole_map(x, w).data)
 
@@ -326,11 +335,11 @@ class TestLocalBranch:
         rows = A._image_rows(128)
         x = Tensor(rng.uniform(size=(3, A.WORKERS * rows, 128)), requires_grad=True)
         seen = spy_strips(monkeypatch)
-        A.local_branch(Tensor(rng.uniform(size=(3, A.WORKERS * rows + 8, 128))), w, "loc", 2)
+        self._by_image_strips(Tensor(rng.uniform(size=(3, A.WORKERS * rows + 8, 128))), w)
         assert seen[0] == [rows] * A.WORKERS + [8]
         seen.clear()
         with T.Tape() as tape:
-            out = A.local_branch(x, w, "loc", 2)
+            out = self._by_image_strips(x, w)
         assert seen[0] == [A.WORKERS * rows]
         with T.Tape() as whole:
             expected = self._whole_map(x, w)
@@ -342,7 +351,7 @@ class TestLocalBranch:
         w = self._weights(rng, 8)
         x = Tensor(rng.uniform(size=(3, 40, 128)))
         seen = spy_strips(monkeypatch)
-        A.local_branch(x, w, "loc", 2)
+        self._by_image_strips(x, w)
         assert seen[0] == [16, 16, 8]
         weights = ["loc.embed_w", "loc.blocks.0.mhsa.w_q", "loc.blocks.1.mlp_w1", "loc.blocks.2.norm1_g"]
         wrt = [x] + [w[name] for name in weights]
@@ -350,7 +359,7 @@ class TestLocalBranch:
         pixels = [(0, 0, 0), (1, 15, 5), (2, 16, 127), (0, 17, 64), (1, 31, 3), (2, 32, 100), (0, 39, 50)]
         entries = [(0, int(np.ravel_multi_index(at, x.shape))) for at in pixels]
         entries += [(k, 3) for k in range(1, len(wrt))]
-        assert finite_diff(lambda: A.local_branch(x, w, "loc", 2), wrt, entries) < 1e-6
+        assert finite_diff(lambda: self._by_image_strips(x, w), wrt, entries) < 1e-6
 
     def test_peak_memory_stays_below_one_whole_map_score_array(self):
         # At 256 rows the s=8 block of a whole map holds (256/8)*(64/8) windows x 2 heads
@@ -360,7 +369,7 @@ class TestLocalBranch:
         x = Tensor(rng.uniform(size=(3, 256, 64)))
         tracemalloc.start()
         try:
-            A.local_branch(x, w, "loc", 2)
+            self._by_image_strips(x, w)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

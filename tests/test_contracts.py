@@ -35,6 +35,7 @@ MISSING = "missing parameter {value!r}"  # a missing-parameter row's values are 
 BOTH = "{value[0]} and {value[1]}"  # the values of a two-operand shape row are pairs of shapes
 CONV_PAD = "conv2d: pad must be an int >= 0 or a tuple of 4 of them, got {value!r}"  # (top, bottom, left, right)
 RECOVER_ROWS = "rows [{value[0]!r}, {value[1]!r}) are not ints 0 <= lo < hi <= 16"  # of a 16-row map
+LOCAL_ROWS = "rows [{value[0]!r}, {value[1]!r}) are not multiples of 8 with 0 <= lo < hi <= 16"  # of a 16-row map
 
 
 def _int(what, least):
@@ -133,6 +134,12 @@ def _reverse(w=(4, 4, 2), s=2, height=4, width=4):
 
 def _recover(x=(16, 2, 2), p=_P16, rows=(0, 16)):
     return W.patch_recover(_zeros(*x), p, "global_.recover", *rows)
+
+
+def _branch(x=(3, 8, 8), p=_P16, heads=2, rows=None):
+    """The local branch on rows (every row of x by default)."""
+    x = _zeros(*x)
+    return A.local_branch(x, p, "local", heads, *(rows or (0, x.shape[1])))
 
 
 def _block(x=(16, 8, 8), s=2, heads=2):
@@ -309,19 +316,25 @@ CONTRACTS = {
     "window_attention_block-rank": (_block, DimensionError, RANK, [(4, 4)]),
     "window_attention_block-s": (lambda v: _block(s=v), ContractError, REPR, [True, 2.0]),
     "window_attention_block-heads": (lambda v: _block(heads=v), ContractError, REPR, [True, "2"]),
-    "local_branch-rank": (lambda s: A.local_branch(_zeros(*s), _P16, "local", 2), DimensionError, RANK, [(8, 8)]),
-    "local_branch-height": (
-        lambda s: A.local_branch(_zeros(*s), _P16, "local", 2),
-        ContractError,
-        "divides feature map {value[1]}x{value[2]}",
-        [(3, 100, 8)],
-    ),
-    "local_branch-heads": (lambda v: A.local_branch(_X8, _P16, "local", v), ContractError, REPR, [True, -2]),
+    "local_branch-rank": (_branch, DimensionError, RANK, [(8, 8)]),
+    "local_branch-height": (_branch, ContractError, "divides feature map {value[1]}x{value[2]}", [(3, 100, 8)]),
+    "local_branch-heads": (lambda v: _branch(heads=v), ContractError, REPR, [True, -2]),
     "local_branch-params": (
-        lambda n: A.local_branch(_X8, _without(_P16, n), "local", 2),
+        lambda n: _branch(p=_without(_P16, n)),
         ContractError,
         MISSING,
         ["local.embed_w", "local.embed_b", "local.blocks.2.mlp_w1"],
+    ),
+    "local_branch-rows-int": (
+        lambda v: _branch((3, 16, 8), rows=v), DimensionError, LOCAL_ROWS, [(0.0, 16), (0, "8"), (True, 8)],
+    ),
+    "local_branch-rows-empty": (lambda v: _branch((3, 16, 8), rows=v), DimensionError, LOCAL_ROWS, [(8, 8), (16, 8)]),
+    "local_branch-rows-outside": (
+        lambda v: _branch((3, 16, 8), rows=v), DimensionError, LOCAL_ROWS, [(-8, 8), (8, 24)],
+    ),
+    # a cut inside a band of the largest window would cut its windows
+    "local_branch-rows-unaligned": (
+        lambda v: _branch((3, 16, 8), rows=v), DimensionError, LOCAL_ROWS, [(4, 16), (0, 12), (2, 6)],
     ),
     "global_branch-rank": (_global, DimensionError, RANK, [(8, 8)]),
     "global_branch-heads": (lambda v: _global(heads=v), ContractError, REPR, [True, None]),

@@ -4,9 +4,11 @@ A generator forward with no tape whose image map is more than WORKERS strips
 opens one pool of WORKERS threads for all its maps and holds OpenBLAS at one
 thread until every strip has finished; ``_by_strips`` hands its strips to the
 pool of the calling thread.  Under a tape, outside a forward or inside a worker
-they run in order in the calling thread.  Tests that cut a map themselves enter
-``_pooled`` first, as the forward does.  Every test here reads the count
-through the same OpenBLAS control the pool uses, so they need it to be found.
+they run in the calling thread as they are issued, in the same order; the two
+stages of forward's pipeline are tested both ways.  Tests that cut a map
+themselves enter ``_pooled`` first, as the forward does.  Every test here reads
+the count through the same OpenBLAS control the pool uses, so they need it to
+be found.
 """
 
 import os
@@ -14,6 +16,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -98,19 +101,19 @@ def test_forward_restores_the_blas_thread_count(monkeypatch, blas):
     x = Tensor(np.random.default_rng(40).uniform(size=(3, 40, 256)))
     inside, by_strips = [], A._by_strips
 
-    def spy(n, fn, rows):
+    def spy(n, fn, rows, *second_stage):
         def logged(lo, hi):
             inside.append(get())
             return fn(lo, hi)
 
-        return by_strips(n, logged, rows)
+        return by_strips(n, logged, rows, *second_stage)
 
     monkeypatch.setattr(A, "_by_strips", spy)
     G.forward(x, w)
     assert get() == 2
     assert len(inside) > 1 and set(inside) == {1}  # the strips ran with OpenBLAS at one thread
-    # The local branch, the global branch's two mhsa maps and the head all pool, yet the count
-    # is set once and restored once: none is restored between maps.
+    # The global branch's two mhsa maps and the pipeline of both branches and the head all pool,
+    # yet the count is set once and restored once: none is restored between maps.
     assert sets == [1, 2]
 
 
@@ -120,16 +123,18 @@ def test_one_forward_runs_all_its_pooled_maps_on_one_pool(monkeypatch, blas):
     threads, pooled_maps, by_strips, rows = [], [], A._by_strips, W._rows
     both_running = threading.Barrier(2, timeout=JOIN_S)
 
-    def spy(n, fn, size):
-        if n <= A.WORKERS * size:  # one strip, run whole in the thread that cut it
-            return by_strips(n, fn, size)
-        pooled_maps.append(n)
-
-        def logged(lo, hi):
+    def logged(fn):
+        def strip(*args):
             threads.append(threading.current_thread())
-            return fn(lo, hi)
+            return fn(*args)
 
-        return by_strips(n, logged, size)
+        return strip
+
+    def spy(n, fn, size, head=None, context=0):
+        if n <= A.WORKERS * size:  # one strip, run whole in the thread that cut it
+            return by_strips(n, fn, size, head, context)
+        pooled_maps.append(n)
+        return by_strips(n, logged(fn), size, head and logged(head), context)
 
     def first_two_at_once(t, lo, hi):
         if t is x and lo < 2 * A._image_rows(256):  # the local branch's first two strips wait for each other
@@ -139,44 +144,104 @@ def test_one_forward_runs_all_its_pooled_maps_on_one_pool(monkeypatch, blas):
     monkeypatch.setattr(A, "_by_strips", spy)
     monkeypatch.setattr(W, "_rows", first_two_at_once)
     G.forward(x, w)
-    # The local branch, the global branch's two mhsa maps and the head: four pooled maps, whose
-    # strips all ran on the same WORKERS threads, none of them the caller.
-    assert pooled_maps == [40, 160, 160, 40]
+    # The global branch's two mhsa maps and the pipeline: three pooled maps, whose strips, of both
+    # stages of the pipeline, all ran on the same WORKERS threads, none of them the caller.
+    assert pooled_maps == [160, 160, 40]
     assert len(set(threads)) == A.WORKERS and threading.current_thread() not in threads
 
 
-def test_a_branch_outside_a_forward_runs_its_strips_in_order_here(monkeypatch, blas):
+def context_rows(x: Tensor, context: int):
+    """A pipeline head for x's map: it checks that feat is rows [lo - context, hi + context) of x,
+    clipped to the map, and returns rows [lo, hi)."""
+
+    def head(feat, lo, hi):
+        top, bot = max(0, lo - context), min(x.shape[1], hi + context)
+        assert np.array_equal(feat.data, x.data[:, top:bot])
+        return W._rows(feat, lo - top, hi - top)
+
+    return head
+
+
+def test_a_pipeline_outside_a_forward_runs_here_in_issue_order_and_drops_what_no_head_reads(blas):
+    # Five strips: each first-stage strip is issued WORKERS strips ahead of the head, a head once the
+    # first-stage strips it reads are done, and a first-stage strip dropped once no later head reads it.
     _, _, sets = blas
-    p = G.init_weights(WIDE, seed=49).params
-    x = Tensor(np.random.default_rng(49).uniform(size=(3, 40, 256)))
-    starts, rows = [], W._rows
+    x, events, made = numbered_rows(40), [], {}
+    head = context_rows(x, 2)
 
-    def logged_rows(t, lo, hi):
-        if t is x:
-            starts.append((lo, threading.current_thread()))
-        return rows(t, lo, hi)
+    def first(lo, hi):
+        events.append(("first", lo, threading.current_thread()))
+        out = W._rows(x, lo, hi)
+        made[lo] = weakref.ref(out)
+        return out
 
-    monkeypatch.setattr(W, "_rows", logged_rows)
-    A.local_branch(x, p, "local", G.GeneratorConfig.local_heads)
-    band = A._image_rows(256)
-    assert starts == [(lo, threading.current_thread()) for lo in range(0, 40, band)]
+    def logged_head(feat, lo, hi):
+        alive = [a for a, ref in sorted(made.items()) if ref() is not None]
+        events.append(("head", lo, alive, threading.current_thread()))
+        return head(feat, lo, hi)
+
+    joined = A._by_strips(40, first, 8, logged_head, 2)
+    assert np.array_equal(joined.data, x.data)
+    here = threading.current_thread()
+    assert events == [
+        ("first", 0, here), ("first", 8, here), ("first", 16, here), ("head", 0, [0, 8, 16], here),
+        ("first", 24, here), ("head", 8, [0, 8, 16, 24], here),
+        ("first", 32, here), ("head", 16, [8, 16, 24, 32], here),
+        ("head", 24, [16, 24, 32], here), ("head", 32, [24, 32], here),
+    ]
     assert sets == []
 
 
-def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restored(monkeypatch, blas):
+def test_a_pooled_pipeline_starts_each_head_once_the_strips_it_reads_are_done():
+    # No worker waits on another strip: the caller issues a head only once its context strips are done.
+    x, lock, log = numbered_rows(64), threading.Lock(), []
+    head = context_rows(x, 2)
+
+    def logged(stage, fn):
+        def strip(*args):
+            with lock:
+                log.append(("start", stage, args[-2], threading.current_thread()))
+            out = fn(*args)
+            with lock:
+                log.append(("end", stage, args[-2], threading.current_thread()))
+            return out
+
+        return strip
+
+    with A._pooled(64, 8):
+        joined = A._by_strips(64, logged("first", lambda lo, hi: W._rows(x, lo, hi)), 8, logged("head", head), 2)
+    assert np.array_equal(joined.data, x.data)
+    at = {event[:3]: k for k, event in enumerate(log)}
+    for lo in range(0, 64, 8):
+        assert all(at["end", "first", a] < at["start", "head", lo] for a in (lo - 8, lo, lo + 8) if 0 <= a < 64)
+    assert len(log) == 4 * 8 and threading.current_thread() not in {event[3] for event in log}
+
+
+@pytest.mark.parametrize("stage", ["first", "head"])
+def test_an_error_in_the_third_strip_of_either_stage_reaches_the_caller_and_the_count_is_restored(
+    monkeypatch, blas, stage
+):
     get, put, _ = blas
     put(2)
     w = G.init_weights(WIDE, seed=41)
     x = Tensor(np.random.default_rng(41).uniform(size=(3, 40, 256)))
-    error, raised_in, rows = RuntimeError("third strip"), [], W._rows
+    error, raised_in, by_strips, third = RuntimeError(f"third {stage} strip"), [], A._by_strips, 2 * A._image_rows(256)
 
-    def failing_rows(t, lo, hi):
-        if t is x and lo == 2 * A._image_rows(256):  # the local branch's third strip of x
-            raised_in.append(threading.current_thread())
-            raise error
-        return rows(t, lo, hi)
+    def failing(fn):
+        def strip(*args):  # (lo, hi) or, for a head, (feat, lo, hi)
+            if args[-2] == third:
+                raised_in.append(threading.current_thread())
+                raise error
+            return fn(*args)
 
-    monkeypatch.setattr(W, "_rows", failing_rows)
+        return strip
+
+    def spy(n, fn, rows, head=None, context=0):
+        if head is not None:  # the pipeline of forward
+            fn, head = (failing(fn), head) if stage == "first" else (fn, failing(head))
+        return by_strips(n, fn, rows, head, context)
+
+    monkeypatch.setattr(A, "_by_strips", spy)
     with pytest.raises(RuntimeError) as info:
         G.forward(x, w)
     assert info.value is error
@@ -184,10 +249,40 @@ def test_an_error_in_the_third_strip_reaches_the_caller_and_the_count_is_restore
     assert get() == 2
 
 
+def strip_outputs(monkeypatch) -> dict:
+    """Patch ``A._by_strips`` to keep the output of each strip of forward's pipeline, keyed by stage and first row."""
+    outputs, by_strips = {}, A._by_strips
+
+    def spy(n, fn, rows, head=None, context=0):
+        if head is None:
+            return by_strips(n, fn, rows)
+
+        def first(lo, hi):
+            outputs["first", lo] = out = fn(lo, hi)
+            return out
+
+        def second(feat, lo, hi):
+            outputs["head", lo] = out = head(feat, lo, hi)
+            return out
+
+        return by_strips(n, first, rows, second, context)
+
+    monkeypatch.setattr(A, "_by_strips", spy)
+    return outputs
+
+
 def test_pooled_output_equals_the_in_order_output_bitwise(monkeypatch, blas):
+    # ... and so does every strip of both stages of the pipeline
     w = G.init_weights(WIDE, seed=42)
     x = Tensor(np.random.default_rng(42).uniform(size=(3, 40, 256)))
-    assert np.array_equal(G.forward(x, w).data, serial_forward(monkeypatch, blas, x, w))
+    outputs = strip_outputs(monkeypatch)
+    pooled = G.forward(x, w).data
+    pooled_strips = dict(outputs)
+    outputs.clear()
+    assert np.array_equal(pooled, serial_forward(monkeypatch, blas, x, w))
+    keys = [(stage, lo) for stage in ("first", "head") for lo in range(0, 40, 8)]
+    assert sorted(pooled_strips) == sorted(outputs) == keys
+    assert all(np.array_equal(pooled_strips[key].data, outputs[key].data) for key in outputs)
 
 
 def test_strips_run_on_the_workers_without_a_tape_and_in_this_thread_under_one():

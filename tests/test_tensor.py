@@ -830,9 +830,11 @@ KEEPS = {
 }
 
 # With the operands at these positions frozen (requires_grad False), no gradient is computed for them,
-# and a record keeps only what the other operands' gradients read: a matmul operand's gradient reads
-# the other operand, conv2d's dx reads a copy of the kernels and its dw the input.
+# and a record keeps only what the other operands' gradients read: a mul or matmul operand's gradient
+# reads the other operand, sub's reads nothing, conv2d's dx reads a copy of the kernels and its dw the
+# input.  A loss's constant operand, such as a target image, is a frozen sub or mul operand.
 FROZEN_KEEPS = {
+    ("sub", (0,)): (), ("sub", (1,)): (), ("mul", (0,)): (0,), ("mul", (1,)): (1,),
     ("matmul", (0,)): (0,), ("matmul", (1,)): (1,),
     ("conv2d", (0,)): (0,), ("conv2d", (1, 2)): (), ("conv2d-stride8", (0,)): (0,), ("conv2d-sides", (1,)): (),
 }
