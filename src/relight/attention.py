@@ -14,7 +14,12 @@ each strip's own rows with ``windows.patch_recover``.
 Blocks are pre-norm: LN -> MHSA -> residual -> LN -> MLP -> residual,
 with the MLP hidden width fixed at 4x the embedding dim and a GELU
 activation.  The queries are scaled by 1/sqrt(head_dim) before the
-query-key product.
+query-key product.  Each block's MLP half, from its LN to its second
+linear layer, goes through ``T.recompute``: under a tape it keeps only its
+input and its six parameters, not gelu's derivative and the (L, 4d) hidden
+array, and the backward computes it again (selective recomputation,
+Korthikanti et al., arXiv 2205.05198).  With no tape it is the same ops on
+the same arrays.
 
 One strip rule, ``_by_strips``: a map is cut along its rows into strips,
 the last one shorter, and fn(lo, hi) computes each strip's rows, reading
@@ -258,19 +263,28 @@ def mhsa(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     return T.reshape(ctx @ param("w_o"), z.shape)
 
 
+_MLP_PARAMS = ("norm2_g", "norm2_b", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")  # _mlp's operands after z
+
+
+def _mlp(z: Tensor, norm_g: Tensor, norm_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A block's MLP half before its residual: LN -> [d, 4d] linear -> GELU -> [4d, d] linear, in z's shape."""
+    lead, d = z.shape[:-1], z.shape[-1]
+    flat = T.reshape(T.layer_norm(z, norm_g, norm_b), (-1, d))
+    hidden = T.gelu(T.add_bias(flat @ w1, b1))
+    return T.reshape(T.add_bias(hidden @ w2, b2), lead + (d,))
+
+
 def transformer_block(z: Tensor, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:
     """Pre-norm block on [.., L, d] tokens: LN-MHSA-residual, LN-MLP-residual.
 
-    Reads norm1_g/b, mhsa.*, norm2_g/b, mlp_w1/b1 and mlp_w2/b2 under prefix.
+    The MLP half runs through ``T.recompute``, so under a tape it keeps only
+    its input and parameters and is computed again in the backward.  Reads
+    norm1_g/b, mhsa.*, norm2_g/b, mlp_w1/b1 and mlp_w2/b2 under prefix.
     """
     param = T._params(p, prefix, "transformer_block")
     attn = mhsa(T.layer_norm(z, param("norm1_g"), param("norm1_b")), p, f"{prefix}.mhsa", heads)
     z = T.add(z, attn)
-    lead, d = z.shape[:-1], z.shape[-1]
-    flat = T.reshape(T.layer_norm(z, param("norm2_g"), param("norm2_b")), (-1, d))
-    hidden = T.gelu(T.add_bias(flat @ param("mlp_w1"), param("mlp_b1")))
-    mlp = T.reshape(T.add_bias(hidden @ param("mlp_w2"), param("mlp_b2")), lead + (d,))
-    return T.add(z, mlp)
+    return T.add(z, T.recompute(_mlp, [z, *map(param, _MLP_PARAMS)]))
 
 
 def window_attention_block(x: Tensor, s: int, p: dict[str, Tensor], prefix: str, heads: int) -> Tensor:

@@ -12,12 +12,18 @@ Conventions, fixed here and relied on everywhere else:
 
 - 64-bit floats throughout; they make tight gradient-check tolerances
   possible, at twice float32's memory.  Memory is what bounds the image
-  size.  The tape's records set the peak of a train step.  Attention scores
-  grow with the square of the token count, but ``attention.mhsa`` computes
-  them one strip of query rows at a time.  After the global branch's token
-  grid, a forward is one pipeline of image strips (``generator.forward``)
-  that makes no full-size feature map: it holds the strips in flight and
-  its 3-channel output, twice while the output strips are joined.
+  size.  The tape's records set the peak of a train step, so the recompute
+  rule: a part that keeps much for its backward and costs little to compute
+  again runs through ``recompute``, whose record keeps only its operands and
+  whose backward computes the part again.  Each transformer block's MLP half
+  does (``attention.transformer_block``); one taped 64x64 forward keeps
+  20.6 MiB, where it kept 34.3 MiB with the MLP halves' records.
+  Attention scores grow with the square of the token count, but
+  ``attention.mhsa`` computes them one strip of query rows at a time.
+  After the global branch's token grid, a forward is one pipeline of image
+  strips (``generator.forward``) that makes no full-size feature map: it
+  holds the strips in flight and its 3-channel output, twice while the
+  output strips are joined.
 - ``conv2d`` is cross-correlation (no kernel flip).
 - Repeated ``backward`` calls accumulate into ``.grad``; use
   :func:`zero_grad` to reset between steps.
@@ -33,14 +39,17 @@ Conventions, fixed here and relied on everywhere else:
 - A record keeps its closure and its inputs' keys, never array data; a
   closure keeps only the arrays its backward reads, or fewer arrays made
   from them in the forward (``gelu`` keeps its derivative, not its input
-  and 1 + exp(-2u)).  An input's key is its own record on this tape, the
-  input itself if it is a leaf here (a tensor made on another tape
+  and 1 + exp(-2u); ``recompute`` keeps its operands, from which it computes
+  again what its backward reads).  An input's key is its own record on this
+  tape, the input itself if it is a leaf here (a tensor made on another tape
   included), or None if it needs no grad.  ``sub``, ``mul``, ``matmul``
   and ``conv2d`` compute no gradient for an input whose key is None (their
   backward returns None there) and keep only what the other gradients
-  read.  So an activation no backward reads is freed as soon as the caller
-  drops it, and only the tape keeps records alive: a record holds its
-  output, and a tensor its record, by weak reference.
+  read.  ``recompute`` also returns None for an operand its function does
+  not read, and ``Tape.backward`` skips a None gradient.  So an activation
+  no backward reads is freed as soon as the caller drops it, and only the
+  tape keeps records alive: a record holds its output, and a tensor its
+  record, by weak reference.
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
@@ -51,9 +60,13 @@ Conventions, fixed here and relied on everywhere else:
   A function reads its parameters by dotted name through ``_params``, which names a missing one.
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
-  thread-local).  A forward with no tape runs its strips on the two
-  worker threads of its one pool, ``attention._pooled``, which have no
-  tape either.
+  thread-local).  ``recompute`` sets the thread's tape aside while its
+  function runs in the forward, and makes a private tape the thread's
+  active one while the function runs again in the backward; both times the
+  tape before is restored on leaving, also on an error, so its backward may
+  run while a tape is active.  A forward with no tape runs its strips on
+  the two worker threads of its one pool, ``attention._pooled``, which
+  have no tape either.
 - Importing this module tells glibc's allocator, for the whole process,
   to keep freed memory instead of returning it to the kernel: blocks up
   to 1 GiB come from the heap, and the heap is never trimmed.  Every op
@@ -90,6 +103,7 @@ Conventions, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import inspect
@@ -132,6 +146,19 @@ _tape_serials = itertools.count()
 
 def _active_tape():
     return getattr(_tls, "tape", None)
+
+
+@contextlib.contextmanager
+def _tape_in_place(tape: Tape | None):
+    """Make tape (None for none) the thread's active tape inside the block, and the one before it again on
+    leaving, also on an error.  Unlike ``with Tape()``, it may replace an active tape: ``recompute`` sets the
+    caller's aside."""
+    saved = _active_tape()
+    _tls.tape = tape
+    try:
+        yield tape
+    finally:
+        _tls.tape = saved
 
 
 class Tensor:
@@ -269,7 +296,7 @@ class Tape:
             if g is None:
                 continue
             for key, gin in zip(node.keys, node.backward(g)):
-                if key is not None:
+                if key is not None and gin is not None:  # recompute returns None for an input fn does not read
                     prev = grads.get(key)
                     grads[key] = gin if prev is None else prev + gin
         # Only leaves remain (and None, for a loss that needs no grad): the reverse
@@ -505,6 +532,7 @@ def softplus(x: Tensor) -> Tensor:
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_BLOCK = 1 << 15  # entries per block of gelu's passes: 256 KiB of float64, so a block stays in cache
 
 
 @_op
@@ -518,32 +546,46 @@ def gelu(x: Tensor) -> Tensor:
     x^2, and its record keeps that one array, not x and 1/s; the backward
     multiplies it by g.  Without a record no derivative is made.  Below x of
     about -21.6, exp(-2u) overflows to inf, so s = 0, y = -0.0 and the
-    derivative is 0, as in the tanh form; the op silences that overflow,
-    and only there.
+    derivative is 0, as in the tanh form; the op silences overflow, and only
+    inside itself.  Where x^2 overflows (|x| above about 1e154) y still comes
+    out x or -0.0, but a recorded derivative is NaN, with numpy's warning.
+
+    The passes run on blocks of ``_GELU_BLOCK`` entries of the flat input in
+    turn, all of one block's passes before the next block, so each pass reads
+    what the one before it left in cache.  x^2 and 1/s live in one pair of
+    block-sized scratch arrays reused by every block, so an unrecorded gelu
+    holds its output and those two blocks, whatever its size.  Every entry
+    goes through the same operations as on the whole array, so the blocks
+    change no bit.  A non-contiguous input is copied once to be cut.
     """
     # t becomes 1 + exp(-2u) = 1/s; multiplications only, since numpy runs
     # d**3 through pow, about 40x slower than d*d*d.  out= keeps each result
-    # an array for a 0-d input.  Without a record t overwrites d^2.
-    d = x.data
-    recorded = _recorded((x,))
-    sq = np.multiply(d, d, out=np.empty(d.shape))
-    t = np.multiply(sq, -2.0 * _GELU_C * _GELU_A, out=np.empty(d.shape) if recorded else sq)
-    t -= 2.0 * _GELU_C
-    t *= d
+    # an array for a 0-d input.
+    n, recorded = x.size, _recorded((x,))
+    y = np.empty(x.shape)
+    dydx = np.empty(x.shape) if recorded else None
+    # Flat views: reshape of a fresh array is a view, so the blocks write straight into y and dydx.
+    xf, yf, df = x.data.reshape(-1), y.reshape(-1), dydx.reshape(-1) if recorded else None
+    sq_block, t_block = np.empty(min(n, _GELU_BLOCK)), np.empty(min(n, _GELU_BLOCK))
     with np.errstate(over="ignore"):
-        np.exp(t, out=t)
-    t += 1.0
-    y = np.divide(d, t, out=np.empty(d.shape))
-    if not recorded:
-        return y, None
-    # (1 + 2C*(1 + 3A*d^2)*(d - y)) / t, d - y first while y's last rows are in cache
-    dydx = np.subtract(d, y, out=np.empty(d.shape))
-    sq *= 6.0 * _GELU_C * _GELU_A
-    sq += 2.0 * _GELU_C
-    dydx *= sq
-    dydx += 1.0
-    dydx /= t
-    return y, lambda g: (g * dydx,)
+        for lo in range(0, n, _GELU_BLOCK):
+            hi = min(lo + _GELU_BLOCK, n)
+            d, sq, t = xf[lo:hi], sq_block[: hi - lo], t_block[: hi - lo]
+            np.multiply(d, d, out=sq)
+            np.multiply(sq, -2.0 * _GELU_C * _GELU_A, out=t)
+            t -= 2.0 * _GELU_C
+            t *= d
+            np.exp(t, out=t)
+            t += 1.0
+            np.divide(d, t, out=yf[lo:hi])
+            if recorded:  # (1 + 2C*(1 + 3A*d^2)*(d - y)) / t
+                db = np.subtract(d, yf[lo:hi], out=df[lo:hi])
+                sq *= 6.0 * _GELU_C * _GELU_A
+                sq += 2.0 * _GELU_C
+                db *= sq
+                db += 1.0
+                db /= t
+    return y, (lambda g: (g * dydx,)) if recorded else None
 
 
 # ---------------------------------------------------------------------------
@@ -835,3 +877,50 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int | tuple[in
         return (dx, dw, db)
 
     return y, back
+
+
+# ---------------------------------------------------------------------------
+# recomputation
+
+
+@_op
+def recompute(fn: Callable, operands: Sequence[Tensor]) -> Tensor:
+    """fn(*operands), recorded as one op whose record keeps only the operands.
+
+    This is gradient checkpointing (Chen et al., arXiv 1604.06174) for one
+    call: the forward runs fn with the thread's tape set aside, so none of
+    fn's ops is recorded and its intermediates are freed as they go.  The
+    backward runs fn again, under a private tape, on leaves made by
+    ``detach`` that share the operands' data and require grad where they do,
+    and seeds that tape's backward with tsum(mul(y, g)), whose gradient at y
+    is g bitwise.  It returns each leaf's gradient: None for an operand that
+    needs none or that fn does not read.  So the gradients equal those of fn
+    recorded op by op, at the price of one more forward of fn.
+
+    fn must return a Tensor, compute the same values on the same data each
+    time, and read every tensor that needs a gradient through its operands.
+    With no tape the op is fn.  An incoming gradient with a non-finite entry
+    raises ``ContractError``, as ``Tensor`` does.
+    """
+    if not callable(fn):
+        raise ContractError(f"recompute: fn must be callable, got {fn!r}")
+    operands = tuple(operands)  # the backward reads these, whatever the caller's list holds by then
+
+    def output(y) -> Tensor:
+        if not isinstance(y, Tensor):
+            raise ContractError(f"recompute: fn must return a Tensor, got {y!r}")
+        return y
+
+    def back(g):
+        leaves = [t.detach() for t in operands]
+        for leaf, t in zip(leaves, operands):
+            leaf.requires_grad = t.requires_grad
+        with _tape_in_place(Tape()) as tape:
+            loss = tsum(mul(output(fn(*leaves)), Tensor(g)))
+        if loss.requires_grad:  # else fn reads no operand that needs a gradient, and the tape may be empty
+            tape.backward(loss)
+        return tuple(leaf.grad for leaf in leaves)
+
+    with _tape_in_place(None):
+        y = output(fn(*operands))
+    return y.data, back

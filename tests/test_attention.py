@@ -231,6 +231,41 @@ class TestMhsaQueryTiles:
         assert peak < 4 * 1024 * 1024 * 8
 
 
+def hand_block(z, p, prefix, heads):
+    """transformer_block composed by hand, with every op of its MLP half recorded and no recompute."""
+
+    def param(name):
+        return p[f"{prefix}.{name}"]
+
+    z = T.add(z, A.mhsa(T.layer_norm(z, param("norm1_g"), param("norm1_b")), p, f"{prefix}.mhsa", heads))
+    lead, d = z.shape[:-1], z.shape[-1]
+    flat = T.reshape(T.layer_norm(z, param("norm2_g"), param("norm2_b")), (-1, d))
+    hidden = T.gelu(T.add_bias(flat @ param("mlp_w1"), param("mlp_b1")))
+    return T.add(z, T.reshape(T.add_bias(hidden @ param("mlp_w2"), param("mlp_b2")), lead + (d,)))
+
+
+class TestTransformerBlock:
+    # 8 windows of 16 tokens, as a local block sees them, and a 64-token grid, as the global branch's at 64x64.
+    @pytest.mark.parametrize("shape, heads", [((8, 16, 16), 2), ((64, 16), 4)], ids=["windows", "tokens"])
+    def test_the_recomputed_mlp_half_equals_the_recorded_one_bitwise(self, shape, heads):
+        rng = np.random.default_rng(40)
+        p = {name: Tensor(rng.normal(size=t.shape), requires_grad=True) for name, t in make_block(rng, 16).items()}
+        z = Tensor(rng.normal(size=shape), requires_grad=True)
+        c = Tensor(rng.normal(size=shape))
+        runs = []
+        for block in (A.transformer_block, hand_block):
+            T.zero_grad([z, *p.values()])
+            with T.Tape() as tape:
+                out = block(z, p, "b", heads)
+                loss = T.tsum(T.mul(out, c))
+            tape.backward(loss)
+            runs.append((out.data, {"z": z.grad} | {name: t.grad for name, t in p.items()}, len(tape)))
+        (out, grads, records), (hand_out, hand_grads, hand_records) = runs
+        assert np.array_equal(out, hand_out)
+        assert grads.keys() == hand_grads.keys() and all(np.array_equal(grads[k], hand_grads[k]) for k in grads)
+        assert records == hand_records - 7  # the MLP half's eight records are one
+
+
 class TestWindowAttentionBlock:
     @pytest.mark.parametrize("s", [2, 4, 8])
     def test_shape_preserved(self, s):

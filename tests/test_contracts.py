@@ -255,6 +255,22 @@ CONTRACTS = {
     "tsum-operand": _operands(T.tsum, _zeros(2)),
     "upsample_nearest-operand": _operands(T.upsample_nearest, _zeros(1, 2, 2)),
     "conv2d-operand": _operands(T.conv2d, _zeros(1, 2, 2), _zeros(1, 1, 1, 1), _zeros(1)),
+    "recompute-operand": (
+        lambda v: T.recompute(T.gelu, v), ContractError, "recompute: operands must be a list or a tuple, got {value!r}",
+        [*BAD_OPERANDS, (t for t in [_zeros(2)])],
+    ),
+    "recompute-operand-item": (
+        lambda v: T.recompute(T.add, [_zeros(2), v]), ContractError,
+        "recompute: operands[1] must be a Tensor, got {value!r}", list(BAD_OPERANDS),
+    ),
+    "recompute-fn": (
+        lambda v: T.recompute(v, [_zeros(2)]), ContractError, "recompute: fn must be callable, got {value!r}",
+        [None, 1.0, "gelu"],
+    ),
+    "recompute-output": (
+        lambda v: T.recompute(lambda x: v, [_zeros(2)]), ContractError,
+        "recompute: fn must return a Tensor, got {value!r}", [None, 2.0, np.ones(2)],
+    ),
     # windows
     "window_partition-rank": (lambda s: W.window_partition(_zeros(*s), 2), DimensionError, RANK, [(4, 4)]),
     "window_partition-s": (
