@@ -17,8 +17,7 @@ Conventions, fixed here and relied on everywhere else:
   again runs through ``recompute``, whose record keeps only its operands and
   whose backward computes the part again.  Each transformer block's MLP half
   does (``attention.transformer_block``); one taped 64x64 forward keeps
-  20.6 MiB, where it kept 34.3 MiB with the MLP halves' records.
-  Attention scores grow with the square of the token count, but
+  20.6 MiB.  Attention scores grow with the square of the token count, but
   ``attention.mhsa`` computes them one strip of query rows at a time.
   After the global branch's token grid, a forward is one pipeline of image
   strips (``generator.forward``) that makes no full-size feature map: it
@@ -42,14 +41,15 @@ Conventions, fixed here and relied on everywhere else:
   and 1 + exp(-2u); ``recompute`` keeps its operands, from which it computes
   again what its backward reads).  An input's key is its own record on this
   tape, the input itself if it is a leaf here (a tensor made on another tape
-  included), or None if it needs no grad.  ``sub``, ``mul``, ``matmul``
-  and ``conv2d`` compute no gradient for an input whose key is None (their
-  backward returns None there) and keep only what the other gradients
-  read.  ``recompute`` also returns None for an operand its function does
-  not read, and ``Tape.backward`` skips a None gradient.  So an activation
-  no backward reads is freed as soon as the caller drops it, and only the
-  tape keeps records alive: a record holds its output, and a tensor its
-  record, by weak reference.
+  included: ``recompute``'s operands on its private tape), or None if it
+  needs no grad.  ``sub``, ``mul``, ``matmul`` and ``conv2d`` compute no
+  gradient for an input whose key is None (their backward returns None
+  there) and keep only what the other gradients read.  ``recompute`` also
+  returns None for an operand fn does not read or an earlier slot repeats,
+  and ``Tape._walk`` skips a None gradient.  So an activation no backward
+  reads is freed as soon as the caller drops it, and only the tape keeps
+  records alive: a record holds its output, and a tensor its record, by
+  weak reference.
 - An int argument is an ``int``, never a ``bool`` or a numpy integer,
   checked by ``_is_int``; a shape is an int or a tuple of them.  A real
   argument is a finite ``numbers.Real``, never a ``bool`` (``_is_real``).
@@ -61,12 +61,12 @@ Conventions, fixed here and relied on everywhere else:
 - A tape and the tensors recorded on it are confined to one thread;
   independent tapes may run in parallel threads (the active tape is
   thread-local).  ``recompute`` sets the thread's tape aside while its
-  function runs in the forward, and makes a private tape the thread's
-  active one while the function runs again in the backward; both times the
-  tape before is restored on leaving, also on an error, so its backward may
-  run while a tape is active.  A forward with no tape runs its strips on
-  the two worker threads of its one pool, ``attention._pooled``, which
-  have no tape either.
+  function runs in the forward; in the backward it makes a private tape
+  the thread's active one while the function runs again, then walks it
+  itself.  Both times the tape before is restored on leaving, also on an
+  error, so its backward may run while a tape is active.  A forward with
+  no tape runs its strips on the two worker threads of its one pool,
+  ``attention._pooled``, which have no tape either.
 - Importing this module tells glibc's allocator, for the whole process,
   to keep freed memory instead of returning it to the kernel: blocks up
   to 1 GiB come from the heap, and the heap is never trimmed.  Every op
@@ -245,7 +245,7 @@ class Tape:
     """Ordered record of executed differentiable operations.
 
     Records are appended in execution order, so an operation's inputs are
-    always recorded before the operation itself; ``backward`` exploits
+    always recorded before the operation itself; ``_walk`` exploits
     this by walking the list once in reverse.  Each tape has its own
     serial, and a record the one of its tape, so a tensor made on another
     tape is a leaf of this one.
@@ -276,11 +276,11 @@ class Tape:
         return node if node is not None and node.tape_serial == self._serial else t
 
     def backward(self, loss: Tensor):
-        """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
+        """Accumulate d(loss)/d(leaf) into every requires_grad leaf: one ``_walk`` from loss, with gradient 1.
 
         ``loss`` must be a scalar Tensor (shape ``()``).  May be called more than
         once on the same tape (e.g. for two different losses); leaf grads
-        accumulate across calls.
+        accumulate across calls.  Nothing else sets a ``.grad``.
         """
         _need_type(loss, Tensor, "backward: loss")
         if loss.shape != ():
@@ -289,22 +289,25 @@ class Tape:
             raise ContractError(f"backward: loss {loss!r} was recorded on another tape")
         if not self._records:
             raise ContractError("backward called on an empty tape")
+        for t, g in self._walk(loss, np.ones((), dtype=np.float64)).items():
+            if t is not None:
+                # np.array: an owned array even for a 0-d leaf, where t.grad + g is a numpy scalar.
+                t.grad = np.array(g if t.grad is None else t.grad + g, dtype=np.float64)
+
+    def _walk(self, out: Tensor, g: np.ndarray) -> dict:
+        """{leaf: its gradient} for out given gradient g (key None for an out that needs no grad); sets no .grad."""
         # Keyed by record or leaf, each of which hashes by identity.
-        grads: dict[_Node | Tensor | None, np.ndarray] = {self._key(loss): np.ones((), dtype=np.float64)}
+        grads: dict[_Node | Tensor | None, np.ndarray] = {self._key(out): g}
+        del out  # only its key is read: an output that only the caller held (recompute's) is freed before the walk
         for node in reversed(self._records):
             g = grads.pop(node, None)
             if g is None:
                 continue
             for key, gin in zip(node.keys, node.backward(g)):
-                if key is not None and gin is not None:  # recompute returns None for an input fn does not read
+                if key is not None and gin is not None:  # None: an input that gets no gradient from this op
                     prev = grads.get(key)
                     grads[key] = gin if prev is None else prev + gin
-        # Only leaves remain (and None, for a loss that needs no grad): the reverse
-        # walk popped each record's gradient after all its consumers had added to it.
-        for t, g in grads.items():
-            if t is not None:
-                # np.array: an owned array even for a 0-d leaf, where t.grad + g is a numpy scalar.
-                t.grad = np.array(g if t.grad is None else t.grad + g, dtype=np.float64)
+        return grads  # leaves (and None) only: each record's gradient was popped after all its consumers added to it
 
 
 def zero_grad(params: Iterable[Tensor]):
@@ -890,37 +893,33 @@ def recompute(fn: Callable, operands: Sequence[Tensor]) -> Tensor:
     This is gradient checkpointing (Chen et al., arXiv 1604.06174) for one
     call: the forward runs fn with the thread's tape set aside, so none of
     fn's ops is recorded and its intermediates are freed as they go.  The
-    backward runs fn again, under a private tape, on leaves made by
-    ``detach`` that share the operands' data and require grad where they do,
-    and seeds that tape's backward with tsum(mul(y, g)), whose gradient at y
-    is g bitwise.  It returns each leaf's gradient: None for an operand that
-    needs none or that fn does not read.  So the gradients equal those of fn
-    recorded op by op, at the price of one more forward of fn.
+    backward runs fn again on the operands themselves, under a private tape
+    where each is a leaf, and walks that tape from fn's output y with the
+    incoming gradient g (``Tape._walk``), setting no ``.grad``.  It returns
+    each operand's gradient: None for an operand that needs none, that fn
+    does not read, or that an earlier slot repeats.  So the gradients equal
+    those of fn recorded op by op, at the price of one more forward of fn.
 
     fn must return a Tensor, compute the same values on the same data each
     time, and read every tensor that needs a gradient through its operands.
-    With no tape the op is fn.  An incoming gradient with a non-finite entry
-    raises ``ContractError``, as ``Tensor`` does.
+    With no tape the op is fn.  A g with a non-finite entry raises
+    ``ContractError`` naming ``recompute``.
     """
     if not callable(fn):
         raise ContractError(f"recompute: fn must be callable, got {fn!r}")
     operands = tuple(operands)  # the backward reads these, whatever the caller's list holds by then
 
-    def output(y) -> Tensor:
+    def run(tape: Tape | None) -> Tensor:
+        with _tape_in_place(tape):
+            y = fn(*operands)
         if not isinstance(y, Tensor):
             raise ContractError(f"recompute: fn must return a Tensor, got {y!r}")
         return y
 
     def back(g):
-        leaves = [t.detach() for t in operands]
-        for leaf, t in zip(leaves, operands):
-            leaf.requires_grad = t.requires_grad
-        with _tape_in_place(Tape()) as tape:
-            loss = tsum(mul(output(fn(*leaves)), Tensor(g)))
-        if loss.requires_grad:  # else fn reads no operand that needs a gradient, and the tape may be empty
-            tape.backward(loss)
-        return tuple(leaf.grad for leaf in leaves)
+        _need_finite(g, "recompute: incoming gradient")
+        tape = Tape()  # the operands were made on another tape, so they are leaves of this one
+        grads = tape._walk(run(tape), g)
+        return tuple(grads.pop(t, None) for t in operands)  # a repeated operand's gradient goes to its first slot
 
-    with _tape_in_place(None):
-        y = output(fn(*operands))
-    return y.data, back
+    return run(None).data, back

@@ -83,7 +83,8 @@ def patch_recover(grid: Tensor, p: dict[str, Tensor], prefix: str, lo: int, hi: 
     row past each cut, which the upsample takes from half as many rows of the
     stage before, and zero-pads rows only at the map's own top and bottom, so
     it computes exactly [lo, hi) and no conv output is cropped.  The rows equal
-    those of the whole map; for (0, 8h) no row is cut.
+    the whole map's up to the rounding of shorter GEMMs, which can differ in
+    the last bit on wide maps; for (0, 8h) no row is cut.
     """
     T._need_rank(grid, "[d,h,w]", "patch_recover")
     n = grid.shape[1] << RECOVER_STAGES

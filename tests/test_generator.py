@@ -73,6 +73,25 @@ def test_a_taped_128_forward_holds_at_most_94_mib():
     assert taped_forward_holds(128) <= 94 * 2**20
 
 
+def test_a_taped_64_forward_and_its_backward_call_tape_backward_once(monkeypatch):
+    # Each recomputed MLP half walks its private tape without Tape.backward, so a wrapper of Tape.backward (as
+    # perfbench/spans.py installs) sees only the caller's call, on the caller's tape.
+    calls, backward = [], T.Tape.backward
+
+    def spy(tape, loss):
+        calls.append(tape)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(T.Tape, "backward", spy)
+    w = G.init_weights(G.GeneratorConfig(), seed=0)
+    x = Tensor(np.random.default_rng(0).uniform(size=(3, 64, 64)))
+    with Tape() as tape:
+        loss = T.mean(G.forward(x, w))
+    tape.backward(loss)
+    assert calls == [tape]
+    assert all(p.grad is not None for p in G.parameters(w).values())
+
+
 class TestInitWeights:
     def test_same_seed_identical(self):
         w1, w2 = G.init_weights(SMALL, seed=7), G.init_weights(SMALL, seed=7)

@@ -717,6 +717,38 @@ class TestRecompute:
         assert seen[1] is None and isinstance(seen[2], Tape) and seen[2] is not tape
         assert T._active_tape() is None and x.grad is None
 
+    def test_a_repeated_operand_gets_its_whole_gradient_in_its_first_slot(self):
+        raw = np.random.default_rng(19).normal(size=(2, 3))
+        x, y = Tensor(raw, requires_grad=True), Tensor(raw, requires_grad=True)
+        with Tape() as recorded:  # the same product, recorded as one op
+            expected = T.tsum(T.mul(y, y))
+        recorded.backward(expected)
+        with Tape() as tape:
+            loss = T.tsum(T.recompute(lambda a, b: T.mul(a, b), [x, x]))
+        gx, second = tape._records[0].backward(np.ones((2, 3)))
+        assert second is None and np.array_equal(gx, y.grad)
+        tape.backward(loss)
+        assert np.array_equal(x.grad, y.grad)
+
+    def test_its_backward_sets_no_grad_and_tape_backward_sets_what_it_returns(self):
+        rng = np.random.default_rng(20)
+        x, w = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((2, 3), (3, 4)))
+        with Tape() as tape:
+            loss = T.tsum(T.recompute(lambda x, w: T.gelu(x @ w), [x, w]))
+        gx, gw = tape._records[0].backward(np.ones((2, 4)))
+        assert x.grad is None and w.grad is None
+        tape.backward(loss)
+        assert np.array_equal(x.grad, gx) and np.array_equal(w.grad, gw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_incoming_gradient_is_rejected(self, bad):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            T.recompute(T.square, [x])
+        with pytest.raises(ContractError, match=r"^recompute: incoming gradient has non-finite entry"):
+            tape._records[0].backward(np.array([1.0, bad]))
+        assert x.grad is None
+
 
 class TestOperandRule:
     """``_op`` checks every Tensor operand before the op runs; the CONTRACTS rows cover each op without a tape."""

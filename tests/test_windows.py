@@ -193,3 +193,15 @@ class TestPatchRecover:
         grid = Tensor(rng.normal(size=(4, 4, 5)))
         whole = W.patch_recover(grid, weights, "rec", 0, 32).data
         assert np.array_equal(W.patch_recover(grid, weights, "rec", lo, hi).data, whole[:, lo:hi])
+
+    def test_rows_of_a_256_wide_map_equal_the_whole_map_rows_up_to_rounding(self):
+        # A strip's convs run shorter GEMMs than the whole map's, which BLAS may round differently: 8-row strips
+        # of this 32x256 map differ from the whole map's rows by up to 5.6e-17, half an ulp of the largest entry
+        # (0.88).  The bound, eps times that entry, is 1.9e-16.
+        rng = np.random.default_rng(14)
+        weights = self._weights(rng, 16, 16)
+        grid = Tensor(rng.normal(size=(16, 4, 32)))
+        whole = W.patch_recover(grid, weights, "rec", 0, 32).data
+        ulp = np.finfo(np.float64).eps * np.abs(whole).max()
+        for lo in range(0, 32, 8):
+            assert np.abs(W.patch_recover(grid, weights, "rec", lo, lo + 8).data - whole[:, lo : lo + 8]).max() <= ulp
