@@ -6,7 +6,9 @@ the recovery of the grid to full resolution (``windows.patch_recover``);
 and the fusion head.  The head stacks the local features with the recovered
 global features along channels, fuses them with two 3x3 convs (leaky_relu
 0.2), projects to RGB with a 1x1 conv and applies a sigmoid, so outputs
-always lie strictly inside (0,1).
+lie in [0,1].  They lie strictly inside only for logits between about
+-745.1 and 36.73: float64 rounds the sigmoid to exactly 1.0 from a logit
+of 36.74 up and to exactly 0.0 from -745.2 down.
 
 Once the global branch has made its grid, the rest is one two-stage
 pipeline on the image strips of ``attention._by_strips``.  Stage one
@@ -139,7 +141,7 @@ def _need_input(x, w, first: str, what: str):
 
 
 def forward(x: Tensor, w: Weights) -> Tensor:
-    """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in (0,1)."""
+    """Enhance a [3,H,W] image in [0,1]; output has the same shape, values in [0,1] (see the module docstring)."""
     _need_input(x, w, "local.embed_w", "forward")
     T._need_finite(x.data, "forward: x")
     n, rows = x.shape[1], A._image_rows(x.shape[2])

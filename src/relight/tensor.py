@@ -496,13 +496,10 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Overflow-safe logistic.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Overflow-safe logistic: 1/(1 + e) where x >= 0, e/(1 + e) elsewhere, with e = exp(-|x|) <= 1.
+    # out= keeps the result an array for a 0-d x.
+    e = np.exp(-np.abs(x), out=np.empty_like(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=e)
 
 
 @_op

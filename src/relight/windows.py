@@ -68,9 +68,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """[3,H,W] -> [d, H/8, W/8] grid of patch features via an 8x8 stride-8 convolution;
     entry [:, i, j] is the patch whose top-left corner is (8i, 8j)."""
     T._need_rank(x, "[C,H,W]", "patch_embed")
-    _, H, W = x.shape
-    if H % PATCH or W % PATCH:
-        raise DimensionError(f"patch embedding needs {PATCH} | H and {PATCH} | W, got {H}x{W}")
+    _window_grid(x.shape[1], x.shape[2], PATCH, "patch_embed")
     return T.conv2d(x, w, b, stride=PATCH)
 
 

@@ -9,12 +9,15 @@ in ``NO_CONTRACT``.
 
 Every case runs through the two runners in ``tests/test_attention.py``: one
 per entry point for the rank rows, one per ``case_id`` for the rest.  A few
-tests of single entry points also call ``reject`` on their own rows.
+tests of single entry points also call ``reject`` on their own rows.  The
+last guard below runs every case again under a line tracer and fails on a
+``raise`` in ``src/relight`` that no case reaches, so every rejection has a row.
 """
 
 import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +127,8 @@ def _concat(axis, second=(2, 2)):
     return T.concat([_zeros(2, 2), _zeros(*second)], axis)
 
 
-def _conv(x=(1, 4, 4), w=(1, 1, 3, 3), stride=1, pad=0):
-    return T.conv2d(_zeros(*x), _zeros(*w), _zeros(1), stride=stride, pad=pad)
+def _conv(x=(1, 4, 4), w=(1, 1, 3, 3), stride=1, pad=0, b=(1,)):
+    return T.conv2d(_zeros(*x), _zeros(*w), _zeros(*b), stride=stride, pad=pad)
 
 
 def _reverse(w=(4, 4, 2), s=2, height=4, width=4):
@@ -181,6 +184,9 @@ CONTRACTS = {
     "Tape.backward-tape": (
         _backward_on_a_new_tape, ContractError, "loss {value!r} was recorded on another tape", [_LOSS_A, _LOSS_GONE],
     ),
+    "Tape.backward-empty": (
+        lambda v: Tape().backward(v), ContractError, "backward called on an empty tape", [_zeros()],
+    ),
     "add-shapes": (lambda v: T.add(*_each(v)), DimensionError, BOTH, [((1,), (2,))]),
     "sub-shapes": (lambda v: T.sub(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
     "mul-shapes": (lambda v: T.mul(*_each(v)), DimensionError, BOTH, [((2, 3), (3, 2))]),
@@ -192,6 +198,10 @@ CONTRACTS = {
     "sqrt-x": (lambda v: T.sqrt(Tensor(v)), DomainError, "negative entry {value[1]} at flat index 1", [[1.0, -1e-12]]),
     "matmul-shapes": (lambda v: T.matmul(*_each(v)), DimensionError, BOTH, [((2, 3), (2, 3))]),
     "add_bias-rank": (lambda s: T.add_bias(_zeros(*s), _zeros(1)), DimensionError, RANK, [()]),
+    "add_bias-bias": (
+        lambda s: T.add_bias(_zeros(2, 3), _zeros(*s)), DimensionError,
+        "bias shape {value} does not match input shape (2, 3)", [(2,), (), (1, 3)],
+    ),
     "softmax-rank": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [()]),
     "mean-empty": (lambda s: T.mean(_zeros(*s)), DimensionError, RANK, [(0,), (2, 0, 3)]),
     "softmax-empty": (lambda s: T.softmax(_zeros(*s)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)]),
@@ -199,11 +209,16 @@ CONTRACTS = {
     "layer_norm-empty": (
         lambda s: T.layer_norm(_zeros(*s), _zeros(0), _zeros(0)), DimensionError, RANK, [(0,), (3, 0), (2, 4, 0)],
     ),
+    "layer_norm-affine": (  # (gamma's shape, beta's shape) for a last axis of 3
+        lambda v: T.layer_norm(_zeros(2, 3), *_each(v)), DimensionError,
+        "affine shapes {value[0]}/{value[1]} do not match last axis 3", [((2,), (3,)), ((3,), (1, 3)), ((), ())],
+    ),
     "reshape-shape": (
         lambda v: T.reshape(_zeros(2, 3), v), DimensionError, REPR, [True, (2, 3.0), "6", (True, 6), (4, 2)],
     ),
     "reshape-count": (lambda v: T.reshape(_zeros(6), v), DimensionError, "cannot view shape (6,) as {value!r}", [7]),
     "permute-axes": (lambda v: T.permute(_zeros(2, 3), v), DimensionError, REPR, [True, 0, None, (1, True), (1, -1)]),
+    "concat-empty": (T.concat, ContractError, "concat: empty tensor list", [[], ()]),
     "concat-axis": (_concat, DimensionError, "axis {value!r} invalid for shape (2, 2)", [True, 1.0, -3, 2]),
     "concat-shapes": (lambda s: _concat(0, s), DimensionError, "[(2, 2), {value}]", [(3, 3), (2,), (2, 2, 1)]),
     "crop-rank": (lambda s: T.crop(_zeros(*s), 0, 0, 1, 1), DimensionError, RANK, [(4,)]),
@@ -225,6 +240,13 @@ CONTRACTS = {
         [((0, 0, 1, 1), "2x4"), ((1, 0, 0, 0), "3x2")],
     ),
     "conv2d-empty": (lambda s: _conv(w=s), DimensionError, "kernel shape {value}", [(0, 1, 3, 3), (1, 1, 0, 1)]),
+    "conv2d-channels": (
+        lambda s: _conv(x=s), DimensionError, "input channels {value[0]} do not match kernel channels 1",
+        [(2, 4, 4), (3, 4, 4)],
+    ),
+    "conv2d-bias": (
+        lambda s: _conv(b=s), DimensionError, "bias shape {value} does not match 1 output channels", [(2,), (), (1, 1)],
+    ),
     # the operand rule: every Tensor parameter of every op
     "add-operand": _operands(T.add, _zeros(2), _zeros(2)),
     "sub-operand": _operands(T.sub, _zeros(2), _zeros(2)),
@@ -288,7 +310,8 @@ CONTRACTS = {
     ),
     "patch_embed-rank": (lambda s: W.patch_embed(_zeros(*s), None, None), DimensionError, RANK, [(8, 8)]),
     "patch_embed-shape": (
-        lambda s: W.patch_embed(_zeros(*s), None, None), DimensionError, "got {value[1]}x{value[2]}", [(3, 12, 16)],
+        lambda s: W.patch_embed(_zeros(*s), None, None), ContractError, "divides feature map {value[1]}x{value[2]}",
+        [(3, 12, 16)],
     ),
     "patch_recover-rank": (_recover, DimensionError, RANK, [(4, 16)]),
     "patch_recover-params": (
@@ -543,3 +566,28 @@ def test_every_raise_names_one_of_the_four_fault_classes():
     raises = [(path.name, line, name) for path in sorted(SRC.glob("*.py")) for line, name in raised_names(path)]
     assert raises
     assert [r for r in raises if r[2] not in ERRORS.keys() - {"RelightError"}] == []
+
+
+def test_every_raise_is_reached_by_a_row():
+    # A line tracer over every CONTRACTS case; a raise no case reaches is a rejection nothing pins.
+    files = {str(path): path.name for path in SRC.glob("*.py")}
+    reached = set()
+
+    def trace(frame, event, arg):
+        name = files.get(frame.f_code.co_filename)
+        if name is None:
+            return None
+        if event == "line":
+            reached.add((name, frame.f_lineno))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for key, (*_, values) in CONTRACTS.items():
+            for value in values:
+                reject(key, value)
+    finally:
+        sys.settrace(previous)
+    raises = {(path.name, line) for path in SRC.glob("*.py") for line, _ in raised_names(path)}
+    assert sorted(raises - reached) == []

@@ -245,9 +245,65 @@ class TestConv2d:
             T.conv2d(x, w, zero_bias(w), **{arg: value})
 
 
+def bits(a):
+    """a's float64 entries as uint64, so NaN-free arrays compare bit for bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def masked_sigmoid(x):
+    """The two-path logistic: 1/(1 + exp(-x)) on the entries x >= 0, exp(x)/(1 + exp(x)) on the rest."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _sigmoid_inputs():
+    """Mixed-sign arrays, a transposed view, 0-d and empty inputs, the float64 edges and random bit patterns."""
+    rng = np.random.default_rng(16)
+    edges = np.array([0.0, 5e-324, 1e-320, 36.7, 709.0, 745.2, 800.0, 1e308, np.inf])
+    patterns = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    return {
+        "edges": np.concatenate([edges, -edges]),
+        "map": rng.normal(size=(3, 64, 64)) * 10.0,
+        "scale-40": rng.normal(size=1_000_003) * 40.0,
+        "transposed": (rng.normal(size=(50, 70)) * 20.0).T,
+        "0d": np.array(-1.5),
+        "empty": np.zeros((2, 0)),
+        "bit-patterns": patterns[~np.isnan(patterns)],  # every float64 is as likely as every other
+    }
+
+
+SIGMOID_INPUTS = _sigmoid_inputs()
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
+
+    @pytest.mark.parametrize("data", SIGMOID_INPUTS.values(), ids=SIGMOID_INPUTS.keys())
+    def test_sigmoid_is_the_masked_form_bit_for_bit(self, data):
+        expected, out = bits(masked_sigmoid(data)), T._sigmoid(data)
+        assert type(out) is np.ndarray and out.shape == data.shape  # out= keeps a 0-d result an array
+        assert np.array_equal(bits(out), expected)
+        assert np.array_equal(bits(T.sigmoid(T._record(data, (), None)).data), expected)
+        x = Tensor(0.0, requires_grad=True)
+        x.data = data  # past the constructor's finiteness check, as an op output may hold inf
+        with Tape() as tape:
+            with np.errstate(over="ignore"):  # the loss sums entries near 1e308; only its gradient is read
+                loss = T.tsum(T.softplus(x))
+            tape.backward(loss)
+        assert np.array_equal(bits(x.grad), expected)  # softplus's derivative is the logistic
+
+    def test_sigmoid_keeps_nan(self):
+        assert np.isnan(T._sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    def test_sigmoid_reaches_both_ends_of_the_closed_unit_interval(self):
+        # float64 rounds the logistic to 1.0 from a logit of 36.74 up and to 0.0 from -745.2 down
+        out = T.sigmoid(Tensor([36.7, 36.74, -745.0, -745.2])).data
+        assert out.tolist() == [0.9999999999999998, 1.0, 5e-324, 0.0]
 
     def test_relu(self):
         # relu is leaky_relu with slope 0, as the feature extractor calls it
@@ -277,9 +333,6 @@ class TestElementwise:
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_leaky_relu_is_the_masked_form_bit_for_bit(self, slope):
-        def bits(a):
-            return np.ascontiguousarray(a).view(np.uint64)
-
         rng = np.random.default_rng(15)
         edges = [0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308]
         x = np.concatenate([edges, rng.normal(size=1000)])
